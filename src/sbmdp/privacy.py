@@ -218,10 +218,6 @@ def param_estimate(g: Graph) -> tuple[float, float, float]:
     return a_hat, b_hat, rho_hat
 
 
-def _labels_to_ground_truth(variant: str, labels: np.ndarray) -> GroundTruth:
-    return GroundTruth(variant, labels)
-
-
 def stbl_fast(
     g: Graph,
     params: SbmParams,
@@ -284,7 +280,7 @@ def stbl_fast(
                 constants = tighten_constants(
                     default_constants(check_params, priv.eps, c_stab, margin),
                     alpha, check_params)
-                gt_hat = _labels_to_ground_truth(params.variant, labels)
+                gt_hat = GroundTruth(params.variant, labels)
                 conc_pass = check_concentration(
                     g, gt_hat, check_params, constants).passed
             except (InfeasibleRegime, InvalidShift, InvalidParams):

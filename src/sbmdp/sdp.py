@@ -5,11 +5,15 @@ onto the PSD cone, the other onto the affine (and, for the general variant,
 box) constraints, with scaled dual updates. All constraint projections are
 closed-form, so no external solver is needed.
 
-Exactness is never claimed from residuals alone. At regular checkpoints the
-current iterate is rounded to a candidate clustering and a dual certificate
-is built from the data and the candidate; when the certificate verifies, the
-candidate's cluster matrix is the unique optimum and the solver returns it
-directly. Sub-threshold inputs never certify and fall back to plain ADMM
+Exactness is never claimed from residuals alone. Solving is certificate
+first: before any ADMM iteration, a spectral estimate of the data matrix is
+rounded to a candidate clustering and a dual certificate is built from the
+data and the candidate. When the certificate verifies, the candidate's
+cluster matrix is the unique optimum and the solver returns it without
+iterating; above the recovery threshold this is the usual outcome, since
+the rounded spectral estimate is already the planted clustering. Otherwise
+ADMM runs, and the same test is repeated on the rounded iterate at regular
+checkpoints. Sub-threshold inputs never certify and fall back to plain ADMM
 convergence.
 """
 
@@ -206,7 +210,7 @@ def _project_gssbm(m: np.ndarray, trace_target: float, total_target: float) -> n
 
 
 def _certify_binary_candidate(
-    a_dense: np.ndarray, sigma: np.ndarray, with_mass: bool, logn: float
+    a_dense: np.ndarray, sigma: np.ndarray, with_mass: bool
 ) -> bool:
     """Check whether sigma*sigma^T is provably the unique SDP optimum.
 
@@ -430,7 +434,7 @@ def _extract_general(x: np.ndarray, sizes: np.ndarray) -> Optional[np.ndarray]:
 def _candidate_from_iterate(
     prob: SdpProblem, eigvecs: np.ndarray, eigvals: np.ndarray
 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """(cluster matrix, discrete labels) rounded from the PSD iterate."""
+    """(cluster matrix, discrete labels) rounded from ascending eigenpairs."""
     if eigvals[-1] <= 0:
         return None, None
     v = eigvecs[:, -1]
@@ -449,13 +453,43 @@ def _candidate_from_iterate(
 
 
 def _certify_candidate(prob: SdpProblem, labels: np.ndarray) -> bool:
-    n = prob.n
-    logn = math.log(n) if n > 1 else 1.0
     if prob.variant == BASBM:
-        return _certify_binary_candidate(prob.a_dense, labels, True, logn)
+        return _certify_binary_candidate(prob.a_dense, labels, True)
     if prob.variant == CBSBM:
-        return _certify_binary_candidate(prob.a_dense, labels, False, logn)
+        return _certify_binary_candidate(prob.a_dense, labels, False)
     return _certify_general_candidate(prob.a_dense, labels, np.array(prob.sizes))
+
+
+def _spectral_candidate(
+    prob: SdpProblem,
+) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """(cluster matrix, discrete labels) rounded from the data's spectrum.
+
+    basbm uses A - mean(A)*J: the top eigenvector of A itself is the
+    Perron vector, which tracks degrees rather than clusters.
+    gssbm rescales its top-r eigenpairs so that the member diagonal of the
+    rank-r reconstruction is about 1, the scale the 1/2 threshold of the
+    general rounding expects.
+    """
+    a_dense = prob.a_dense
+    if prob.variant == BASBM:
+        return _candidate_from_iterate(prob, *_eig_sorted(a_dense - a_dense.mean()))
+    evecs, evals = _eig_sorted(a_dense)
+    if prob.variant == GSSBM:
+        r = len(prob.sizes)
+        evecs, evals = evecs[:, -r:], evals[-r:]
+        diag = np.sort((evecs ** 2) @ evals)
+        scale = float(diag[-sum(prob.sizes):].mean())
+        if not scale > 0:
+            return None, None
+        evals = evals / scale
+    return _candidate_from_iterate(prob, evecs, evals)
+
+
+def _certified_solution(prob: SdpProblem, cand: np.ndarray, it: int) -> SdpSolution:
+    return SdpSolution(problem=prob, matrix=cand, objective=prob.objective(cand),
+                       primal_residual=0.0, dual_residual=0.0,
+                       iterations=it, status=CONVERGED, certified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +499,20 @@ def _certify_candidate(prob: SdpProblem, labels: np.ndarray) -> bool:
 def solve(prob: SdpProblem, opts: SolveOptions = SolveOptions()) -> SdpSolution:
     """Maximize <A, Y> over the variant's constraint set.
 
-    Returns the certified integral optimum when a rounded checkpoint
-    candidate passes its dual certificate; otherwise runs the projection
-    splitting to the requested residual tolerance and returns the better of
-    the final iterate and the last rounded feasible candidate.
+    With ``opts.certify_every`` nonzero, the rounded spectral estimate of
+    the data is tested first and, if its dual certificate verifies,
+    returned as the certified optimum with ``iterations == 0``. Otherwise
+    the projection splitting runs and tests a rounded candidate every
+    ``certify_every`` iterations, returning the first that certifies. An
+    input that never certifies runs to the requested residual tolerance
+    and gets the better of the final iterate and the last rounded feasible
+    candidate. ``certify_every=0`` disables every certificate test.
     """
+    if opts.certify_every:
+        cand, labels = _spectral_candidate(prob)
+        if cand is not None and _certify_candidate(prob, labels):
+            return _certified_solution(prob, cand, 0)
+
     n = prob.n
     a_dense = prob.a_dense
     if prob.variant == BASBM:
@@ -515,11 +558,7 @@ def solve(prob: SdpProblem, opts: SolveOptions = SolveOptions()) -> SdpSolution:
             if cand is not None:
                 best_candidate = cand
                 if _certify_candidate(prob, labels):
-                    return SdpSolution(
-                        problem=prob, matrix=cand,
-                        objective=prob.objective(cand),
-                        primal_residual=0.0, dual_residual=0.0,
-                        iterations=it, status=CONVERGED, certified=True)
+                    return _certified_solution(prob, cand, it)
 
         if opts.balance and it >= 200 and it % 100 == 0:
             if primal > 10 * dual and t < t_hi:

@@ -20,8 +20,6 @@ class Tolerances:
     """Central numerical tolerances used across the package."""
 
     symmetry: float = 1e-12          # max allowed asymmetry on construction
-    eig_relative: float = 1e-9       # relative eigenvalue accuracy target
-    psd_project: float = 1e-10       # PSD-ness of projected output
     certificate: float = 1e-8        # certificate checks, relative to ||S||_2
     eigen_gap: float = 1e-6          # rounding degenerate-spectrum guard
     z_threshold: float = 0.5         # same-cluster threshold for 0/1 matrices

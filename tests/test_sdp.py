@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbmdp.errors import (
     DegenerateSpectrum,
@@ -268,6 +271,67 @@ def test_certificate_implies_oracle_agreement():
                 agreements += 1
     assert agreements == checked
     assert checked >= 3
+
+
+@pytest.mark.parametrize("params", [
+    BasbmParams(n=200, a=20, b=2, rho=0.5),
+    BasbmParams(n=200, a=25, b=2, rho=0.3),
+    CbsbmParams(n=200, a=8, xi=0.05),
+    GssbmParams(n=300, a=40, b=2, rhos=(0.3, 0.3, 0.3)),
+], ids=["basbm", "basbm-unbalanced", "cbsbm", "gssbm"])
+def test_above_threshold_certifies_before_admm(params):
+    g, gt = generate(params, 11)
+    sol = solve(problem_from_graph(g, params))
+    assert sol.certified and sol.iterations == 0
+    assert same_clustering(sol.matrix, cluster_matrix(gt))
+
+
+def test_subthreshold_runs_admm():
+    params = BasbmParams(n=100, a=3, b=2, rho=0.5)
+    g, _ = generate(params, 0)
+    sol = solve(problem_from_graph(g, params),
+                SolveOptions(max_iters=30, certify_every=10))
+    assert not sol.certified
+    assert sol.iterations == 30
+
+
+def test_certify_every_zero_skips_spectral_path():
+    params = BasbmParams(n=200, a=20, b=2, rho=0.5)
+    g, _ = generate(params, 11)
+    sol = solve(problem_from_graph(g, params),
+                SolveOptions(max_iters=3, certify_every=0))
+    assert not sol.certified
+    assert sol.iterations == 3
+
+
+@st.composite
+def small_instances(draw):
+    n = draw(st.integers(4, 10))
+    scale = n / math.log(n)
+    # strong planting, so that a good share of draws certifies at n <= 10
+    p = draw(st.floats(0.8, 0.95))
+    q = draw(st.floats(0.01, 0.2)) * p
+    variant = draw(st.sampled_from(["basbm", "cbsbm", "gssbm"]))
+    if variant == "basbm":
+        params = BasbmParams(n=n, a=p * scale, b=q * scale,
+                             rho=draw(st.sampled_from([0.3, 0.5])))
+    elif variant == "cbsbm":
+        params = CbsbmParams(n=n, a=p * scale, xi=draw(st.floats(0.0, 0.2)))
+    else:
+        params = GssbmParams(n=n, a=p * scale, b=q * scale,
+                             rhos=draw(st.sampled_from([(0.5,), (0.4, 0.4),
+                                                        (0.3, 0.3)])))
+    return params, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@given(small_instances())
+@settings(max_examples=60, deadline=None)
+def test_spectral_certificate_matches_oracle(instance):
+    params, seed = instance
+    g, _ = generate(params, seed)
+    sol = solve(problem_from_graph(g, params), SolveOptions(max_iters=1))
+    if sol.certified and sol.iterations == 0:
+        assert np.array_equal(sol.matrix, mle_bruteforce(g, params))
 
 
 def test_gssbm_recover_small():
