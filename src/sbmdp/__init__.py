@@ -6,13 +6,14 @@ Library layout:
   edge-list serialization.
 * :mod:`sbmdp.models` -- the three block-model variants, seeded generation,
   ground truth, cluster matrices.
-* :mod:`sbmdp.spectral` -- dense symmetric eigen-tools and PSD projection.
+* :mod:`sbmdp.spectral` -- tolerances, symmetric validation, spectral norm,
+  and the solver's eigendecomposition and PSD projection.
 * :mod:`sbmdp.sdp` -- the SDP relaxations, projection-splitting solver,
   rounding, and the small-n brute-force oracle.
 * :mod:`sbmdp.concentration` -- threshold rate functions and the
   per-variant concentration checkers with constant-tuple maps.
-* :mod:`sbmdp.certificates` -- dual certificates proving SDP optimality at
-  a planted clustering.
+* :mod:`sbmdp.certificates` -- the dual-certificate kernels and verifiers
+  behind the solver's early stop and the certificate diagnostics.
 * :mod:`sbmdp.privacy` -- Laplace noise, distance to instability, and the
   stability / fast-stability release mechanisms.
 * :mod:`sbmdp.harness` -- seeded recovery-rate sweeps with CSV output.

@@ -1,12 +1,23 @@
-"""Dual certificates witnessing SDP optimality at a planted clustering.
+"""Dual certificates witnessing SDP optimality at a clustering.
 
-Each certificate is a matrix S built deterministically from the adjacency
-and the clustering. S annihilates the cluster vectors by construction (an
-algebraic identity, not a numerical fact); validity then amounts to S being
-PSD with the eigenvalue just above the kernel bounded away from zero, plus
-sign conditions on the general variant's auxiliary quantities. A valid
-certificate proves the cluster matrix is the unique optimizer, so rounding
-the solver output must reproduce the clustering exactly.
+Each certificate is a matrix S built deterministically from the adjacency,
+the clustering and the dual multipliers (lambda on the all-ones matrix, and
+eta on the identity for the general variant). S annihilates the cluster
+vectors by construction (an algebraic identity, not a numerical fact);
+validity then amounts to S being PSD with the eigenvalue just above the
+kernel bounded away from zero, plus sign conditions on the general
+variant's auxiliary quantities. A valid certificate proves the cluster
+matrix is the unique optimizer, so rounding the solver output must
+reproduce the clustering exactly.
+
+This module is the only place a certificate is built and tested. The
+kernels :func:`binary_certificate` and :func:`general_certificate` take
+plain arrays and the multipliers; each caller decides where the
+multipliers come from. :func:`build_binary` and :func:`build_general`
+derive them from the true model rates, for diagnostics on a planted
+clustering. The solver's early stop (``sdp._certify_candidate``) derives
+them from the empirical rates of its rounded candidate. Both judge the
+result with :func:`verify_binary` / :func:`verify_general`.
 """
 
 from __future__ import annotations
@@ -20,11 +31,10 @@ from .concentration import (
     GssbmConstants,
     cluster_edge_counts,
     default_constants,
-    degree_margins,
-    log_mean,
+    lambda_star,
 )
 from .errors import InvalidParams, ShapeMismatch
-from .graph import Graph
+from .graph import dense_matrix
 from .models import (
     BASBM,
     GSSBM,
@@ -34,12 +44,11 @@ from .models import (
     GssbmParams,
     expected_adjacency,
 )
-from .spectral import DEFAULT_TOLS, as_symmetric
+from .spectral import DEFAULT_TOLS
 
 
 @dataclass(frozen=True)
 class BinaryCertificate:
-    variant: str
     d_star: np.ndarray = field(repr=False)
     lam: float
     s_matrix: np.ndarray = field(repr=False)
@@ -85,33 +94,33 @@ class GeneralReport:
                 "slackness_residual": self.slackness_residual}
 
 
-def _dense(graph_or_matrix) -> np.ndarray:
-    if isinstance(graph_or_matrix, Graph):
-        return graph_or_matrix.to_dense()
-    return as_symmetric(graph_or_matrix)
+def binary_certificate(
+    a_dense: np.ndarray, sigma: np.ndarray, lam: float
+) -> BinaryCertificate:
+    """S = diag(d) - A + lam*J for the +-1 labels ``sigma``.
+
+    d_i = sum_j A_ij sigma_i sigma_j - lam*(2K - n)*sigma_i, where K counts
+    the +1 labels, so S*sigma = 0 for any adjacency and any lam. lam = 0 is
+    the censored certificate, which has no size constraint.
+    """
+    n = sigma.size
+    k = int(np.count_nonzero(sigma > 0))
+    d = (a_dense @ sigma) * sigma - lam * (2 * k - n) * sigma
+    return BinaryCertificate(d, lam, np.diag(d) - a_dense + lam)
 
 
 def build_binary(graph, gt: GroundTruth, params) -> BinaryCertificate:
-    """Certificate for the two binary variants.
+    """Certificate for the two binary variants at the true rates.
 
-    basbm: S = diag(d) - A + lambda*J with d_i = sum_j A_ij sigma_i sigma_j
-    - lambda*(2K - n)*sigma_i and lambda = log_mean(a, b)*log(n)/n.
-    cbsbm: S = diag(d) - A with the plain margins. Either way S*sigma = 0
-    identically for any adjacency.
+    basbm: lambda = log_mean(a, b)*log(n)/n; cbsbm: lambda = 0.
     """
     if not isinstance(params, (BasbmParams, CbsbmParams)):
         raise InvalidParams("binary certificate needs basbm or cbsbm params")
-    a_dense = _dense(graph)
+    a_dense = dense_matrix(graph)
     if a_dense.shape[0] != gt.n:
         raise ShapeMismatch("adjacency and ground truth sizes disagree")
-    d = degree_margins(a_dense, gt, params)
-    if params.variant == BASBM:
-        lam = log_mean(params.a, params.b) * params.log_n / params.n
-        s = np.diag(d) - a_dense + lam
-    else:
-        lam = 0.0
-        s = np.diag(d) - a_dense
-    return BinaryCertificate(params.variant, d, lam, s)
+    lam = lambda_star(params) if params.variant == BASBM else 0.0
+    return binary_certificate(a_dense, gt.sigma, lam)
 
 
 def verify_binary(
@@ -134,36 +143,27 @@ def verify_binary(
     return BinaryReport(bool(valid), lambda_min, lambda2, residual)
 
 
-def build_general(
-    graph,
-    gt: GroundTruth,
-    params: GssbmParams,
-    constants: GssbmConstants | None = None,
+def general_certificate(
+    a_dense: np.ndarray,
+    assign: np.ndarray,
+    sizes: np.ndarray,
+    lam: float,
+    eta: float,
 ) -> GeneralCertificate:
-    """Certificate for the general variant.
+    """S = diag(d) - B - A + eta*I + lam*J for an assignment (0 = outlier).
 
-    Uses eta = ||A - E[A]||_2 (true rates), lambda = (b + 2*c2)*log(n)/n,
-    diagonal corrections d_i = s_i - eta - lambda*K_k on members (zero on
-    outliers), and the four-case cross-cluster pricing matrix B. When no
-    constants are supplied, non-private defaults are derived from params.
+    d_i = s_i - eta - lam*K_k on members of cluster k, where s_i counts
+    the edges from i into its own cluster, and zero on outliers. B is the
+    four-case cross-cluster pricing matrix, zero within each part. Every
+    cluster indicator lies in the kernel of S for any adjacency, lam and
+    eta.
     """
-    if params.variant != GSSBM:
-        raise InvalidParams("general certificate needs gssbm params")
-    a_dense = _dense(graph)
-    if a_dense.shape[0] != gt.n:
-        raise ShapeMismatch("adjacency and ground truth sizes disagree")
-    if constants is None:
-        constants = default_constants(params, math.inf, 0.0)
-    n = params.n
-    lam = constants.tau_tilde(params.b) * params.log_n / n
-    eta = float(np.abs(np.linalg.eigvalsh(
-        a_dense - expected_adjacency(params, gt))).max())
-
-    assign = gt.assignment
-    sizes = np.array(gt.sizes, dtype=np.float64)
-    e_counts, pair_counts = cluster_edge_counts(a_dense, gt)
+    n = assign.size
+    sizes = np.asarray(sizes, dtype=np.float64)
+    r = sizes.size
+    e_counts, pair_counts = cluster_edge_counts(a_dense, assign)
     member = assign > 0
-    if sizes.size:
+    if r:
         internal = e_counts[np.arange(n), np.maximum(assign - 1, 0)]
         d = np.where(member,
                      internal - eta - lam * sizes[np.maximum(assign - 1, 0)],
@@ -172,7 +172,6 @@ def build_general(
         d = np.zeros(n)
 
     b_mat = np.zeros((n, n))
-    r = sizes.size
     for k in range(0, r + 1):
         mi = assign == k
         if not mi.any():
@@ -200,6 +199,30 @@ def build_general(
 
     s = np.diag(d) - b_mat - a_dense + eta * np.eye(n) + lam
     return GeneralCertificate(d, b_mat, eta, lam, s)
+
+
+def build_general(
+    graph,
+    gt: GroundTruth,
+    params: GssbmParams,
+    constants: GssbmConstants | None = None,
+) -> GeneralCertificate:
+    """Certificate for the general variant at the true rates.
+
+    Uses eta = ||A - E[A]||_2 and lambda = (b + 2*c2)*log(n)/n. When no
+    constants are supplied, non-private defaults are derived from params.
+    """
+    if params.variant != GSSBM:
+        raise InvalidParams("general certificate needs gssbm params")
+    a_dense = dense_matrix(graph)
+    if a_dense.shape[0] != gt.n:
+        raise ShapeMismatch("adjacency and ground truth sizes disagree")
+    if constants is None:
+        constants = default_constants(params, math.inf, 0.0)
+    lam = constants.tau_tilde(params.b) * params.log_n / params.n
+    eta = float(np.abs(np.linalg.eigvalsh(
+        a_dense - expected_adjacency(params, gt))).max())
+    return general_certificate(a_dense, gt.assignment, np.array(gt.sizes), lam, eta)
 
 
 def verify_general(

@@ -32,7 +32,7 @@ from .models import (
     same_clustering,
 )
 from .privacy import PrivacyParams, param_estimate, stbl, stbl_fast
-from .sdp import recover
+from .sdp import _extract_general, recover
 
 
 def _params_from_args(args, n: int):
@@ -136,26 +136,25 @@ def cmd_private_recover(args) -> int:
         "fast_path": outcome.trace.fast_path,
     }
     if not outcome.bottom:
-        sign = np.sign(outcome.result[0]).astype(int)
-        payload["assignment"] = (
-            sign.tolist() if args.variant != GSSBM
-            else _gssbm_labels(outcome.result))
+        payload["assignment"] = _released_labels(outcome.result, params)
     _emit(payload)
     return 0
 
 
-def _gssbm_labels(z: np.ndarray) -> list[int]:
-    n = z.shape[0]
-    labels = [0] * n
-    nxt = 1
-    for i in range(n):
-        if z[i, i] < 0.5 or labels[i]:
-            continue
-        for j in range(i, n):
-            if z[i, j] > 0.5:
-                labels[j] = nxt
-        nxt += 1
-    return labels
+def _released_labels(z: np.ndarray, params) -> list[int]:
+    """Labels of a released cluster matrix, numbered as ``recover`` numbers them.
+
+    gssbm clusters are numbered by the SDP rounding; binary labels put +1
+    on the first cluster (floor(rho*n) vertices for basbm) and on vertex 0
+    when both readings fit.
+    """
+    if params.variant == GSSBM:
+        return _extract_general(z, np.array(params.sizes)).tolist()
+    sig = np.sign(z[0]).astype(np.int64)
+    if (params.variant == BASBM
+            and np.count_nonzero(sig > 0) != params.first_cluster_size):
+        sig = -sig
+    return sig.tolist()
 
 
 def cmd_estimate_params(args) -> int:

@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DomainError, InfeasibleRegime, InvalidParams, InvalidShift
-from .graph import Graph
+from .graph import dense_matrix
 from .models import (
     BASBM,
     CBSBM,
@@ -263,12 +263,6 @@ def expected_degree_margins(params: BasbmParams, gt: GroundTruth) -> np.ndarray:
     return np.where(gt.assignment == 1, d_plus, d_minus)
 
 
-def _dense(graph_or_matrix) -> np.ndarray:
-    if isinstance(graph_or_matrix, Graph):
-        return graph_or_matrix.to_dense()
-    return np.asarray(graph_or_matrix, dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
 # checkers
 
@@ -277,7 +271,7 @@ def check_basbm(
     graph, gt: GroundTruth, params: BasbmParams, constants: BasbmConstants
 ) -> ConcentrationReport:
     """Evaluate the four asymmetric-model concentration conditions."""
-    a_dense = _dense(graph)
+    a_dense = dense_matrix(graph)
     if a_dense.shape[0] != gt.n or gt.n != params.n:
         raise InvalidParams("graph, ground truth, and params sizes disagree")
     n = params.n
@@ -312,7 +306,7 @@ def check_cbsbm(
     graph, gt: GroundTruth, params: CbsbmParams, constants: CbsbmConstants
 ) -> ConcentrationReport:
     """Evaluate the two censored-model concentration conditions."""
-    a_dense = _dense(graph)
+    a_dense = dense_matrix(graph)
     if a_dense.shape[0] != gt.n or gt.n != params.n:
         raise InvalidParams("graph, ground truth, and params sizes disagree")
     logn = params.log_n
@@ -332,15 +326,16 @@ def check_cbsbm(
 
 
 def cluster_edge_counts(
-    a_dense: np.ndarray, gt: GroundTruth
+    a_dense: np.ndarray, assign: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vertex and per-cluster edge counts for the general variant.
+    """Per-vertex and per-cluster edge counts for a general assignment.
 
     Returns (E, C) where E[i, k] counts edges from vertex i into cluster
     k+1 and C[k, k'] counts edges between clusters k+1 and k'+1 (twice the
     internal count on the diagonal).
     """
-    m = gt.indicator_matrix()
+    r = int(assign.max(initial=0))
+    m = (assign[:, None] == np.arange(1, r + 1)).astype(np.float64)
     e = a_dense @ m
     c = m.T @ a_dense @ m
     return e, c
@@ -354,7 +349,7 @@ def check_gssbm(
     Conditions quantified over empty index sets (single cluster, no
     outliers) pass vacuously with empty lhs/rhs.
     """
-    a_dense = _dense(graph)
+    a_dense = dense_matrix(graph)
     if a_dense.shape[0] != gt.n or gt.n != params.n:
         raise InvalidParams("graph, ground truth, and params sizes disagree")
     n, b = params.n, params.b
@@ -370,7 +365,7 @@ def check_gssbm(
     conds = [ConditionResult("spectral_deviation", lhs1, constants.c1 * sqlogn,
                              lhs1 <= constants.c1 * sqlogn)]
 
-    e_counts, pair_counts = cluster_edge_counts(a_dense, gt)
+    e_counts, pair_counts = cluster_edge_counts(a_dense, assign)
 
     # 2: every member's internal degree clears (b + 2 c2) * rho_k * log n
     members = assign > 0
@@ -551,7 +546,11 @@ def tighten_constants(
 def _solve_decreasing(
     f, target: float, lo: float, hi: float | None = None, tol: float = 1e-10
 ) -> float:
-    """Largest x >= lo with f(x) = target, for f decreasing on [lo, hi]."""
+    """The x >= lo with f(x) = target, for f decreasing on [lo, hi].
+
+    An increasing f is solved by passing -f and -target; negation is exact,
+    so the bisection takes the same steps.
+    """
     if hi is None:
         hi = max(lo, 1.0)
         while f(hi) > target:
@@ -562,25 +561,6 @@ def _solve_decreasing(
     for _ in range(200):
         mid = 0.5 * (lo_b + hi)
         if f(mid) > target:
-            lo_b = mid
-        else:
-            hi = mid
-        if hi - lo_b < tol:
-            break
-    return 0.5 * (lo_b + hi)
-
-
-def _solve_increasing(f, target: float, lo: float, tol: float = 1e-10) -> float:
-    """Smallest x >= lo with f(x) = target, for f increasing on [lo, inf)."""
-    hi = max(lo, 1.0)
-    while f(hi) < target:
-        hi = 2 * hi + 1
-        if hi > 1e12:
-            raise InfeasibleRegime("no finite root found")
-    lo_b = lo
-    for _ in range(200):
-        mid = 0.5 * (lo_b + hi)
-        if f(mid) < target:
             lo_b = mid
         else:
             hi = mid
@@ -652,11 +632,11 @@ def default_constants(
     c5 = shift + 0.5
 
     lb = [shift / rho_min + margin if shift > 0 else 0.0]
-    lb.append(_solve_increasing(
-        lambda c2: poisson_tail_rate(b, b + c2 - c3 / rho_min), target,
+    lb.append(_solve_decreasing(
+        lambda c2: -poisson_tail_rate(b, b + c2 - c3 / rho_min), -target,
         lo=c3 / rho_min))
-    lb.append(_solve_increasing(
-        lambda c2: poisson_tail_rate(b, b + 2 * c2 - c5 / rho_min), target,
+    lb.append(_solve_decreasing(
+        lambda c2: -poisson_tail_rate(b, b + 2 * c2 - c5 / rho_min), -target,
         lo=0.5 * c5 / rho_min))
     c2_lo = max(lb)
 

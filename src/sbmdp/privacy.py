@@ -91,6 +91,7 @@ def outcomes_equal(o1: Optional[np.ndarray], o2: Optional[np.ndarray]) -> bool:
 def distance_to_instability(
     g: Graph,
     f: ClusteringFn,
+    base: Optional[np.ndarray],
     cap: int,
     *,
     budget_s: float | None = None,
@@ -98,6 +99,8 @@ def distance_to_instability(
 ) -> int:
     """Smallest k <= cap such that some graph at distance k changes f's output.
 
+    ``base`` is the output at ``g`` itself, the one the caller publishes;
+    a neighbour counts as changed when ``f`` there differs from it.
     Returns ``cap`` when no such graph exists within the cap. Enumeration
     runs in nondecreasing distance order, so the first differing neighbor
     pins the answer. Raises BudgetExceeded instead of ever returning a
@@ -108,7 +111,6 @@ def distance_to_instability(
         raise InvalidParams(f"cap must be nonnegative, got {cap}")
     if cap == 0:
         return 0
-    base = f(g)
     start = time.monotonic()
     evals = 0
     for k in range(1, cap + 1):
@@ -176,13 +178,14 @@ def stbl(
     if slack is None:
         slack = 20.0 / priv.eps
     cap = math.ceil(priv.threshold) + math.ceil(slack)
-    d = distance_to_instability(g, f, cap, budget_s=budget_s, max_evals=max_evals)
+    base = f(g)
+    d = distance_to_instability(g, f, base, cap, budget_s=budget_s,
+                                max_evals=max_evals)
     noise = noise_override if noise_override is not None else sample_laplace(
         1.0 / priv.eps, rng)
     released = d + noise > priv.threshold
-    value = f(g) if released else None
     return MechanismOutcome(
-        result=value,
+        result=base if released else None,
         trace=MechanismTrace(d_hat=float(d), noise=noise,
                              threshold=priv.threshold, released=bool(released)),
     )
@@ -239,8 +242,9 @@ def stbl_fast(
     Solves the SDP once and rounds it; when the rounded clustering makes
     the (tightened) concentration check pass, the distance is pinned to
     c_stab*log(n)/eps without any neighborhood search. On a failed check
-    the exact capped distance is measured, which is exponentially slower
-    and guarded by the evaluation/wall-clock budget.
+    the exact capped distance around the rounded clustering it would
+    release is measured, which is exponentially slower and guarded by the
+    evaluation/wall-clock budget.
 
     With ``estimate_rates`` the intra/inter rates (a, b) are re-estimated
     from the degree profile before checking (asymmetric variant only); a
@@ -292,7 +296,7 @@ def stbl_fast(
         fast_path = True
     else:
         k_max = math.ceil(cap_real)
-        d = distance_to_instability(g, f, k_max, budget_s=budget_s,
+        d = distance_to_instability(g, f, matrix, k_max, budget_s=budget_s,
                                     max_evals=max_evals)
         d_hat = min(cap_real, float(d))
         fast_path = False

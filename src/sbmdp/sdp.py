@@ -1,20 +1,24 @@
 """SDP relaxations for the three block models and their solver.
 
 The solver is a two-block projection splitting (ADMM): one block projects
-onto the PSD cone, the other onto the affine (and, for the general variant,
-box) constraints, with scaled dual updates. All constraint projections are
-closed-form, so no external solver is needed.
+onto the PSD cone (``spectral.psd_project``), the other onto the affine
+(and, for the general variant, box) constraints, with scaled dual updates.
+All constraint projections are closed-form, so no external solver is
+needed.
 
 Exactness is never claimed from residuals alone. Solving is certificate
 first: before any ADMM iteration, a spectral estimate of the data matrix is
-rounded to a candidate clustering and a dual certificate is built from the
-data and the candidate. When the certificate verifies, the candidate's
-cluster matrix is the unique optimum and the solver returns it without
-iterating; above the recovery threshold this is the usual outcome, since
-the rounded spectral estimate is already the planted clustering. Otherwise
-ADMM runs, and the same test is repeated on the rounded iterate at regular
-checkpoints. Sub-threshold inputs never certify and fall back to plain ADMM
-convergence.
+rounded to a candidate clustering and tested with the dual certificate of
+:mod:`sbmdp.certificates`, the same kernel and verifier that the public
+diagnostics use. Here the dual multipliers come from the candidate's own
+empirical rates rather than the true model rates, which the solver does
+not know. When the certificate verifies, the candidate's cluster matrix is
+the unique optimum and the solver returns it without iterating; above the
+recovery threshold this is the usual outcome, since the rounded spectral
+estimate is already the planted clustering. Otherwise ADMM runs, and the
+same test is repeated on the rounded iterate at regular checkpoints,
+reusing the eigenpairs of the iteration's PSD step. Sub-threshold inputs
+never certify and fall back to plain ADMM convergence.
 """
 
 from __future__ import annotations
@@ -26,7 +30,13 @@ from typing import Optional
 
 import numpy as np
 
-from .concentration import log_mean
+from .certificates import (
+    binary_certificate,
+    general_certificate,
+    verify_binary,
+    verify_general,
+)
+from .concentration import cluster_edge_counts, log_mean
 from .errors import (
     DegenerateSpectrum,
     InconsistentRelation,
@@ -34,15 +44,16 @@ from .errors import (
     InvalidParams,
     TooLarge,
 )
-from .graph import CENSORED, Graph
+from .graph import CENSORED, SIMPLE, Graph, dense_matrix
 from .models import (
     BASBM,
     CBSBM,
     GSSBM,
+    GroundTruth,
     SbmParams,
     assignment_to_cluster_matrix,
 )
-from .spectral import DEFAULT_TOLS, as_symmetric
+from .spectral import DEFAULT_TOLS, as_symmetric, eig_sorted, psd_project
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -87,8 +98,11 @@ class SdpSolution:
     certified: bool
 
 
-def _validate_data(a_dense: np.ndarray, censored: bool) -> np.ndarray:
-    a_dense = as_symmetric(a_dense)
+def _data_matrix(graph_or_matrix, censored: bool) -> np.ndarray:
+    want = CENSORED if censored else SIMPLE
+    if isinstance(graph_or_matrix, Graph) and graph_or_matrix.alphabet != want:
+        raise InvalidParams(f"expected a {want} graph, got {graph_or_matrix.alphabet}")
+    a_dense = dense_matrix(graph_or_matrix)
     if float(np.abs(np.diag(a_dense)).max(initial=0.0)) > 0:
         raise InvalidParams("data matrix must have zero diagonal")
     if censored and not np.isin(a_dense, (-1.0, 0.0, 1.0)).all():
@@ -97,7 +111,7 @@ def _validate_data(a_dense: np.ndarray, censored: bool) -> np.ndarray:
 
 
 def basbm_problem(graph_or_matrix, rho: float) -> SdpProblem:
-    a_dense = _graph_dense(graph_or_matrix, censored=False)
+    a_dense = _data_matrix(graph_or_matrix, censored=False)
     n = a_dense.shape[0]
     k = int(math.floor(rho * n))
     if not 0 < k <= n // 2 + n % 2:
@@ -107,27 +121,17 @@ def basbm_problem(graph_or_matrix, rho: float) -> SdpProblem:
 
 
 def cbsbm_problem(graph_or_matrix) -> SdpProblem:
-    a_dense = _graph_dense(graph_or_matrix, censored=True)
+    a_dense = _data_matrix(graph_or_matrix, censored=True)
     return SdpProblem(CBSBM, a_dense)
 
 
 def gssbm_problem(graph_or_matrix, sizes) -> SdpProblem:
-    a_dense = _graph_dense(graph_or_matrix, censored=False)
+    a_dense = _data_matrix(graph_or_matrix, censored=False)
     n = a_dense.shape[0]
     sizes = tuple(int(s) for s in sizes)
     if not sizes or min(sizes) < 1 or sum(sizes) > n:
         raise InfeasibleProblem(f"cluster sizes {sizes} infeasible for n={n}")
     return SdpProblem(GSSBM, a_dense, sizes=sizes)
-
-
-def _graph_dense(graph_or_matrix, censored: bool) -> np.ndarray:
-    if isinstance(graph_or_matrix, Graph):
-        want = CENSORED if censored else "simple"
-        if graph_or_matrix.alphabet != want:
-            raise InvalidParams(
-                f"expected a {want} graph, got {graph_or_matrix.alphabet}")
-        return graph_or_matrix.to_dense()
-    return _validate_data(np.asarray(graph_or_matrix, dtype=np.float64), censored)
 
 
 def problem_from_graph(g: Graph, params: SbmParams) -> SdpProblem:
@@ -206,88 +210,55 @@ def _project_gssbm(m: np.ndarray, trace_target: float, total_target: float) -> n
 
 
 # ---------------------------------------------------------------------------
-# data-driven optimality certificates for rounded candidates
+# empirical dual multipliers for rounded candidates
 
 
-def _certify_binary_candidate(
-    a_dense: np.ndarray, sigma: np.ndarray, with_mass: bool
-) -> bool:
-    """Check whether sigma*sigma^T is provably the unique SDP optimum.
+def _empirical_rates(
+    a_dense: np.ndarray, same: np.ndarray
+) -> Optional[tuple[float, float]]:
+    """Edge densities within and across parts; None without pairs of both kinds.
 
-    Builds the dual matrix S = diag(d) - A (+ lambda*J) whose kernel
-    contains sigma by construction; validity then reduces to S being PSD
-    with second-smallest eigenvalue bounded away from zero. For the
-    size-constrained variant the multiplier comes from the empirical
-    intra/inter densities of the candidate partition itself.
+    ``same`` marks the pairs inside one part; its diagonal is ignored.
     """
     n = a_dense.shape[0]
-    d = (a_dense @ sigma) * sigma
-    s_mat = -a_dense.copy()
-    if with_mass:
-        k = int(np.count_nonzero(sigma > 0))
-        same = np.equal.outer(sigma, sigma)
-        intra_pairs = (k * (k - 1) + (n - k) * (n - k - 1)) / 2
-        inter_pairs = k * (n - k)
-        if intra_pairs == 0 or inter_pairs == 0:
-            return False
-        p_hat = a_dense[same].sum() / 2 / intra_pairs
-        q_hat = a_dense[~same].sum() / 2 / inter_pairs
-        if not (p_hat > q_hat > 0):
-            return False
-        lam = log_mean(p_hat, q_hat)
-        d = d - lam * (2 * k - n) * sigma
-        s_mat += lam
-    s_mat[np.diag_indices(n)] += d
-    w = np.linalg.eigvalsh(s_mat)
-    scale = max(abs(w[0]), abs(w[-1]), 1.0)
-    tol = DEFAULT_TOLS.certificate * scale
-    return bool(w[0] >= -tol and w[1] > tol)
-
-
-def _certify_general_candidate(
-    a_dense: np.ndarray, assign: np.ndarray, sizes: np.ndarray
-) -> bool:
-    """Certify an assignment for the general variant.
-
-    The multiplier on the all-ones matrix may be any value in the exact
-    interval that keeps the diagonal corrections positive and the
-    complementary-slackness matrix nonnegative; both endpoints are
-    computable in closed form from the candidate's edge counts, with the
-    noise level eta taken as the spectral deviation from the candidate's
-    own empirical rates.
-    """
-    n = a_dense.shape[0]
-    r = sizes.size
-    member = assign > 0
-    m = np.zeros((n, r))
-    for k in range(1, r + 1):
-        m[assign == k, k - 1] = 1.0
-    e_counts = a_dense @ m
-    pair_counts = m.T @ a_dense @ m
-    ksz = sizes.astype(np.float64)
-
-    intra_pairs = float((ksz * (ksz - 1)).sum() / 2)
+    intra_pairs = (np.count_nonzero(same) - np.count_nonzero(np.diag(same))) / 2
     inter_pairs = n * (n - 1) / 2 - intra_pairs
     if intra_pairs <= 0 or inter_pairs <= 0:
-        return False
-    intra_edges = float(np.trace(pair_counts)) / 2
-    p_hat = intra_edges / intra_pairs
-    q_hat = (a_dense.sum() / 2 - intra_edges) / inter_pairs
-    if not p_hat > q_hat >= 0:
-        return False
-    expected = np.full((n, n), q_hat)
+        return None
+    intra_edges = a_dense[same].sum() / 2
+    return (intra_edges / intra_pairs,
+            (a_dense.sum() / 2 - intra_edges) / inter_pairs)
+
+
+def _general_multipliers(
+    a_dense: np.ndarray, assign: np.ndarray, sizes: np.ndarray
+) -> Optional[tuple[float, float]]:
+    """(lambda, eta) from a general candidate's own rates; None if undefined.
+
+    eta is the spectral deviation of A from the expectation under the
+    candidate's empirical rates. lambda may be any value in the exact
+    interval that keeps the diagonal corrections positive and the
+    cross-cluster prices nonnegative; both endpoints are closed-form in
+    the candidate's edge counts, and the midpoint is taken.
+    """
+    n = a_dense.shape[0]
     same = (assign[:, None] == assign[None, :]) & (assign[:, None] > 0)
-    expected[same] = p_hat
+    rates = _empirical_rates(a_dense, same)
+    if rates is None or not rates[0] > rates[1] >= 0:
+        return None
+    expected = np.where(same, *rates)
     np.fill_diagonal(expected, 0.0)
     eta = float(np.abs(np.linalg.eigvalsh(a_dense - expected)).max())
 
+    e_counts, pair_counts = cluster_edge_counts(a_dense, assign)
+    ksz = sizes.astype(np.float64)
+    r = ksz.size
     internal = e_counts[np.arange(n), np.maximum(assign - 1, 0)]
     lam_hi = math.inf
     for k in range(r):
-        mask = assign == k + 1
-        lam_hi = min(lam_hi, (float(internal[mask].min()) - eta) / ksz[k])
+        lam_hi = min(lam_hi, (float(internal[assign == k + 1].min()) - eta) / ksz[k])
     lam_lo = 0.0
-    outliers = ~member
+    outliers = assign == 0
     if outliers.any():
         lam_lo = max(lam_lo, float((e_counts[outliers] / ksz[None, :]).max()))
     for k in range(r):
@@ -300,57 +271,34 @@ def _certify_general_candidate(
                     - ebar)
             lam_lo = max(lam_lo, term)
     if not lam_lo < lam_hi:
-        return False
-    lam = 0.5 * (lam_lo + lam_hi)
-
-    d = np.where(member, internal - eta - lam * ksz[np.maximum(assign - 1, 0)], 0.0)
-    if member.any() and float(d[member].min()) <= 0:
-        return False
-    b_mat = _complementary_matrix(e_counts, pair_counts, assign, ksz, lam)
-    diff = (assign[:, None] != assign[None, :])
-    if diff.any() and float(b_mat[diff].min()) <= 0:
-        return False
-    s_mat = np.diag(d) - b_mat - a_dense + eta * np.eye(n) + lam
-    w = np.linalg.eigvalsh(s_mat)
-    scale = max(abs(w[0]), abs(w[-1]), 1.0)
-    tol = DEFAULT_TOLS.certificate * scale
-    return bool(w[0] >= -tol and w[r] > tol)
+        return None
+    return 0.5 * (lam_lo + lam_hi), eta
 
 
-def _complementary_matrix(
-    e_counts: np.ndarray,
-    pair_counts: np.ndarray,
-    assign: np.ndarray,
-    ksz: np.ndarray,
-    lam: float,
-) -> np.ndarray:
-    """The four-case cross-cluster pricing matrix, zero within clusters."""
-    n = assign.size
-    r = ksz.size
-    b_mat = np.zeros((n, n))
-    for k in range(0, r + 1):
-        mi = assign == k
-        if not mi.any():
-            continue
-        for kp in range(0, r + 1):
-            if k == kp:
-                continue
-            mj = assign == kp
-            if not mj.any():
-                continue
-            if k == 0:
-                blk = lam - (e_counts[mi, kp - 1] / ksz[kp - 1])[:, None]
-                blk = np.broadcast_to(blk, (mi.sum(), mj.sum()))
-            elif kp == 0:
-                blk = lam - (e_counts[mj, k - 1] / ksz[k - 1])[None, :]
-                blk = np.broadcast_to(blk, (mi.sum(), mj.sum()))
-            else:
-                blk = (lam
-                       + pair_counts[k - 1, kp - 1] / (ksz[k - 1] * ksz[kp - 1])
-                       - (e_counts[mi, kp - 1] / ksz[kp - 1])[:, None]
-                       - (e_counts[mj, k - 1] / ksz[k - 1])[None, :])
-            b_mat[np.ix_(mi, mj)] = blk
-    return b_mat
+def _certify_candidate(prob: SdpProblem, labels: np.ndarray) -> bool:
+    """Whether the candidate's dual certificate verifies.
+
+    The multipliers come from the candidate's empirical rates (basbm:
+    lambda = log_mean(p_hat, q_hat); cbsbm: none; gssbm: see
+    :func:`_general_multipliers`). A candidate that leaves them undefined
+    is rejected before its certificate is built or its spectrum computed.
+    """
+    a_dense = prob.a_dense
+    if prob.variant == GSSBM:
+        sizes = np.array(prob.sizes)
+        multipliers = _general_multipliers(a_dense, labels, sizes)
+        if multipliers is None:
+            return False
+        cert = general_certificate(a_dense, labels, sizes, *multipliers)
+        return verify_general(cert, GroundTruth(GSSBM, labels)).valid
+    lam = 0.0
+    if prob.variant == BASBM:
+        rates = _empirical_rates(a_dense, np.equal.outer(labels, labels))
+        if rates is None or not rates[0] > rates[1] > 0:
+            return False
+        lam = log_mean(*rates)
+    cert = binary_certificate(a_dense, labels, lam)
+    return verify_binary(cert, GroundTruth(prob.variant, labels)).valid
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +400,6 @@ def _candidate_from_iterate(
     return assignment_to_cluster_matrix(GSSBM, assign), assign
 
 
-def _certify_candidate(prob: SdpProblem, labels: np.ndarray) -> bool:
-    if prob.variant == BASBM:
-        return _certify_binary_candidate(prob.a_dense, labels, True)
-    if prob.variant == CBSBM:
-        return _certify_binary_candidate(prob.a_dense, labels, False)
-    return _certify_general_candidate(prob.a_dense, labels, np.array(prob.sizes))
-
-
 def _spectral_candidate(
     prob: SdpProblem,
 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
@@ -473,8 +413,8 @@ def _spectral_candidate(
     """
     a_dense = prob.a_dense
     if prob.variant == BASBM:
-        return _candidate_from_iterate(prob, *_eig_sorted(a_dense - a_dense.mean()))
-    evecs, evals = _eig_sorted(a_dense)
+        return _candidate_from_iterate(prob, *eig_sorted(a_dense - a_dense.mean()))
+    evecs, evals = eig_sorted(a_dense)
     if prob.variant == GSSBM:
         r = len(prob.sizes)
         evecs, evals = evecs[:, -r:], evals[-r:]
@@ -537,11 +477,7 @@ def solve(prob: SdpProblem, opts: SolveOptions = SolveOptions()) -> SdpSolution:
 
     it = 0
     for it in range(1, opts.max_iters + 1):
-        w_mat = y - u
-        w_mat = (w_mat + w_mat.T) / 2.0
-        evals, evecs = np.linalg.eigh(w_mat)
-        pos = evals > 0
-        x = (evecs[:, pos] * evals[pos]) @ evecs[:, pos].T
+        x, evecs, evals = psd_project(y - u)
         y_old = y
         y = project(x + u + a_dense / t)
         u = u + opts.step * (x - y)
@@ -573,7 +509,7 @@ def solve(prob: SdpProblem, opts: SolveOptions = SolveOptions()) -> SdpSolution:
     objective = prob.objective(y)
     # vertex polish: prefer an exactly-feasible rounded candidate when it
     # scores at least as well as the approximate iterate
-    evecs, evals = _eig_sorted(x)
+    evecs, evals = eig_sorted(x)
     cand, _ = _candidate_from_iterate(prob, evecs, evals)
     if cand is None:
         cand = best_candidate
@@ -583,11 +519,6 @@ def solve(prob: SdpProblem, opts: SolveOptions = SolveOptions()) -> SdpSolution:
     return SdpSolution(problem=prob, matrix=matrix, objective=objective,
                        primal_residual=primal, dual_residual=dual,
                        iterations=it, status=status, certified=False)
-
-
-def _eig_sorted(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    evals, evecs = np.linalg.eigh((m + m.T) / 2.0)
-    return evecs, evals
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Dense symmetric linear algebra: norms, extreme eigenpairs, PSD cone.
+"""Dense symmetric linear algebra: tolerances, validation, norm, PSD cone.
 
-All operations validate their input through :func:`as_symmetric`, which
-rejects non-finite entries and asymmetry above ``Tolerances.symmetry``.
-Matrices at the target scale (n up to a few thousand) are handled with
-full dense eigendecompositions.
+:func:`as_symmetric` validates outside input, rejecting non-finite entries
+and asymmetry above ``Tolerances.symmetry``. :func:`eig_sorted` and
+:func:`psd_project` are the solver's eigen steps and skip that validation:
+they symmetrise their input and run on every iteration. Matrices at the
+target scale (n up to a few thousand) are handled with full dense
+eigendecompositions.
 """
 
 from __future__ import annotations
@@ -56,40 +58,18 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(max(abs(w[0]), abs(w[-1])))
 
 
-def eigenvalues(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending."""
-    return np.linalg.eigvalsh(as_symmetric(m))
+def eig_sorted(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvectors, ascending eigenvalues) of the symmetric part of ``m``."""
+    evals, evecs = np.linalg.eigh((m + m.T) / 2.0)
+    return evecs, evals
 
 
-def smallest_eigenvalues(m: np.ndarray, k: int) -> np.ndarray:
-    """The k smallest eigenvalues, ascending."""
-    m = as_symmetric(m)
-    if not 1 <= k <= m.shape[0]:
-        raise ShapeMismatch(f"k={k} outside [1, {m.shape[0]}]")
-    return np.linalg.eigvalsh(m)[:k]
+def psd_project(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frobenius projection onto the PSD cone, with the eigenpairs it used.
 
-
-def is_psd(m: np.ndarray, tol: float = 0.0) -> bool:
-    """True iff the smallest eigenvalue is >= -tol."""
-    if tol < 0:
-        raise ShapeMismatch("tolerance must be nonnegative")
-    return bool(smallest_eigenvalues(m, 1)[0] >= -tol)
-
-
-def psd_project(m: np.ndarray) -> np.ndarray:
-    """Frobenius projection onto the PSD cone (negative eigenvalues clipped)."""
-    m = as_symmetric(m)
-    w, v = np.linalg.eigh(m)
-    pos = w > 0
-    if pos.all():
-        return m
-    p = (v[:, pos] * w[pos]) @ v[:, pos].T
-    return (p + p.T) / 2.0
-
-
-def top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Largest eigenvalue, its eigenvector, and the gap to the next eigenvalue."""
-    m = as_symmetric(m)
-    w, v = np.linalg.eigh(m)
-    gap = float(w[-1] - w[-2]) if m.shape[0] > 1 else float("inf")
-    return float(w[-1]), v[:, -1].copy(), gap
+    Returns (projection, eigenvectors, ascending eigenvalues) of the
+    symmetric part of ``m``; negative eigenvalues are clipped to zero.
+    """
+    evecs, evals = eig_sorted(m)
+    pos = evals > 0
+    return (evecs[:, pos] * evals[pos]) @ evecs[:, pos].T, evecs, evals

@@ -6,6 +6,7 @@ import pytest
 from sbmdp.certificates import (
     build_binary,
     build_general,
+    general_certificate,
     verify_binary,
     verify_general,
 )
@@ -23,7 +24,8 @@ from sbmdp.spectral import spectral_norm
 
 
 def test_kernel_identity_holds_for_arbitrary_inputs():
-    # S*sigma = 0 is algebraic: any adjacency, any labels, any rates
+    # S*sigma = 0 and S*indicator = 0 are algebraic: any adjacency, any
+    # labels, any rates or multipliers
     from sbmdp.graph import CENSORED, SIMPLE, Graph, pair_count
     rng = np.random.default_rng(0)
     for trial in range(30):
@@ -46,6 +48,19 @@ def test_kernel_identity_holds_for_arbitrary_inputs():
         cert = build_binary(g, gt, params)
         scale = max(spectral_norm(cert.s_matrix), 1.0)
         assert np.abs(cert.s_matrix @ gt.sigma).max() <= 1e-10 * scale
+
+        # general kernel: any assignment with outliers, any lambda and eta
+        r = int(rng.integers(1, 4))
+        assign = rng.permutation(np.concatenate(
+            [np.arange(1, r + 1), rng.integers(0, r + 1, size=n - r)]))
+        sizes = np.bincount(assign, minlength=r + 1)[1:]
+        cert = general_certificate(g.to_dense(), assign, sizes,
+                                   float(rng.uniform(-2, 2)),
+                                   float(rng.uniform(0, 5)))
+        gt = GroundTruth("gssbm", assign)
+        scale = max(spectral_norm(cert.s_matrix), 1.0)
+        assert np.abs(cert.s_matrix @ gt.indicator_matrix()).max() <= 1e-10 * scale
+        assert np.all(cert.b_matrix[assign[:, None] == assign[None, :]] == 0.0)
 
 
 def test_cbsbm_complete_noiseless_hand_example():

@@ -5,6 +5,7 @@ import pytest
 
 from sbmdp.cli import main
 from sbmdp.errors import InvalidParams
+from sbmdp.graph import Graph, write_edge_list
 from sbmdp.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -13,6 +14,7 @@ from sbmdp.harness import (
     sweep,
     trial_seed,
 )
+from sbmdp.models import BasbmParams, GssbmParams, generate
 
 
 def small_config(tmp_path, **overrides):
@@ -237,3 +239,30 @@ def test_cli_gssbm_roundtrip(tmp_path):
                "--rhos", "0.45,0.45", "--graph", str(graph_file),
                "--gt", str(gt_file)])
     assert rc == 0
+
+
+@pytest.mark.parametrize("variant, params, model_args, release_args", [
+    ("gssbm", GssbmParams(n=200, a=30, b=2, rhos=(0.5, 0.25)),
+     ["--a", "30", "--b", "2", "--rhos", "0.5,0.25"],
+     ["--eps", "10", "--delta-exp", "0.5", "--c-stab", "1"]),
+    ("basbm", BasbmParams(n=150, a=20, b=2, rho=0.3),
+     ["--a", "20", "--b", "2", "--rho", "0.3"],
+     ["--eps", "2", "--delta-exp", "2", "--c-stab", "4"]),
+])
+def test_cli_recover_and_private_recover_label_alike(
+        tmp_path, capsys, variant, params, model_args, release_args):
+    # reversed vertex order puts vertex 0 in the last part (gssbm: an
+    # outlier, then the smaller cluster; basbm: the larger cluster), so
+    # labels by first appearance would differ from labels by size
+    g, _ = generate(params, 1)
+    dense = g.to_dense()[::-1, ::-1]
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(write_edge_list(Graph.from_dense(dense)))
+    common = ["--variant", variant, *model_args, "--graph", str(graph_file)]
+    assert main(["recover", *common]) == 0
+    recovered = json.loads(capsys.readouterr().out)
+    assert main(["private-recover", *common, *release_args, "--mode", "fast",
+                 "--seed", "1", "--max-evals", "10"]) == 0
+    released = json.loads(capsys.readouterr().out)
+    assert recovered["certified"] and not released["bottom"]
+    assert released["assignment"] == recovered["assignment"]

@@ -65,8 +65,9 @@ def test_outcomes_equal_failure_semantics():
 
 def test_distance_constant_function_hits_cap():
     g = Graph.empty(4)
-    assert distance_to_instability(g, lambda h: np.ones((1, 1)), 3) == 3
-    assert distance_to_instability(g, lambda h: np.ones((1, 1)), 0) == 0
+    one = lambda h: np.ones((1, 1))
+    assert distance_to_instability(g, one, one(g), 3) == 3
+    assert distance_to_instability(g, one, one(g), 0) == 0
 
 
 def test_distance_one_flip_changes_mle():
@@ -75,7 +76,7 @@ def test_distance_one_flip_changes_mle():
     g = Graph.empty(4).set_entry(0, 2, 1)
     f = lambda h: mle_bruteforce(h, params)
     base = f(g)
-    assert distance_to_instability(g, f, 5) == 1
+    assert distance_to_instability(g, f, base, 5) == 1
     # independent oracle: exhaustive first differing radius
     found = None
     for k in range(1, 4):
@@ -101,13 +102,14 @@ def test_distance_matches_bruteforce_oracle():
                    for h in neighbors_at_distance(g, k)):
                 expected = k
                 break
-        assert distance_to_instability(g, f, cap) == expected
+        assert distance_to_instability(g, f, base, cap) == expected
 
 
 def test_distance_budget_guard():
     g = Graph.empty(6)
     with pytest.raises(BudgetExceeded):
-        distance_to_instability(g, lambda h: np.ones((1, 1)), 4, max_evals=10)
+        distance_to_instability(g, lambda h: np.ones((1, 1)), np.ones((1, 1)), 4,
+                                max_evals=10)
 
 
 def test_stbl_releases_stable_input():
@@ -120,6 +122,19 @@ def test_stbl_releases_stable_input():
     assert out.trace.d_hat == cap
     assert out.trace.released
     assert np.array_equal(out.result, constant)
+
+
+def test_stbl_solves_the_base_graph_once():
+    g = Graph.empty(3)
+    calls = []
+
+    def f(h):
+        calls.append(h)
+        return np.ones((1, 1))
+
+    stbl(g, f, PrivacyParams(1.0, 0.05), np.random.default_rng(0),
+         noise_override=0.0)
+    assert calls.count(g) == 1
 
 
 def test_stbl_withholds_unstable_input():

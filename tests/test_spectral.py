@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from sbmdp.errors import NonFinite, NotSymmetric, ShapeMismatch
-from sbmdp.spectral import (
-    as_symmetric,
-    is_psd,
-    psd_project,
-    smallest_eigenvalues,
-    spectral_norm,
-    top_eigenpair,
-)
+from sbmdp.spectral import as_symmetric, psd_project, spectral_norm
 
 
 def sample_symmetric(n, seed):
@@ -35,32 +28,23 @@ def test_spectral_norm_matches_operator_norm():
             max(abs(w[0]), abs(w[-1])), rel=1e-12)
 
 
-def test_smallest_eigenvalues():
-    assert smallest_eigenvalues(np.diag([1.0, 2.0, 3.0]), 2) == pytest.approx(
-        [1.0, 2.0])
-    evs = smallest_eigenvalues(np.ones((3, 3)), 2)
-    assert evs == pytest.approx([0.0, 0.0], abs=1e-9)
-    with pytest.raises(ShapeMismatch):
-        smallest_eigenvalues(np.eye(3), 4)
-
-
-def test_is_psd():
-    assert is_psd(np.eye(3), 0.0)
-    assert not is_psd(np.diag([1.0, -1.0]), 1e-9)
-    sigma = np.array([1.0, -1.0, 1.0, -1.0])
-    assert is_psd(np.outer(sigma, sigma), 1e-9)
-    with pytest.raises(ShapeMismatch):
-        is_psd(np.eye(2), -1.0)
-
-
 def test_psd_project_fixed_point():
     m = np.outer([1.0, 2.0], [1.0, 2.0]) + np.eye(2)
-    assert np.linalg.norm(psd_project(m) - m, "fro") < 1e-10
+    assert np.linalg.norm(psd_project(m)[0] - m, "fro") < 1e-10
 
 
 def test_psd_project_clips():
-    assert psd_project(np.diag([1.0, -2.0])) == pytest.approx(
+    assert psd_project(np.diag([1.0, -2.0]))[0] == pytest.approx(
         np.diag([1.0, 0.0]))
+
+
+def test_psd_project_returns_eigenpairs_of_symmetric_part():
+    # the solver rounds its checkpoints from these eigenpairs
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((6, 6))
+    _, evecs, evals = psd_project(m)
+    assert np.all(np.diff(evals) >= 0)
+    assert np.allclose((evecs * evals) @ evecs.T, (m + m.T) / 2, atol=1e-12)
 
 
 def test_psd_project_is_the_cone_projection():
@@ -68,8 +52,8 @@ def test_psd_project_is_the_cone_projection():
     rng = np.random.default_rng(0)
     for seed in range(5):
         m = sample_symmetric(8, seed + 100)
-        p = psd_project(m)
-        assert is_psd(p, 1e-10)
+        p, _, _ = psd_project(m)
+        assert np.linalg.eigvalsh(p)[0] >= -1e-10
         for _ in range(20):
             b = rng.standard_normal((8, 8))
             x = b @ b.T  # random PSD point
@@ -81,20 +65,10 @@ def test_psd_project_idempotent_nonexpansive():
     for seed in range(5):
         m1 = sample_symmetric(7, seed)
         m2 = sample_symmetric(7, seed + 50)
-        p1, p2 = psd_project(m1), psd_project(m2)
-        assert np.linalg.norm(psd_project(p1) - p1, "fro") < 1e-9
+        p1, p2 = psd_project(m1)[0], psd_project(m2)[0]
+        assert np.linalg.norm(psd_project(p1)[0] - p1, "fro") < 1e-9
         assert (np.linalg.norm(p1 - p2, "fro")
                 <= np.linalg.norm(m1 - m2, "fro") + 1e-9)
-
-
-def test_quadratic_form_above_lambda_min():
-    rng = np.random.default_rng(1)
-    for seed in range(5):
-        m = sample_symmetric(9, seed + 7)
-        lam_min = smallest_eigenvalues(m, 1)[0]
-        for _ in range(10):
-            v = rng.standard_normal(9)
-            assert v @ m @ v >= lam_min * (v @ v) - 1e-9
 
 
 def test_input_validation():
@@ -108,11 +82,3 @@ def test_input_validation():
     m = np.array([[0.0, 1.0], [1.0 + 1e-14, 0.0]])
     out = as_symmetric(m)
     assert np.array_equal(out, out.T)
-
-
-def test_top_eigenpair():
-    sigma = np.array([1.0, 1.0, -1.0])
-    lam, vec, gap = top_eigenpair(np.outer(sigma, sigma))
-    assert lam == pytest.approx(3.0)
-    assert gap == pytest.approx(3.0)
-    assert np.abs(vec) == pytest.approx(np.full(3, 1 / np.sqrt(3)))
