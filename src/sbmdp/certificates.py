@@ -17,7 +17,9 @@ multipliers come from. :func:`build_binary` and :func:`build_general`
 derive them from the true model rates, for diagnostics on a planted
 clustering. The solver's early stop (``sdp._certify_candidate``) derives
 them from the empirical rates of its rounded candidate. Both judge the
-result with :func:`verify_binary` / :func:`verify_general`.
+result with :func:`verify_binary` / :func:`verify_general`. A certificate
+carries the clustering it was built for, so it is always verified against
+those labels and no others.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .models import (
     CbsbmParams,
     GroundTruth,
     GssbmParams,
+    cluster_indicator,
     expected_adjacency,
 )
 from .spectral import DEFAULT_TOLS
@@ -49,6 +52,7 @@ from .spectral import DEFAULT_TOLS
 
 @dataclass(frozen=True)
 class BinaryCertificate:
+    sigma: np.ndarray = field(repr=False)
     d_star: np.ndarray = field(repr=False)
     lam: float
     s_matrix: np.ndarray = field(repr=False)
@@ -56,6 +60,7 @@ class BinaryCertificate:
 
 @dataclass(frozen=True)
 class GeneralCertificate:
+    assign: np.ndarray = field(repr=False)
     d_star: np.ndarray = field(repr=False)
     b_matrix: np.ndarray = field(repr=False)
     eta: float
@@ -106,7 +111,7 @@ def binary_certificate(
     n = sigma.size
     k = int(np.count_nonzero(sigma > 0))
     d = (a_dense @ sigma) * sigma - lam * (2 * k - n) * sigma
-    return BinaryCertificate(d, lam, np.diag(d) - a_dense + lam)
+    return BinaryCertificate(sigma, d, lam, np.diag(d) - a_dense + lam)
 
 
 def build_binary(graph, gt: GroundTruth, params) -> BinaryCertificate:
@@ -123,12 +128,11 @@ def build_binary(graph, gt: GroundTruth, params) -> BinaryCertificate:
     return binary_certificate(a_dense, gt.sigma, lam)
 
 
-def verify_binary(
-    cert: BinaryCertificate, gt: GroundTruth, tol: float = DEFAULT_TOLS.certificate
-) -> BinaryReport:
+def verify_binary(cert: BinaryCertificate) -> BinaryReport:
     """Numerical validity of a binary certificate, tolerances relative to ||S||."""
     s = cert.s_matrix
-    sigma = gt.sigma
+    sigma = cert.sigma
+    tol = DEFAULT_TOLS.certificate
     w = np.linalg.eigvalsh(s)
     scale = max(abs(float(w[0])), abs(float(w[-1])), 1.0)
     residual = float(np.abs(s @ sigma).max())
@@ -198,7 +202,7 @@ def general_certificate(
             b_mat[np.ix_(mi, mj)] = blk
 
     s = np.diag(d) - b_mat - a_dense + eta * np.eye(n) + lam
-    return GeneralCertificate(d, b_mat, eta, lam, s)
+    return GeneralCertificate(assign, d, b_mat, eta, lam, s)
 
 
 def build_general(
@@ -225,9 +229,7 @@ def build_general(
     return general_certificate(a_dense, gt.assignment, np.array(gt.sizes), lam, eta)
 
 
-def verify_general(
-    cert: GeneralCertificate, gt: GroundTruth, tol: float = DEFAULT_TOLS.certificate
-) -> GeneralReport:
+def verify_general(cert: GeneralCertificate) -> GeneralReport:
     """Numerical validity of a general certificate.
 
     Five checks: the cluster indicators lie in the kernel; complementary
@@ -237,12 +239,13 @@ def verify_general(
     -tol*||S||.
     """
     s = cert.s_matrix
-    assign = gt.assignment
-    r = len(gt.sizes)
+    assign = cert.assign
+    indicator = cluster_indicator(assign)
+    r = indicator.shape[1]
+    tol = DEFAULT_TOLS.certificate
     w = np.linalg.eigvalsh(s)
     scale = max(abs(float(w[0])), abs(float(w[-1])), 1.0)
 
-    indicator = gt.indicator_matrix()
     kernel_residual = float(np.abs(s @ indicator).max()) if r else 0.0
 
     z = (assign[:, None] == assign[None, :]) & (assign[:, None] > 0)

@@ -127,13 +127,12 @@ def cmd_private_recover(args) -> int:
     else:
         f = lambda h: recover(h, params).matrix
         outcome = stbl(g, f, priv, rng, max_evals=args.max_evals)
+    # only what the (eps, delta) guarantee covers: the release decision,
+    # the public threshold and the released clustering
     payload = {
         "bottom": outcome.bottom,
-        "d_hat": outcome.trace.d_hat,
         "threshold": outcome.trace.threshold,
         "released": outcome.trace.released,
-        "concentration_pass": outcome.trace.concentration_pass,
-        "fast_path": outcome.trace.fast_path,
     }
     if not outcome.bottom:
         payload["assignment"] = _released_labels(outcome.result, params)
@@ -182,9 +181,9 @@ def cmd_certify(args) -> int:
     gt = _load_gt(args.gt)
     params = _params_from_args(args, g.n)
     if params.variant == GSSBM:
-        report = verify_general(build_general(g, gt, params), gt)
+        report = verify_general(build_general(g, gt, params))
     else:
-        report = verify_binary(build_binary(g, gt, params), gt)
+        report = verify_binary(build_binary(g, gt, params))
     _emit(report.to_dict())
     return 0
 

@@ -31,6 +31,7 @@ from .models import (
     GroundTruth,
     GssbmParams,
     SbmParams,
+    cluster_indicator,
     expected_adjacency,
 )
 from .spectral import spectral_norm
@@ -334,8 +335,7 @@ def cluster_edge_counts(
     k+1 and C[k, k'] counts edges between clusters k+1 and k'+1 (twice the
     internal count on the diagonal).
     """
-    r = int(assign.max(initial=0))
-    m = (assign[:, None] == np.arange(1, r + 1)).astype(np.float64)
+    m = cluster_indicator(assign)
     e = a_dense @ m
     c = m.T @ a_dense @ m
     return e, c

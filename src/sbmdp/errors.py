@@ -74,7 +74,3 @@ class DegenerateEstimate(SbmdpError):
 
 class DomainError(SbmdpError):
     """Argument outside the mathematical domain of a rate function."""
-
-
-class BudgetExceeded(SbmdpError):
-    """A bounded search ran out of its configured budget."""

@@ -9,6 +9,7 @@ diagonal is implicitly zero and queries are symmetric.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -220,6 +221,18 @@ def neighbors_at_distance(g: Graph, k: int) -> Iterator[Graph]:
             values = base.copy()
             values[list(positions)] = combo
             yield Graph(g.n, g.alphabet, values)
+
+
+def ball_size(n: int, alphabet: str, radius: int) -> int:
+    """How many graphs :func:`neighbors_within` yields at this radius.
+
+    Sum over k = 1..radius of C(m, k) * (|alphabet| - 1)^k, m = n(n-1)/2;
+    it depends on the size and alphabet only, never on the entries.
+    """
+    m = pair_count(n)
+    alternatives = len(ALPHABETS[alphabet]) - 1
+    return sum(math.comb(m, k) * alternatives ** k
+               for k in range(1, min(radius, m) + 1))
 
 
 def neighbors_within(g: Graph, radius: int) -> Iterator[Graph]:

@@ -26,7 +26,7 @@ from .models import (
     same_clustering,
 )
 from .privacy import PrivacyParams, stbl, stbl_fast
-from .sdp import SolveOptions, recover
+from .sdp import recover
 
 MODES = ("nonprivate", "stbl", "fast")
 
@@ -144,7 +144,6 @@ def run_trial(
     mode: str = "nonprivate",
     c_stab: float | None = None,
     permute: bool = False,
-    solve_opts: SolveOptions = SolveOptions(),
     max_evals: int = 2000,
 ) -> TrialResult:
     """Generate one instance, recover per mode, and score against the truth."""
@@ -165,20 +164,18 @@ def run_trial(
     conc_pass, cert_valid = _diagnostics(g, gt, params, eps, c_stab)
 
     if mode == "nonprivate":
-        res = recover(g, params, solve_opts)
+        res = recover(g, params)
         recovered = res.matrix is not None and same_clustering(res.matrix, target)
         bottom = False
     elif mode == "fast":
         priv = PrivacyParams.from_exponent(eps, delta_exp, params.n)
-        outcome = stbl_fast(g, params, priv, c_stab, rng,
-                            solve_opts=solve_opts, max_evals=max_evals,
-                            budget_s=60.0)
+        outcome = stbl_fast(g, params, priv, c_stab, rng, max_evals=max_evals)
         bottom = outcome.bottom
         recovered = (not bottom) and same_clustering(outcome.result, target)
     else:
         priv = PrivacyParams.from_exponent(eps, delta_exp, params.n)
-        f = lambda h: recover(h, params, solve_opts).matrix
-        outcome = stbl(g, f, priv, rng, max_evals=max_evals, budget_s=60.0)
+        f = lambda h: recover(h, params).matrix
+        outcome = stbl(g, f, priv, rng, max_evals=max_evals)
         bottom = outcome.bottom
         recovered = (not bottom) and same_clustering(outcome.result, target)
 
@@ -198,10 +195,9 @@ def _diagnostics(g, gt: GroundTruth, params: SbmParams,
         conc_pass = False
     try:
         if params.variant == GSSBM:
-            cert_valid = verify_general(
-                build_general(g, gt, params, constants), gt).valid
+            cert_valid = verify_general(build_general(g, gt, params, constants)).valid
         else:
-            cert_valid = verify_binary(build_binary(g, gt, params), gt).valid
+            cert_valid = verify_binary(build_binary(g, gt, params)).valid
     except SbmdpError:
         cert_valid = False
     return conc_pass, cert_valid

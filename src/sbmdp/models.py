@@ -230,11 +230,13 @@ class GroundTruth:
 
     def indicator_matrix(self) -> np.ndarray:
         """n x r one-hot cluster membership (gssbm)."""
-        r = int(self.assignment.max(initial=0))
-        m = np.zeros((self.n, r))
-        for k in range(1, r + 1):
-            m[self.assignment == k, k - 1] = 1.0
-        return m
+        return cluster_indicator(self.assignment)
+
+
+def cluster_indicator(assign: np.ndarray) -> np.ndarray:
+    """n x r one-hot membership of a general assignment (0 = outlier)."""
+    r = int(assign.max(initial=0))
+    return (assign[:, None] == np.arange(1, r + 1)).astype(np.float64)
 
 
 def generate(

@@ -7,7 +7,10 @@ The slow mechanism measures the distance by neighborhood search; the fast
 one certifies a concentration condition that implies the distance bound,
 and only falls back to searching when the test fails.
 
-Failure outcomes of the estimator (solver or rounding breakdown) count as
+The guarantee needs the distance to be a 1-Lipschitz function of the graph
+alone, so the search is bounded only by a radius computed from n, the
+alphabet and ``max_evals``, never from the entries or the clock. Failure
+outcomes of the estimator (solver or rounding breakdown) count as
 differing from every output, including other failures, which keeps the
 distance 1-Lipschitz across neighboring graphs.
 """
@@ -15,21 +18,14 @@ distance 1-Lipschitz across neighboring graphs.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .concentration import check_concentration, default_constants, tighten_constants
-from .errors import (
-    BudgetExceeded,
-    DegenerateEstimate,
-    InfeasibleRegime,
-    InvalidParams,
-    InvalidShift,
-)
-from .graph import SIMPLE, Graph, neighbors_at_distance
+from .errors import DegenerateEstimate, InfeasibleRegime, InvalidParams, InvalidShift
+from .graph import SIMPLE, Graph, ball_size, neighbors_at_distance
 from .models import BASBM, GroundTruth, SbmParams, same_clustering
 from .sdp import SolveOptions, recover
 
@@ -80,6 +76,9 @@ def laplace_quantile(u: float, scale: float) -> float:
 
 ClusteringFn = Callable[[Graph], Optional[np.ndarray]]
 
+# stbl_fast's tightening of its concentration constants (each scaled by 1 +- 2*alpha)
+TIGHTEN_ALPHA = 0.001
+
 
 def outcomes_equal(o1: Optional[np.ndarray], o2: Optional[np.ndarray]) -> bool:
     """Failure outcomes (None) differ from everything, including each other."""
@@ -94,37 +93,28 @@ def distance_to_instability(
     base: Optional[np.ndarray],
     cap: int,
     *,
-    budget_s: float | None = None,
     max_evals: int | None = None,
 ) -> int:
     """Smallest k <= cap such that some graph at distance k changes f's output.
 
     ``base`` is the output at ``g`` itself, the one the caller publishes;
     a neighbour counts as changed when ``f`` there differs from it.
-    Returns ``cap`` when no such graph exists within the cap. Enumeration
-    runs in nondecreasing distance order, so the first differing neighbor
-    pins the answer. Raises BudgetExceeded instead of ever returning a
-    wrong value when the configured wall-clock or evaluation budget runs
-    out.
+    Enumeration runs in nondecreasing distance order, so the first
+    differing neighbor pins the answer. With ``max_evals`` the cap first
+    shrinks to the largest k whose whole ball (``graph.ball_size``) holds
+    at most ``max_evals`` graphs, so ``f`` runs on at most that many
+    neighbours. That k depends on (n, alphabet, max_evals) only, so the
+    result min(d, cap, k) is still 1-Lipschitz in the graph.
     """
     if cap < 0:
         raise InvalidParams(f"cap must be nonnegative, got {cap}")
-    if cap == 0:
-        return 0
-    start = time.monotonic()
-    evals = 0
+    if max_evals is not None:
+        cap = next((k for k in range(cap)
+                    if ball_size(g.n, g.alphabet, k + 1) > max_evals), cap)
     for k in range(1, cap + 1):
         for neighbor in neighbors_at_distance(g, k):
             if not outcomes_equal(f(neighbor), base):
                 return k
-            evals += 1
-            if max_evals is not None and evals >= max_evals:
-                raise BudgetExceeded(
-                    f"distance search hit the evaluation budget {max_evals}")
-            if budget_s is not None and evals % 64 == 0:
-                if time.monotonic() - start > budget_s:
-                    raise BudgetExceeded(
-                        f"distance search exceeded {budget_s:.1f}s at distance {k}")
     return cap
 
 
@@ -157,38 +147,46 @@ class MechanismOutcome:
         return self.result is None
 
 
+def _publish(
+    value: Optional[np.ndarray],
+    d_hat: float,
+    priv: PrivacyParams,
+    rng: np.random.Generator,
+    noise_override: float | None,
+    **trace,
+) -> MechanismOutcome:
+    """Release ``value`` when d_hat plus Laplace(1/eps) noise clears the threshold."""
+    noise = noise_override if noise_override is not None else sample_laplace(
+        1.0 / priv.eps, rng)
+    released = d_hat + noise > priv.threshold
+    return MechanismOutcome(
+        result=value if released else None,
+        trace=MechanismTrace(d_hat=d_hat, noise=noise, threshold=priv.threshold,
+                             released=bool(released), **trace),
+    )
+
+
 def stbl(
     g: Graph,
     f: ClusteringFn,
     priv: PrivacyParams,
     rng: np.random.Generator,
     *,
-    slack: float | None = None,
-    budget_s: float | None = None,
     max_evals: int | None = None,
     noise_override: float | None = None,
 ) -> MechanismOutcome:
     """Stability mechanism over an arbitrary clustering function.
 
-    The distance search is capped at ceil(threshold) + ceil(slack), slack
-    defaulting to 20/eps: beyond that cap the release decision changes with
-    probability below exp(-20), which is folded into the approximate-DP
-    accounting. ``noise_override`` is a test hook pinning the Laplace draw.
+    The distance search is capped at ceil(threshold) + ceil(20/eps): beyond
+    that cap the release decision changes with probability below exp(-20),
+    which is folded into the approximate-DP accounting. ``max_evals``
+    shrinks the cap further, as :func:`distance_to_instability` describes.
+    ``noise_override`` is a test hook pinning the Laplace draw.
     """
-    if slack is None:
-        slack = 20.0 / priv.eps
-    cap = math.ceil(priv.threshold) + math.ceil(slack)
+    cap = math.ceil(priv.threshold) + math.ceil(20.0 / priv.eps)
     base = f(g)
-    d = distance_to_instability(g, f, base, cap, budget_s=budget_s,
-                                max_evals=max_evals)
-    noise = noise_override if noise_override is not None else sample_laplace(
-        1.0 / priv.eps, rng)
-    released = d + noise > priv.threshold
-    return MechanismOutcome(
-        result=base if released else None,
-        trace=MechanismTrace(d_hat=float(d), noise=noise,
-                             threshold=priv.threshold, released=bool(released)),
-    )
+    d = distance_to_instability(g, f, base, cap, max_evals=max_evals)
+    return _publish(base, float(d), priv, rng, noise_override)
 
 
 def param_estimate(g: Graph) -> tuple[float, float, float]:
@@ -229,22 +227,21 @@ def stbl_fast(
     rng: np.random.Generator,
     *,
     estimate_rates: bool = False,
-    margin: float = 0.1,
-    alpha: float = 0.001,
     solve_opts: SolveOptions = SolveOptions(),
     f: ClusteringFn | None = None,
-    budget_s: float | None = None,
     max_evals: int | None = None,
     noise_override: float | None = None,
 ) -> MechanismOutcome:
     """Fast stability mechanism: concentration test instead of search.
 
     Solves the SDP once and rounds it; when the rounded clustering makes
-    the (tightened) concentration check pass, the distance is pinned to
-    c_stab*log(n)/eps without any neighborhood search. On a failed check
-    the exact capped distance around the rounded clustering it would
-    release is measured, which is exponentially slower and guarded by the
-    evaluation/wall-clock budget.
+    the concentration check pass, the distance is pinned to
+    c_stab*log(n)/eps without any neighborhood search. The check uses the
+    default constants (margin 0.1) tightened by ``TIGHTEN_ALPHA``. On a
+    failed check the capped distance around the rounded clustering it
+    would release is measured, which is exponentially slower; ``max_evals``
+    bounds that search by a radius, as :func:`distance_to_instability`
+    describes.
 
     With ``estimate_rates`` the intra/inter rates (a, b) are re-estimated
     from the degree profile before checking (asymmetric variant only); a
@@ -282,8 +279,8 @@ def stbl_fast(
             try:
                 check_params.validate()
                 constants = tighten_constants(
-                    default_constants(check_params, priv.eps, c_stab, margin),
-                    alpha, check_params)
+                    default_constants(check_params, priv.eps, c_stab),
+                    TIGHTEN_ALPHA, check_params)
                 gt_hat = GroundTruth(params.variant, labels)
                 conc_pass = check_concentration(
                     g, gt_hat, check_params, constants).passed
@@ -293,23 +290,10 @@ def stbl_fast(
     cap_real = c_stab * math.log(g.n) / priv.eps
     if conc_pass:
         d_hat = cap_real
-        fast_path = True
     else:
-        k_max = math.ceil(cap_real)
-        d = distance_to_instability(g, f, matrix, k_max, budget_s=budget_s,
+        d = distance_to_instability(g, f, matrix, math.ceil(cap_real),
                                     max_evals=max_evals)
         d_hat = min(cap_real, float(d))
-        fast_path = False
-
-    noise = noise_override if noise_override is not None else sample_laplace(
-        1.0 / priv.eps, rng)
-    released = d_hat + noise > priv.threshold
-    value = matrix if released else None
-    return MechanismOutcome(
-        result=value,
-        trace=MechanismTrace(
-            d_hat=d_hat, noise=noise, threshold=priv.threshold,
-            released=bool(released), concentration_pass=conc_pass,
-            solver_status=solver_status, fast_path=fast_path,
-            estimated_rates=estimated),
-    )
+    return _publish(matrix, d_hat, priv, rng, noise_override,
+                    concentration_pass=conc_pass, solver_status=solver_status,
+                    fast_path=conc_pass, estimated_rates=estimated)

@@ -49,7 +49,6 @@ from .models import (
     BASBM,
     CBSBM,
     GSSBM,
-    GroundTruth,
     SbmParams,
     assignment_to_cluster_matrix,
 )
@@ -63,9 +62,7 @@ MAX_ITERS = "max_iters"
 class SolveOptions:
     tol: float = 1e-6
     max_iters: int = 3000
-    step: float = 1.0
     certify_every: int = 25
-    balance: bool = True
 
 
 @dataclass(frozen=True)
@@ -289,16 +286,15 @@ def _certify_candidate(prob: SdpProblem, labels: np.ndarray) -> bool:
         multipliers = _general_multipliers(a_dense, labels, sizes)
         if multipliers is None:
             return False
-        cert = general_certificate(a_dense, labels, sizes, *multipliers)
-        return verify_general(cert, GroundTruth(GSSBM, labels)).valid
+        return verify_general(
+            general_certificate(a_dense, labels, sizes, *multipliers)).valid
     lam = 0.0
     if prob.variant == BASBM:
         rates = _empirical_rates(a_dense, np.equal.outer(labels, labels))
         if rates is None or not rates[0] > rates[1] > 0:
             return False
         lam = log_mean(*rates)
-    cert = binary_certificate(a_dense, labels, lam)
-    return verify_binary(cert, GroundTruth(prob.variant, labels)).valid
+    return verify_binary(binary_certificate(a_dense, labels, lam)).valid
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +476,7 @@ def solve(prob: SdpProblem, opts: SolveOptions = SolveOptions()) -> SdpSolution:
         x, evecs, evals = psd_project(y - u)
         y_old = y
         y = project(x + u + a_dense / t)
-        u = u + opts.step * (x - y)
+        u = u + (x - y)
 
         scale = max(1.0, float(np.linalg.norm(x, "fro")),
                     float(np.linalg.norm(y, "fro")))
@@ -496,7 +492,7 @@ def solve(prob: SdpProblem, opts: SolveOptions = SolveOptions()) -> SdpSolution:
                 if _certify_candidate(prob, labels):
                     return _certified_solution(prob, cand, it)
 
-        if opts.balance and it >= 200 and it % 100 == 0:
+        if it >= 200 and it % 100 == 0:
             if primal > 10 * dual and t < t_hi:
                 t *= 2.0
                 u /= 2.0

@@ -30,13 +30,14 @@ class Tolerances:
 DEFAULT_TOLS = Tolerances()
 
 
-def as_symmetric(m: np.ndarray, tol: float = DEFAULT_TOLS.symmetry) -> np.ndarray:
+def as_symmetric(m: np.ndarray) -> np.ndarray:
     """Validate and return a float64 symmetric copy of ``m``.
 
     Raises ShapeMismatch for non-square input, NonFinite for NaN/inf
-    entries, and NotSymmetric when max |m - m.T| exceeds ``tol`` relative
-    to the matrix scale.
+    entries, and NotSymmetric when max |m - m.T| exceeds
+    ``Tolerances.symmetry`` relative to the matrix scale.
     """
+    tol = DEFAULT_TOLS.symmetry
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")

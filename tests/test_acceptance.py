@@ -14,7 +14,6 @@ import numpy as np
 
 from sbmdp.certificates import build_binary, build_general, verify_binary, verify_general
 from sbmdp.concentration import check_basbm, default_constants, shift_constants
-from sbmdp.errors import BudgetExceeded
 from sbmdp.graph import CENSORED, SIMPLE, Graph, neighbors_at_distance, pair_count, random_delta
 from sbmdp.models import (
     BasbmParams,
@@ -70,7 +69,7 @@ def test_criterion_03_oracle_equivalence():
     valid_cases = agreements = 0
     for seed in range(50):
         g, gt = generate(params, seed)
-        report = verify_binary(build_binary(g, gt, params), gt)
+        report = verify_binary(build_binary(g, gt, params))
         if not report.valid:
             continue
         valid_cases += 1
@@ -207,17 +206,14 @@ def test_criterion_09_private_recovery_end_to_end():
         g, gt = instances[run % 20]
         rng = np.random.default_rng(10_000 + run)
         t0 = time.perf_counter()
-        try:
-            out = stbl_fast(g, params, priv, c_stab, rng, max_evals=200)
-        except BudgetExceeded:
-            out = None
+        out = stbl_fast(g, params, priv, c_stab, rng, max_evals=200)
         elapsed = time.perf_counter() - t0
         worst = max(worst, elapsed)
         assert elapsed <= 120.0, f"run exceeded 2 min ({elapsed:.0f} s)"
         if run < 20:
-            took_fast = out is not None and out.trace.fast_path
+            took_fast = out.trace.fast_path
             per_graph_fast.append(took_fast)
-        if out is not None and not out.bottom and same_clustering(
+        if not out.bottom and same_clustering(
                 out.result, cluster_matrix(gt)):
             correct_runs += 1
     fast_paths = sum(per_graph_fast)
@@ -235,7 +231,7 @@ def test_criterion_10_censored_recovery_and_certificates():
         res = recover(g, params)
         if not res.failed and same_clustering(res.matrix, cluster_matrix(gt)):
             recovered += 1
-        if verify_binary(build_binary(g, gt, params), gt).valid:
+        if verify_binary(build_binary(g, gt, params)).valid:
             certified += 1
     ok = recovered >= 18 and certified >= 18
     gate(10, "censored recovery >= 18/20 and certificates >= 18/20", ok,
@@ -250,7 +246,7 @@ def test_criterion_11_general_structure():
         res = recover(g, params)
         if not res.failed and same_clustering(res.matrix, cluster_matrix(gt)):
             recovered += 1
-        if verify_general(build_general(g, gt, params), gt).valid:
+        if verify_general(build_general(g, gt, params)).valid:
             certified += 1
     ok = recovered >= 16 and certified >= 16
     gate(11, "general-structure recovery >= 16/20 and certificates >= 16/20",

@@ -88,7 +88,7 @@ def test_verify_binary_on_concentrated_instance():
     valid = 0
     for seed in range(5):
         g, gt = generate(params, seed)
-        report = verify_binary(build_binary(g, gt, params), gt)
+        report = verify_binary(build_binary(g, gt, params))
         valid += report.valid
         if report.valid:
             assert report.lambda2 > 0
@@ -101,7 +101,7 @@ def test_verify_binary_rejects_wrong_bisection():
     wrong = gt.assignment.copy()
     wrong[:20] *= -1  # trade twenty vertices across the cut
     wrong_gt = GroundTruth(params.variant, wrong)
-    report = verify_binary(build_binary(g, wrong_gt, params), wrong_gt)
+    report = verify_binary(build_binary(g, wrong_gt, params))
     assert not report.valid
 
 
@@ -110,7 +110,7 @@ def test_verify_binary_two_vertices_unique_feasible_point():
     # so the certificate is legitimately valid even on the empty graph
     params = BasbmParams(n=2, a=0.5, b=0.2, rho=0.5)
     g, gt = generate(params, 0, _force_probs=(0.0, 0.0))
-    report = verify_binary(build_binary(g, gt, params), gt)
+    report = verify_binary(build_binary(g, gt, params))
     assert report.valid
     assert report.lambda2 > 0
 
@@ -146,14 +146,14 @@ def test_general_certificate_all_outliers():
     cert = build_general(g, gt, params, GssbmConstants(5.0, 1.0, 0.25, 1.0, 0.5))
     assert np.abs(cert.b_matrix).max() == 0.0
     assert np.all(cert.d_star == 0.0)
-    report = verify_general(cert, gt)
+    report = verify_general(cert)
     assert report.valid
 
 
 def test_verify_general_on_concentrated_instance():
     params = GssbmParams(n=300, a=40, b=2, rhos=(0.3, 0.3, 0.3))
     g, gt = generate(params, 5)
-    report = verify_general(build_general(g, gt, params), gt)
+    report = verify_general(build_general(g, gt, params))
     assert report.valid
     assert report.lambda_after_kernel > 0
     assert report.b_min_off > 0
@@ -168,7 +168,7 @@ def test_verify_general_outlier_hub_invalid():
     members = np.where(gt.assignment == 3)[0]
     dense[hub, members] = 1.0
     dense[members, hub] = 1.0
-    report = verify_general(build_general(dense, gt, params), gt)
+    report = verify_general(build_general(dense, gt, params))
     assert report.b_min_off <= 0
     assert not report.valid
 

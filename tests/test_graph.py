@@ -17,6 +17,7 @@ from sbmdp.graph import (
     SIMPLE,
     Graph,
     GraphDelta,
+    ball_size,
     neighbors_at_distance,
     neighbors_within,
     pair_count,
@@ -129,6 +130,13 @@ def test_neighbor_count_formula(alphabet, n):
     g = random_graph(n, alphabet, 3)
     k = 2 if alphabet == CENSORED else 1
     assert len(list(neighbors_within(g, 1))) == pair_count(n) * k
+
+
+@pytest.mark.parametrize("alphabet, n", [(SIMPLE, 4), (CENSORED, 4), (SIMPLE, 2)])
+def test_ball_size_counts_the_enumeration(alphabet, n):
+    g = random_graph(n, alphabet, 5)
+    for radius in range(0, pair_count(n) + 2):
+        assert ball_size(n, alphabet, radius) == len(list(neighbors_within(g, radius)))
 
 
 def test_neighbors_nondecreasing_and_unique():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sbmdp import harness
 from sbmdp.cli import main
 from sbmdp.errors import InvalidParams
 from sbmdp.graph import Graph, write_edge_list
@@ -116,15 +117,31 @@ def test_run_trial_fast_mode():
 
 
 def test_trial_errors_become_failure_rows(tmp_path):
-    # stbl on a non-toy graph exhausts its budget; the sweep must not abort
+    # a <= b is an invalid model, so the trial raises; the sweep must not abort
     config = small_config(
-        tmp_path, mode="stbl", max_evals=40,
-        grid={"n": [16], "a": [4.0], "b": [1.0], "rho": [0.5],
-              "eps": [1.0], "delta_exp": [1.0]})
+        tmp_path, grid={"n": [16, 20], "a": [1.0], "b": [2.0], "rho": [0.5]})
     rows = read_rows(sweep(config, timestamp="fixed"))
-    assert len(rows) == 1
-    assert rows[0]["bottom"] == "1"
-    assert rows[0]["recovered"] == "0"
+    assert len(rows) == 2
+    assert all(r["bottom"] == "1" and r["recovered"] == "0" for r in rows)
+
+
+def test_capped_stbl_trial_withholds_without_neighbour_solves(monkeypatch):
+    # 40 evaluations cannot cover the 120 graphs at distance 1 from a
+    # 16-vertex graph, so the search radius is 0: only the base graph is
+    # solved, and the distance 0 is released only on large noise
+    solves = []
+    real_recover = harness.recover
+
+    def counted(g, *args, **kwargs):
+        solves.append(g)
+        return real_recover(g, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "recover", counted)
+    cell = {"variant": "basbm", "n": 16, "a": 4.0, "b": 1.0, "rho": 0.5,
+            "eps": 1.0, "delta_exp": 1.0}
+    result = run_trial(cell, trial_seed(7, 0, 0), mode="stbl", max_evals=40)
+    assert len(solves) == 1
+    assert result.bottom and not result.recovered
 
 
 def test_parallel_sweep_matches_serial(tmp_path):
@@ -186,7 +203,8 @@ def test_cli_private_recover_output(tmp_path, capsys):
                "--c-stab", "4", "--seed", "5"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["fast_path"] is True
+    # unnoised, data-dependent values stay out of the release
+    assert not {"d_hat", "concentration_pass", "fast_path"} & payload.keys()
     assert payload["bottom"] is False
     assert len(payload["assignment"]) == 150
 

@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sbmdp.errors import BudgetExceeded, DegenerateEstimate, InvalidParams
-from sbmdp.graph import Graph, neighbors_at_distance
+from sbmdp.errors import DegenerateEstimate, InvalidParams
+from sbmdp.graph import ALPHABETS, Graph, ball_size, neighbors_at_distance, pair_count
 from sbmdp.models import (
     BasbmParams,
     CbsbmParams,
@@ -106,10 +109,85 @@ def test_distance_matches_bruteforce_oracle():
 
 
 def test_distance_budget_guard():
+    # the radius-1 ball around a 6-vertex graph holds 15 graphs: a budget
+    # of 10 shrinks the radius to 0 without calling f, one of 15 to 1
     g = Graph.empty(6)
-    with pytest.raises(BudgetExceeded):
-        distance_to_instability(g, lambda h: np.ones((1, 1)), np.ones((1, 1)), 4,
-                                max_evals=10)
+    calls = []
+
+    def one(h):
+        calls.append(h)
+        return np.ones((1, 1))
+
+    assert distance_to_instability(g, one, one(g), 4, max_evals=10) == 0
+    assert calls == [g]
+    assert distance_to_instability(g, one, one(g), 4, max_evals=15) == 1
+    assert len(calls) == 2 + 15
+
+
+@st.composite
+def capped_searches(draw):
+    n = draw(st.integers(2, 5))
+    alphabet = draw(st.sampled_from(sorted(ALPHABETS)))
+    m = pair_count(n)
+    values = draw(st.lists(st.sampled_from(ALPHABETS[alphabet]),
+                           min_size=m, max_size=m))
+    weights = np.array(draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)),
+                       dtype=np.int64)
+    width = draw(st.integers(1, 4))
+    failing = draw(st.integers(-4, 4))
+    cap = draw(st.integers(0, 3))
+    # budgets from one ball size to the next, so that both fit and cut
+    # occur, with the edges of that range drawn often
+    level = draw(st.integers(0, 3))
+    lo, hi = ball_size(n, alphabet, level), ball_size(n, alphabet, level + 1)
+    max_evals = draw(st.none() | st.sampled_from([lo, max(lo, hi - 1), hi])
+                     | st.integers(lo, hi))
+    g = Graph(n, alphabet, np.array(values, dtype=np.int8))
+    return g, weights, width, failing, cap, max_evals
+
+
+@settings(max_examples=200, deadline=None)
+@given(capped_searches())
+def test_capped_search_is_bounded_lipschitz_and_exact(case):
+    # f buckets a weighted entry sum and fails (None) on one bucket; it
+    # needs no solver, so every graph's distance can be checked directly
+    g, weights, width, failing, cap, max_evals = case
+
+    def key(values):
+        return (values.astype(np.int64) @ weights) // width
+
+    def f(h):
+        k = int(key(h.values))
+        return None if k == failing else np.full((1, 1), k)
+
+    def distance(h):
+        return distance_to_instability(h, f, f(h), cap, max_evals=max_evals)
+
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return f(h)
+
+    d = distance_to_instability(g, counted, f(g), cap, max_evals=max_evals)
+    if max_evals is not None:
+        assert len(calls) <= max_evals
+    for h in neighbors_at_distance(g, 1):
+        assert abs(distance(h) - d) <= 1
+
+    # brute force over every graph of this size and alphabet
+    others = np.array(list(itertools.product(ALPHABETS[g.alphabet],
+                                             repeat=g.values.size)), dtype=np.int64)
+    hamming = np.count_nonzero(others != g.values, axis=1)
+    keys, base = key(others), int(key(g.values))
+    differs = (keys != base) | (keys == failing) | (base == failing)
+    found = hamming[differs & (hamming > 0)]
+    exact = min(cap, int(found.min()) if found.size else cap)
+    # the radius the budget allows depends on the size and alphabet only;
+    # when it reaches the cap the search is exact
+    radius = max(k for k in range(cap + 1)
+                 if max_evals is None or ball_size(g.n, g.alphabet, k) <= max_evals)
+    assert d == min(exact, radius)
 
 
 def test_stbl_releases_stable_input():
