@@ -32,7 +32,7 @@ MODES = ("nonprivate", "stbl", "fast")
 
 CSV_COLUMNS = ("variant", "n", "a", "b", "rho", "xi", "eps", "delta_exp",
                "mode", "seed", "recovered", "bottom", "conc_pass",
-               "cert_valid", "ms")
+               "cert_valid", "error", "ms")
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,8 @@ class TrialResult:
     bottom: bool
     conc_pass: bool
     cert_valid: bool
+    # the trial raised SbmdpError; then every other flag is 0
+    error: bool = False
     # wall time; excluded from equality so identical seeds compare identical
     ms: float = field(compare=False, default=0.0)
 
@@ -118,6 +120,7 @@ class TrialResult:
             "bottom": int(self.bottom),
             "conc_pass": int(self.conc_pass),
             "cert_valid": int(self.cert_valid),
+            "error": int(self.error),
             "ms": f"{self.ms:.3f}",
         }
         return [str(fields[c]) for c in CSV_COLUMNS]
@@ -180,7 +183,7 @@ def run_trial(
         recovered = (not bottom) and same_clustering(outcome.result, target)
 
     ms = (time.perf_counter() - t0) * 1e3
-    return TrialResult(cell, seed, recovered, bottom, conc_pass, cert_valid, ms)
+    return TrialResult(cell, seed, recovered, bottom, conc_pass, cert_valid, ms=ms)
 
 
 def _diagnostics(g, gt: GroundTruth, params: SbmParams,
@@ -210,8 +213,8 @@ def _run_indexed(args) -> tuple[int, list[str]]:
                            permute=permute, max_evals=max_evals)
         return index, result.row(mode)
     except SbmdpError:
-        # failure row: trial errors never abort the sweep
-        failed = TrialResult(cell, seed, False, True, False, False, 0.0)
+        # error row, not a withheld release: trial errors never abort the sweep
+        failed = TrialResult(cell, seed, False, False, False, False, error=True)
         return index, failed.row(mode)
 
 
@@ -219,8 +222,10 @@ def sweep(config: ExperimentConfig, timestamp: str | None = None) -> Path:
     """Run every (cell, trial) combination and write the results CSV.
 
     One data row per trial, then per-cell aggregate lines as '#' comments
-    (recovery rate, bottom rate, concentration rate, certificate rate, mean
-    milliseconds). Deterministic except for the timestamp header.
+    (recovery rate, bottom rate, error rate, concentration rate, certificate
+    rate, mean milliseconds). A trial that raised counts in the error rate
+    only, never as a withheld release. Deterministic except for the
+    timestamp header.
     """
     cells = config.cells()
     tasks = []
@@ -251,6 +256,7 @@ def sweep(config: ExperimentConfig, timestamp: str | None = None) -> Path:
         agg = {
             "recovery_rate": np.mean([int(r[col["recovered"]]) for r in block]),
             "bottom_rate": np.mean([int(r[col["bottom"]]) for r in block]),
+            "error_rate": np.mean([int(r[col["error"]]) for r in block]),
             "conc_rate": np.mean([int(r[col["conc_pass"]]) for r in block]),
             "cert_rate": np.mean([int(r[col["cert_valid"]]) for r in block]),
             "mean_ms": np.mean([float(r[col["ms"]]) for r in block]),

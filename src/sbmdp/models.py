@@ -228,10 +228,6 @@ class GroundTruth:
             return np.zeros(self.n, dtype=bool)
         return self.assignment == 0
 
-    def indicator_matrix(self) -> np.ndarray:
-        """n x r one-hot cluster membership (gssbm)."""
-        return cluster_indicator(self.assignment)
-
 
 def cluster_indicator(assign: np.ndarray) -> np.ndarray:
     """n x r one-hot membership of a general assignment (0 = outlier)."""

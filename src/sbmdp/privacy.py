@@ -9,10 +9,14 @@ and only falls back to searching when the test fails.
 
 The guarantee needs the distance to be a 1-Lipschitz function of the graph
 alone, so the search is bounded only by a radius computed from n, the
-alphabet and ``max_evals``, never from the entries or the clock. Failure
-outcomes of the estimator (solver or rounding breakdown) count as
-differing from every output, including other failures, which keeps the
-distance 1-Lipschitz across neighboring graphs.
+alphabet and ``max_evals``, never from the entries or the clock. The
+mechanisms need only the capped value min(d, radius), so the search stops
+one level short of the radius: a graph at the radius could only confirm
+the value returned anyway, and that last level is the largest in the
+ball. The estimator therefore runs on at most ``ball_size(radius - 1)``
+neighbours. Failure outcomes of the estimator (solver or rounding
+breakdown) count as differing from every output, including other
+failures, which keeps the distance 1-Lipschitz across neighboring graphs.
 """
 
 from __future__ import annotations
@@ -100,18 +104,22 @@ def distance_to_instability(
     ``base`` is the output at ``g`` itself, the one the caller publishes;
     a neighbour counts as changed when ``f`` there differs from it.
     Enumeration runs in nondecreasing distance order, so the first
-    differing neighbor pins the answer. With ``max_evals`` the cap first
-    shrinks to the largest k whose whole ball (``graph.ball_size``) holds
-    at most ``max_evals`` graphs, so ``f`` runs on at most that many
-    neighbours. That k depends on (n, alphabet, max_evals) only, so the
-    result min(d, cap, k) is still 1-Lipschitz in the graph.
+    differing neighbor pins the answer. Level ``cap`` itself is never
+    enumerated: whether or not a graph there differs, the answer is
+    ``cap``, so only levels 1..cap-1 are searched.
+
+    With ``max_evals`` the cap first shrinks to the largest k whose whole
+    ball (``graph.ball_size``) holds at most ``max_evals`` graphs. That k
+    depends on (n, alphabet, max_evals) only, so the result min(d, cap, k)
+    is still 1-Lipschitz in the graph, and ``f`` runs on at most
+    ``ball_size(k - 1)`` neighbours, within ``max_evals``.
     """
     if cap < 0:
         raise InvalidParams(f"cap must be nonnegative, got {cap}")
     if max_evals is not None:
         cap = next((k for k in range(cap)
                     if ball_size(g.n, g.alphabet, k + 1) > max_evals), cap)
-    for k in range(1, cap + 1):
+    for k in range(1, cap):
         for neighbor in neighbors_at_distance(g, k):
             if not outcomes_equal(f(neighbor), base):
                 return k
@@ -124,7 +132,6 @@ class MechanismTrace:
     noise: float
     threshold: float
     released: bool
-    concentration_pass: Optional[bool] = None
     solver_status: Optional[str] = None
     fast_path: Optional[bool] = None
     estimated_rates: Optional[tuple[float, float]] = None
@@ -295,5 +302,5 @@ def stbl_fast(
                                     max_evals=max_evals)
         d_hat = min(cap_real, float(d))
     return _publish(matrix, d_hat, priv, rng, noise_override,
-                    concentration_pass=conc_pass, solver_status=solver_status,
-                    fast_path=conc_pass, estimated_rates=estimated)
+                    solver_status=solver_status, fast_path=conc_pass,
+                    estimated_rates=estimated)

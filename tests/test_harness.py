@@ -120,9 +120,14 @@ def test_trial_errors_become_failure_rows(tmp_path):
     # a <= b is an invalid model, so the trial raises; the sweep must not abort
     config = small_config(
         tmp_path, grid={"n": [16, 20], "a": [1.0], "b": [2.0], "rho": [0.5]})
-    rows = read_rows(sweep(config, timestamp="fixed"))
+    out = sweep(config, timestamp="fixed")
+    rows = read_rows(out)
     assert len(rows) == 2
-    assert all(r["bottom"] == "1" and r["recovered"] == "0" for r in rows)
+    assert all(r["error"] == "1" and r["bottom"] == "0" and r["recovered"] == "0"
+               for r in rows)
+    # the aggregates count the crashes as errors, not as withheld releases
+    cells = [l for l in out.read_text().splitlines() if l.startswith("# cell")]
+    assert all("bottom_rate=0.000000,error_rate=1.000000" in l for l in cells)
 
 
 def test_capped_stbl_trial_withholds_without_neighbour_solves(monkeypatch):

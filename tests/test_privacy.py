@@ -25,7 +25,7 @@ from sbmdp.privacy import (
     stbl,
     stbl_fast,
 )
-from sbmdp.sdp import mle_bruteforce, recover
+from sbmdp.sdp import SolveOptions, mle_bruteforce, recover
 
 
 def test_privacy_params():
@@ -120,8 +120,26 @@ def test_distance_budget_guard():
 
     assert distance_to_instability(g, one, one(g), 4, max_evals=10) == 0
     assert calls == [g]
+    # radius 1 is the cap itself, so no neighbour is solved
     assert distance_to_instability(g, one, one(g), 4, max_evals=15) == 1
-    assert len(calls) == 2 + 15
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+def test_search_never_solves_the_cap_level(cap):
+    # any graph at the cap could only confirm the answer cap, so f must
+    # never be asked about one, with or without a budget
+    g = Graph(4, "simple", np.array([1, 0, 1, 0, 0, 1], dtype=np.int8))
+
+    def f(h):
+        if np.count_nonzero(h.values != g.values) >= cap:
+            raise AssertionError("solved a graph at the cap")
+        return np.ones((1, 1))
+
+    assert distance_to_instability(g, f, f(g), cap) == cap
+    # a budget that admits the ball of radius cap keeps the radius at cap
+    budget = ball_size(g.n, g.alphabet, cap)
+    assert distance_to_instability(g, f, f(g), cap + 2, max_evals=budget) == cap
 
 
 @st.composite
@@ -169,9 +187,17 @@ def test_capped_search_is_bounded_lipschitz_and_exact(case):
         calls.append(h)
         return f(h)
 
+    # the radius the budget allows depends on the size and alphabet only
+    radius = max(k for k in range(cap + 1)
+                 if max_evals is None or ball_size(g.n, g.alphabet, k) <= max_evals)
+
     d = distance_to_instability(g, counted, f(g), cap, max_evals=max_evals)
     if max_evals is not None:
         assert len(calls) <= max_evals
+    # the last level of the ball (radius <= cap) can only confirm the
+    # radius, so it is skipped
+    assert all(np.count_nonzero(h.values != g.values) <= radius - 1
+               for h in calls)
     for h in neighbors_at_distance(g, 1):
         assert abs(distance(h) - d) <= 1
 
@@ -183,10 +209,7 @@ def test_capped_search_is_bounded_lipschitz_and_exact(case):
     differs = (keys != base) | (keys == failing) | (base == failing)
     found = hamming[differs & (hamming > 0)]
     exact = min(cap, int(found.min()) if found.size else cap)
-    # the radius the budget allows depends on the size and alphabet only;
-    # when it reaches the cap the search is exact
-    radius = max(k for k in range(cap + 1)
-                 if max_evals is None or ball_size(g.n, g.alphabet, k) <= max_evals)
+    # when the budget's radius reaches the cap the search is exact
     assert d == min(exact, radius)
 
 
@@ -245,7 +268,6 @@ def test_stbl_fast_deterministic_fast_path():
     rng = np.random.default_rng(6)
     out = stbl_fast(g, params, priv, 4.0, rng, noise_override=0.0)
     assert out.trace.fast_path
-    assert out.trace.concentration_pass
     assert out.trace.d_hat == pytest.approx(4.0 * math.log(200) / 2.0)
     assert not out.bottom
     assert same_clustering(out.result, cluster_matrix(gt))
@@ -293,6 +315,76 @@ def test_stbl_fast_sensitivity_small_audit():
         for h in neighbors_at_distance(g, 1):
             other = stbl_fast(h, params, priv, 1.0, rng, f=f, noise_override=0.0)
             assert abs(base.trace.d_hat - other.trace.d_hat) <= 1.0 + 1e-12
+
+
+AUDIT_OPTS = SolveOptions(tol=1e-5, max_iters=300, certify_every=25)
+_audit_solves = {}
+
+
+def _cached_recover(params):
+    def f(h):
+        if (params, h) not in _audit_solves:
+            _audit_solves[params, h] = recover(h, params, AUDIT_OPTS).matrix
+        return _audit_solves[params, h]
+    return f
+
+
+@st.composite
+def sensitivity_cases(draw, rates):
+    # the estimated-rates path exists for basbm (simple graphs) only
+    n = draw(st.integers(3, 5))
+    alphabet = "simple" if rates else draw(st.sampled_from(sorted(ALPHABETS)))
+    if alphabet == "simple":
+        params = BasbmParams(n=n, a=2.5, b=0.3, rho=0.5)
+    else:
+        params = CbsbmParams(n=n, a=2.5, xi=0.1)
+    # planted instances are often stable at distance 1, arbitrary ones rarely
+    seed = draw(st.none() | st.integers(0, 40))
+    if seed is None:
+        m = pair_count(n)
+        g = Graph(n, alphabet, np.array(draw(st.lists(
+            st.sampled_from(ALPHABETS[alphabet]), min_size=m, max_size=m)),
+            dtype=np.int8))
+    else:
+        g, _ = generate(params, seed)
+    mechanism = "fast" if rates else draw(st.sampled_from(["stbl", "fast"]))
+    max_evals = None
+    if not rates:
+        # a budget whose radius (0, 1 or 2) falls short of every cap below;
+        # radius 2 is the one that searches, so it is drawn most often
+        level = draw(st.sampled_from([0, 1, 2, 2, 2]))
+        max_evals = draw(st.integers(ball_size(n, alphabet, level),
+                                     ball_size(n, alphabet, level + 1) - 1))
+    return g, params, mechanism, max_evals
+
+
+@pytest.mark.parametrize("rates", [False, True], ids=["capped", "estimated_rates"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mechanism_distance_is_one_lipschitz(rates, data):
+    # both mechanisms on the capped path (a binding max_evals) and stbl_fast
+    # on the estimated-rates path: d_hat moves by at most one between
+    # neighbouring graphs
+    g, params, mechanism, max_evals = data.draw(sensitivity_cases(rates))
+    f = _cached_recover(params)
+
+    def d_hat(h):
+        if mechanism == "stbl":
+            # eps 10: cap = ceil(log(n)/10) + 2 = 3
+            out = stbl(h, f, PrivacyParams.from_exponent(10.0, 1.0, h.n),
+                       np.random.default_rng(0), max_evals=max_evals,
+                       noise_override=0.0)
+        else:
+            # cap = ceil(c_stab*log(n)/eps): 1-2 with 0.9, 3-4 with 2.0
+            out = stbl_fast(h, params, PrivacyParams.from_exponent(1.0, 1.0, h.n),
+                            0.9 if rates else 2.0, np.random.default_rng(0),
+                            estimate_rates=rates, solve_opts=AUDIT_OPTS, f=f,
+                            max_evals=max_evals, noise_override=0.0)
+        return out.trace.d_hat
+
+    base = d_hat(g)
+    for h in neighbors_at_distance(g, 1):
+        assert abs(d_hat(h) - base) <= 1.0 + 1e-12
 
 
 def test_param_estimate_regular_graph_degenerate():
