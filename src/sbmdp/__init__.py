@@ -19,7 +19,7 @@ Library layout:
 * :mod:`sbmdp.harness` -- seeded recovery-rate sweeps with CSV output.
 """
 
-from .graph import Graph, GraphDelta, neighbors_within, read_edge_list, write_edge_list
+from .graph import Graph, read_edge_list, write_edge_list
 from .models import (
     BasbmParams,
     CbsbmParams,
@@ -35,8 +35,6 @@ from .sdp import SolveOptions, mle_bruteforce, recover, solve
 
 __all__ = [
     "Graph",
-    "GraphDelta",
-    "neighbors_within",
     "read_edge_list",
     "write_edge_list",
     "BasbmParams",

@@ -31,7 +31,7 @@ from .models import (
     params_from_dict,
     same_clustering,
 )
-from .privacy import PrivacyParams, param_estimate, stbl, stbl_fast
+from .privacy import PrivacyParams, param_estimate, sdp_estimator, stbl, stbl_fast
 from .sdp import _extract_general, recover
 
 
@@ -125,8 +125,7 @@ def cmd_private_recover(args) -> int:
                             estimate_rates=estimate_rates,
                             max_evals=args.max_evals)
     else:
-        f = lambda h: recover(h, params).matrix
-        outcome = stbl(g, f, priv, rng, max_evals=args.max_evals)
+        outcome = stbl(g, sdp_estimator(params), priv, rng, max_evals=args.max_evals)
     # only what the (eps, delta) guarantee covers: the release decision,
     # the public threshold and the released clustering
     payload = {

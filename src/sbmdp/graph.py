@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -173,34 +172,6 @@ def _unrank(rank: int, n: int) -> tuple[int, int]:
     return i, i + 1 + rank
 
 
-@dataclass(frozen=True)
-class GraphDelta:
-    """A set of entry flips, each (i, j, new_value) with i < j and distinct pairs."""
-
-    flips: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for i, j, _ in self.flips:
-            if i >= j:
-                raise IndexOutOfRange("delta positions must satisfy i < j")
-            if (i, j) in seen:
-                raise DuplicateEdge(f"position ({i}, {j}) flipped twice")
-            seen.add((i, j))
-
-    def apply(self, g: Graph) -> Graph:
-        values = g.values.copy()
-        for i, j, v in self.flips:
-            g._check_pair(i, j)
-            if v not in ALPHABETS[g.alphabet]:
-                raise AlphabetViolation(f"value {v} not in {g.alphabet} alphabet")
-            values[pair_rank(i, j, g.n)] = v
-        return Graph(g.n, g.alphabet, values)
-
-    def __len__(self) -> int:
-        return len(self.flips)
-
-
 def neighbors_at_distance(g: Graph, k: int) -> Iterator[Graph]:
     """Lazily yield every graph at Hamming distance exactly ``k`` from ``g``.
 
@@ -224,27 +195,16 @@ def neighbors_at_distance(g: Graph, k: int) -> Iterator[Graph]:
 
 
 def ball_size(n: int, alphabet: str, radius: int) -> int:
-    """How many graphs :func:`neighbors_within` yields at this radius.
+    """How many graphs lie at Hamming distance 1..radius from any graph.
 
-    Sum over k = 1..radius of C(m, k) * (|alphabet| - 1)^k, m = n(n-1)/2;
-    it depends on the size and alphabet only, never on the entries.
+    Sum over k = 1..radius of C(m, k) * (|alphabet| - 1)^k, m = n(n-1)/2,
+    the graphs :func:`neighbors_at_distance` yields over k = 1..radius; it
+    depends on the size and alphabet only, never on the entries.
     """
     m = pair_count(n)
     alternatives = len(ALPHABETS[alphabet]) - 1
     return sum(math.comb(m, k) * alternatives ** k
                for k in range(1, min(radius, m) + 1))
-
-
-def neighbors_within(g: Graph, radius: int) -> Iterator[Graph]:
-    """Lazily yield every graph at Hamming distance 1..radius from ``g``.
-
-    Graphs come out in nondecreasing distance order, each exactly once, so
-    bounded searches can stop early.
-    """
-    if radius < 0:
-        raise IndexOutOfRange("radius must be nonnegative")
-    for k in range(1, radius + 1):
-        yield from neighbors_at_distance(g, k)
 
 
 def write_edge_list(g: Graph) -> str:
@@ -309,22 +269,3 @@ def read_edge_list(text: str) -> Graph:
         seen[rank] = True
         values[rank] = v
     return Graph(n, alphabet, values)
-
-
-def random_delta(
-    g: Graph, flips: int, rng: np.random.Generator
-) -> GraphDelta:
-    """Sample a delta of exactly ``flips`` distinct positions with changed values."""
-    m = pair_count(g.n)
-    if flips > m:
-        raise IndexOutOfRange(f"cannot flip {flips} of {m} positions")
-    positions = rng.choice(m, size=flips, replace=False)
-    out = []
-    alphabet = ALPHABETS[g.alphabet]
-    for pos in sorted(int(p) for p in positions):
-        i, j = _unrank(pos, g.n)
-        current = int(g.values[pos])
-        choices = [v for v in alphabet if v != current]
-        v = choices[int(rng.integers(len(choices)))]
-        out.append((i, j, v))
-    return GraphDelta(tuple(out))

@@ -25,7 +25,7 @@ from .models import (
     permute_instance,
     same_clustering,
 )
-from .privacy import PrivacyParams, stbl, stbl_fast
+from .privacy import PrivacyParams, sdp_estimator, stbl, stbl_fast
 from .sdp import recover
 
 MODES = ("nonprivate", "stbl", "fast")
@@ -177,8 +177,7 @@ def run_trial(
         recovered = (not bottom) and same_clustering(outcome.result, target)
     else:
         priv = PrivacyParams.from_exponent(eps, delta_exp, params.n)
-        f = lambda h: recover(h, params).matrix
-        outcome = stbl(g, f, priv, rng, max_evals=max_evals)
+        outcome = stbl(g, sdp_estimator(params), priv, rng, max_evals=max_evals)
         bottom = outcome.bottom
         recovered = (not bottom) and same_clustering(outcome.result, target)
 

@@ -18,7 +18,19 @@ recovery threshold this is the usual outcome, since the rounded spectral
 estimate is already the planted clustering. Otherwise ADMM runs, and the
 same test is repeated on the rounded iterate at regular checkpoints,
 reusing the eigenpairs of the iteration's PSD step. Sub-threshold inputs
-never certify and fall back to plain ADMM convergence.
+never certify and fall back to plain ADMM convergence. A certified
+solution carries the candidate's labels, so recovery rounds only
+uncertified ones.
+
+There is one solver loop, :func:`solve_many`; :func:`solve` is its batch
+of one. Problems of one variant and size run as one ``(B, n, n)`` stack in
+lockstep, which pays the per-iteration Python overhead of small problems
+once per batch. Nothing is shared between members: each keeps its own step
+size, residuals, step-size changes and checkpoint candidates, every norm
+and sum is reduced per matrix exactly as for one matrix, and a member
+leaves the stack when it finishes. Each result is therefore bit for bit
+the one-problem solve, whatever else is in the batch, which the privacy
+search relies on.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -93,6 +105,8 @@ class SdpSolution:
     iterations: int
     status: str
     certified: bool
+    # the certified clustering's labels (+-1, or 1..r with 0 for outliers)
+    labels: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def _data_matrix(graph_or_matrix, censored: bool) -> np.ndarray:
@@ -143,25 +157,47 @@ def problem_from_graph(g: Graph, params: SbmParams) -> SdpProblem:
 # constraint projections
 
 
-def _project_basbm(m: np.ndarray, mass: float) -> np.ndarray:
-    """Exact projection onto {diag = 1, <J, Y> = mass}.
+def _project(variant: str, m: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack projected onto its variant's constraint set.
+
+    ``targets`` holds one row of right-hand sides per matrix (see
+    :func:`_admm`).
+    """
+    if variant == BASBM:
+        return _project_basbm(m, targets[:, 0])
+    if variant == CBSBM:
+        return _project_diag_one(m)
+    return _project_gssbm(m, targets[:, 0], targets[:, 1])
+
+
+def _diagonal(m: np.ndarray) -> np.ndarray:
+    """Writable strided view of the diagonal of each matrix of a C-ordered stack."""
+    n = m.shape[-1]
+    return m.reshape(m.shape[0], n * n)[:, ::n + 1]
+
+
+def _project_basbm(m: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Exact projection of each matrix onto {diag = 1, <J, Y> = mass}.
 
     The diagonal and the uniform off-diagonal shift are orthogonal
-    directions, so the two constraints project independently.
+    directions, so the two constraints project independently: the shift is
+    added everywhere and the diagonal reset afterwards.
     """
-    n = m.shape[0]
+    n = m.shape[-1]
     p = m.copy()
-    np.fill_diagonal(p, 1.0)
+    diag = _diagonal(p)
+    diag[...] = 1.0
     off_count = n * n - n
     if off_count:
-        off_sum = p.sum() - n
-        p[~np.eye(n, dtype=bool)] += (mass - n - off_sum) / off_count
+        off_sum = p.sum(axis=(1, 2)) - n
+        p += ((mass - n - off_sum) / off_count)[:, None, None]
+        diag[...] = 1.0
     return p
 
 
 def _project_diag_one(m: np.ndarray) -> np.ndarray:
     p = m.copy()
-    np.fill_diagonal(p, 1.0)
+    _diagonal(p)[...] = 1.0
     return p
 
 
@@ -191,19 +227,26 @@ def _project_box_sum(v: np.ndarray, lo: float, hi: float, s: float) -> np.ndarra
     return np.clip(v - 0.5 * (theta_lo + theta_hi), lo, hi)
 
 
-def _project_gssbm(m: np.ndarray, trace_target: float, total_target: float) -> np.ndarray:
-    """Projection onto {0 <= Z_ii <= 1, Z_ij >= 0, tr Z = sum K, <J,Z> = sum K^2}.
+def _project_gssbm(m: np.ndarray, trace_target: np.ndarray,
+                   total_target: np.ndarray) -> np.ndarray:
+    """Projection of each matrix onto {0 <= Z_ii <= 1, Z_ij >= 0, tr Z = sum K,
+    <J,Z> = sum K^2}.
 
     Diagonal and off-diagonal coordinates are disjoint, so the projection
-    splits into two independent box-plus-sum problems.
+    splits into two independent box-plus-sum problems per matrix. They are
+    bisected matrix by matrix: brackets held as arrays over the stack cost
+    four more numpy calls in each of the ~115 steps, which made a lone
+    n = 40 solve about half again as slow.
     """
-    n = m.shape[0]
-    dmask = np.eye(n, dtype=bool)
-    out = np.empty_like(m)
-    out[dmask] = _project_box_sum(np.diag(m).copy(), 0.0, 1.0, trace_target)
-    out[~dmask] = _project_box_sum(m[~dmask], 0.0, math.inf,
-                                   total_target - trace_target)
-    return (out + out.T) / 2.0
+    b, n = m.shape[0], m.shape[-1]
+    flat = m.reshape(b, n * n)
+    off = np.flatnonzero(~np.eye(n, dtype=bool))
+    out = np.empty_like(flat)
+    for row, m_row, tr, total in zip(out, flat, trace_target, total_target):
+        row[::n + 1] = _project_box_sum(m_row[::n + 1], 0.0, 1.0, float(tr))
+        row[off] = _project_box_sum(m_row[off], 0.0, math.inf, float(total - tr))
+    out = out.reshape(b, n, n)
+    return (out + out.swapaxes(1, 2)) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -396,21 +439,26 @@ def _candidate_from_iterate(
     return assignment_to_cluster_matrix(GSSBM, assign), assign
 
 
-def _spectral_candidate(
-    prob: SdpProblem,
-) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """(cluster matrix, discrete labels) rounded from the data's spectrum.
+def _spectral_matrix(prob: SdpProblem) -> np.ndarray:
+    """The matrix whose spectrum gives the certificate-first candidate.
 
     basbm uses A - mean(A)*J: the top eigenvector of A itself is the
     Perron vector, which tracks degrees rather than clusters.
+    """
+    a_dense = prob.a_dense
+    return a_dense - a_dense.mean() if prob.variant == BASBM else a_dense
+
+
+def _spectral_candidate(
+    prob: SdpProblem, evecs: np.ndarray, evals: np.ndarray
+) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """(cluster matrix, discrete labels) rounded from the eigenpairs of
+    :func:`_spectral_matrix`.
+
     gssbm rescales its top-r eigenpairs so that the member diagonal of the
     rank-r reconstruction is about 1, the scale the 1/2 threshold of the
     general rounding expects.
     """
-    a_dense = prob.a_dense
-    if prob.variant == BASBM:
-        return _candidate_from_iterate(prob, *eig_sorted(a_dense - a_dense.mean()))
-    evecs, evals = eig_sorted(a_dense)
     if prob.variant == GSSBM:
         r = len(prob.sizes)
         evecs, evals = evecs[:, -r:], evals[-r:]
@@ -422,14 +470,162 @@ def _spectral_candidate(
     return _candidate_from_iterate(prob, evecs, evals)
 
 
-def _certified_solution(prob: SdpProblem, cand: np.ndarray, it: int) -> SdpSolution:
+def _certified_solution(prob: SdpProblem, cand: np.ndarray, labels: np.ndarray,
+                        it: int) -> SdpSolution:
     return SdpSolution(problem=prob, matrix=cand, objective=prob.objective(cand),
                        primal_residual=0.0, dual_residual=0.0,
-                       iterations=it, status=CONVERGED, certified=True)
+                       iterations=it, status=CONVERGED, certified=True,
+                       labels=labels.astype(np.int64))
+
+
+def _uncertified_solution(prob: SdpProblem, x: np.ndarray, y: np.ndarray,
+                          primal: float, dual: float, it: int,
+                          best_candidate: Optional[np.ndarray],
+                          tol: float) -> SdpSolution:
+    """The final iterate, or an exactly-feasible rounded candidate (vertex
+    polish) when that scores at least as well."""
+    status = CONVERGED if (primal < tol and dual < tol) else MAX_ITERS
+    matrix = y.copy()
+    objective = prob.objective(y)
+    cand, _ = _candidate_from_iterate(prob, *eig_sorted(x))
+    if cand is None:
+        cand = best_candidate
+    if cand is not None and prob.objective(cand) >= objective:
+        matrix = cand
+        objective = prob.objective(cand)
+    return SdpSolution(problem=prob, matrix=matrix, objective=objective,
+                       primal_residual=float(primal), dual_residual=float(dual),
+                       iterations=it, status=status, certified=False)
 
 
 # ---------------------------------------------------------------------------
 # solver
+
+
+def _fro_norms(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack.
+
+    Each is one dot product of the matrix's entries with themselves, the
+    sum ``np.linalg.norm(matrix, "fro")`` takes, so the bits match.
+    """
+    flat = m.reshape(m.shape[0], 1, -1)
+    return np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
+
+
+def _admm(probs: list[SdpProblem], members: list[int],
+          opts: SolveOptions) -> Iterator[tuple[int, SdpSolution]]:
+    """Lockstep projection splitting over problems of one variant and size.
+
+    Yields (position in ``probs``, solution) for each member as it
+    converges, certifies at a checkpoint or reaches ``max_iters``, and
+    drops it from the stack. Every member keeps its own step size t and
+    bracket, residuals, step-size changes, checkpoint candidate and best
+    candidate, and every reduction runs per matrix, so each member's
+    iterates are bit for bit those of its solve alone.
+    """
+    stacked = [probs[i] for i in members]
+    variant, n = stacked[0].variant, stacked[0].n
+    pos = np.array(members)
+    a = np.stack([p.a_dense for p in stacked])
+    # right-hand sides of each member's constraints: basbm <J, Y> = mass;
+    # gssbm tr Z and <J, Z>; cbsbm none
+    if variant == GSSBM:
+        sizes = [np.array(p.sizes, dtype=np.float64) for p in stacked]
+        targets = np.array([[k.sum(), (k ** 2).sum()] for k in sizes])
+        y = np.eye(n) * (targets[:, 0] / n)[:, None, None]
+    else:
+        targets = np.array([[p.mass or 0.0, 0.0] for p in stacked])
+        y = np.stack([np.eye(n)] * len(stacked))
+
+    t = np.array([max(float(np.linalg.norm(p.a_dense, 2)), 1e-3) for p in stacked])
+    t_lo, t_hi = t / 16.0, t * 16.0
+    u = np.zeros_like(a)
+    x = y
+    primal = dual = np.full(len(stacked), math.inf)
+    best = np.full(len(stacked), None, dtype=object)
+    tol, every = opts.tol, opts.certify_every
+
+    it = 0
+    for it in range(1, opts.max_iters + 1):
+        x, evecs, evals = psd_project(y - u)
+        y_old = y
+        y = _project(variant, x + u + a / t[:, None, None], targets)
+        gap = x - y
+        u = u + gap
+
+        scale = np.maximum(np.maximum(1.0, _fro_norms(x)), _fro_norms(y))
+        primal = _fro_norms(gap) / scale
+        dual = t * _fro_norms(y - y_old) / scale
+        done = (primal < tol) & (dual < tol)
+        if done.any():
+            for b in np.flatnonzero(done):
+                yield int(pos[b]), _uncertified_solution(
+                    probs[pos[b]], x[b], y[b], primal[b], dual[b], it, best[b], tol)
+
+        if every and it % every == 0:
+            for b in np.flatnonzero(~done):
+                prob = probs[pos[b]]
+                cand, labels = _candidate_from_iterate(prob, evecs[b], evals[b])
+                if cand is not None:
+                    best[b] = cand
+                    if _certify_candidate(prob, labels):
+                        done[b] = True
+                        yield int(pos[b]), _certified_solution(prob, cand, labels, it)
+
+        if it >= 200 and it % 100 == 0:
+            up = (primal > 10 * dual) & (t < t_hi)
+            down = ~up & (dual > 10 * primal) & (t > t_lo)
+            t = np.where(up, t * 2.0, np.where(down, t / 2.0, t))
+            u[up] /= 2.0
+            u[down] *= 2.0
+
+        if done.any():
+            if done.all():
+                return
+            live = ~done
+            pos, a, targets, t, t_lo, t_hi, x, y, u, primal, dual, best = (
+                v[live] for v in (pos, a, targets, t, t_lo, t_hi, x, y, u,
+                                  primal, dual, best))
+
+    for b, i in enumerate(pos):
+        yield int(i), _uncertified_solution(
+            probs[i], x[b], y[b], primal[b], dual[b], it, best[b], tol)
+
+
+def solve_many(probs: Iterable[SdpProblem], opts: SolveOptions = SolveOptions(),
+               ) -> Iterator[tuple[int, SdpSolution]]:
+    """Solve several problems, yielding (position, solution) as each finishes.
+
+    Problems of one variant and size run as one ``(B, n, n)`` stack: first
+    one batched eigendecomposition for the spectral candidates, whose
+    certified members come out at once, then lockstep ADMM on the rest
+    (see :func:`_admm`), which yields each member as it finishes. Each
+    solution is exactly, bit for bit, what :func:`solve` gives that problem
+    alone, whatever else is in the batch. A group is held in memory as
+    a few stacks of its size, so callers bound their batches (the distance
+    search does, by ``privacy.SEARCH_CHUNK_ENTRIES``).
+    """
+    probs = list(probs)
+    groups: dict[tuple[str, int], list[int]] = {}
+    for i, prob in enumerate(probs):
+        groups.setdefault((prob.variant, prob.n), []).append(i)
+    uncertified = []
+    for members in groups.values():
+        if opts.certify_every:
+            evecs, evals = eig_sorted(np.stack([_spectral_matrix(probs[i])
+                                                for i in members]))
+            rest = []
+            for i, vecs, vals in zip(members, evecs, evals):
+                cand, labels = _spectral_candidate(probs[i], vecs, vals)
+                if cand is not None and _certify_candidate(probs[i], labels):
+                    yield i, _certified_solution(probs[i], cand, labels, 0)
+                else:
+                    rest.append(i)
+            members = rest
+        if members:
+            uncertified.append(members)
+    for members in uncertified:
+        yield from _admm(probs, members, opts)
 
 
 def solve(prob: SdpProblem, opts: SolveOptions = SolveOptions()) -> SdpSolution:
@@ -442,79 +638,11 @@ def solve(prob: SdpProblem, opts: SolveOptions = SolveOptions()) -> SdpSolution:
     ``certify_every`` iterations, returning the first that certifies. An
     input that never certifies runs to the requested residual tolerance
     and gets the better of the final iterate and the last rounded feasible
-    candidate. ``certify_every=0`` disables every certificate test.
+    candidate. ``certify_every=0`` disables every certificate test. This is
+    :func:`solve_many` on a batch of one.
     """
-    if opts.certify_every:
-        cand, labels = _spectral_candidate(prob)
-        if cand is not None and _certify_candidate(prob, labels):
-            return _certified_solution(prob, cand, 0)
-
-    n = prob.n
-    a_dense = prob.a_dense
-    if prob.variant == BASBM:
-        project = lambda m: _project_basbm(m, prob.mass)
-        y = np.eye(n)
-    elif prob.variant == CBSBM:
-        project = _project_diag_one
-        y = np.eye(n)
-    else:
-        sizes = np.array(prob.sizes, dtype=np.float64)
-        trace_target = float(sizes.sum())
-        total_target = float((sizes ** 2).sum())
-        project = lambda m: _project_gssbm(m, trace_target, total_target)
-        y = np.eye(n) * (trace_target / n)
-
-    t = max(float(np.linalg.norm(a_dense, 2)), 1e-3)
-    t_lo, t_hi = t / 16.0, t * 16.0
-    u = np.zeros((n, n))
-    x = y
-    primal = dual = math.inf
-    best_candidate = None
-
-    it = 0
-    for it in range(1, opts.max_iters + 1):
-        x, evecs, evals = psd_project(y - u)
-        y_old = y
-        y = project(x + u + a_dense / t)
-        u = u + (x - y)
-
-        scale = max(1.0, float(np.linalg.norm(x, "fro")),
-                    float(np.linalg.norm(y, "fro")))
-        primal = float(np.linalg.norm(x - y, "fro")) / scale
-        dual = t * float(np.linalg.norm(y - y_old, "fro")) / scale
-        if primal < opts.tol and dual < opts.tol:
-            break
-
-        if opts.certify_every and it % opts.certify_every == 0:
-            cand, labels = _candidate_from_iterate(prob, evecs, evals)
-            if cand is not None:
-                best_candidate = cand
-                if _certify_candidate(prob, labels):
-                    return _certified_solution(prob, cand, it)
-
-        if it >= 200 and it % 100 == 0:
-            if primal > 10 * dual and t < t_hi:
-                t *= 2.0
-                u /= 2.0
-            elif dual > 10 * primal and t > t_lo:
-                t /= 2.0
-                u *= 2.0
-
-    status = CONVERGED if (primal < opts.tol and dual < opts.tol) else MAX_ITERS
-    matrix = y
-    objective = prob.objective(y)
-    # vertex polish: prefer an exactly-feasible rounded candidate when it
-    # scores at least as well as the approximate iterate
-    evecs, evals = eig_sorted(x)
-    cand, _ = _candidate_from_iterate(prob, evecs, evals)
-    if cand is None:
-        cand = best_candidate
-    if cand is not None and prob.objective(cand) >= objective:
-        matrix = cand
-        objective = prob.objective(cand)
-    return SdpSolution(problem=prob, matrix=matrix, objective=objective,
-                       primal_residual=primal, dual_residual=dual,
-                       iterations=it, status=status, certified=False)
+    ((_, sol),) = solve_many([prob], opts)
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -645,16 +773,10 @@ class RecoveryResult:
         return self.matrix is None
 
 
-def recover(g: Graph, params: SbmParams,
-            opts: SolveOptions = SolveOptions()) -> RecoveryResult:
-    """Solve the variant's SDP and round to a discrete clustering.
-
-    A rounding failure (degenerate spectrum or inconsistent relation) is
-    reported through ``failed`` rather than an exception: callers treat it
-    as a distinguished recovery-failure outcome.
-    """
-    prob = problem_from_graph(g, params)
-    sol = solve(prob, opts)
+def _rounded(sol: SdpSolution, params: SbmParams) -> RecoveryResult:
+    """A certified solution's own labels, or the rounding of the solution."""
+    if sol.certified:
+        return RecoveryResult(sol.matrix, sol.labels, sol)
     try:
         if params.variant == GSSBM:
             assign = round_general(sol, params.sizes)
@@ -665,3 +787,26 @@ def recover(g: Graph, params: SbmParams,
         return RecoveryResult(np.outer(sig, sig), sig.astype(np.int64), sol)
     except (DegenerateSpectrum, InconsistentRelation):
         return RecoveryResult(None, None, sol)
+
+
+def recover(g: Graph, params: SbmParams,
+            opts: SolveOptions = SolveOptions()) -> RecoveryResult:
+    """Solve the variant's SDP and round to a discrete clustering.
+
+    A certified solution carries its labels, so only an uncertified one is
+    rounded. A rounding failure (degenerate spectrum or inconsistent
+    relation) is reported through ``failed`` rather than an exception:
+    callers treat it as a distinguished recovery-failure outcome. This is
+    :func:`recover_many` on one graph.
+    """
+    return _rounded(solve(problem_from_graph(g, params), opts), params)
+
+
+def recover_many(graphs: Iterable[Graph], params: SbmParams,
+                 opts: SolveOptions = SolveOptions(),
+                 ) -> Iterator[tuple[int, RecoveryResult]]:
+    """(position, :func:`recover` of that graph), in the order the solves
+    finish (see :func:`solve_many`)."""
+    probs = [problem_from_graph(g, params) for g in graphs]
+    for i, sol in solve_many(probs, opts):
+        yield i, _rounded(sol, params)

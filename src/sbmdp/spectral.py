@@ -3,7 +3,9 @@
 :func:`as_symmetric` validates outside input, rejecting non-finite entries
 and asymmetry above ``Tolerances.symmetry``. :func:`eig_sorted` and
 :func:`psd_project` are the solver's eigen steps and skip that validation:
-they symmetrise their input and run on every iteration. Matrices at the
+they symmetrise their input and run on every iteration. Both take one
+matrix or a stack of same-size matrices, so that the solver has a single
+eigen/PSD step however many problems it runs in lockstep. Matrices at the
 target scale (n up to a few thousand) are handled with full dense
 eigendecompositions.
 """
@@ -60,8 +62,12 @@ def spectral_norm(m: np.ndarray) -> float:
 
 
 def eig_sorted(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvectors, ascending eigenvalues) of the symmetric part of ``m``."""
-    evals, evecs = np.linalg.eigh((m + m.T) / 2.0)
+    """(eigenvectors, ascending eigenvalues) of the symmetric part of ``m``.
+
+    ``m`` is one matrix or a stack; each matrix of a stack gets the same
+    bits as it would alone.
+    """
+    evals, evecs = np.linalg.eigh((m + m.swapaxes(-1, -2)) / 2.0)
     return evecs, evals
 
 
@@ -69,8 +75,15 @@ def psd_project(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frobenius projection onto the PSD cone, with the eigenpairs it used.
 
     Returns (projection, eigenvectors, ascending eigenvalues) of the
-    symmetric part of ``m``; negative eigenvalues are clipped to zero.
+    symmetric part of ``m``, one matrix or a stack; negative eigenvalues are
+    clipped to zero. The projection is rebuilt from the trailing ``k``
+    eigenpairs, ``k`` the largest positive count in the stack: a matrix
+    with fewer positive eigenvalues only adds exact zero terms to each
+    entry's sum, so it gets the same bits as it would alone.
     """
     evecs, evals = eig_sorted(m)
-    pos = evals > 0
-    return (evecs[:, pos] * evals[pos]) @ evecs[:, pos].T, evecs, evals
+    n = evals.shape[-1]
+    k = int((evals > 0).sum(axis=-1).max(initial=0))
+    cols = evecs[..., n - k:]
+    weighted = cols * np.maximum(evals[..., None, n - k:], 0.0)
+    return weighted @ cols.swapaxes(-1, -2), evecs, evals

@@ -14,7 +14,7 @@ import numpy as np
 
 from sbmdp.certificates import build_binary, build_general, verify_binary, verify_general
 from sbmdp.concentration import check_basbm, default_constants, shift_constants
-from sbmdp.graph import CENSORED, SIMPLE, Graph, neighbors_at_distance, pair_count, random_delta
+from sbmdp.graph import CENSORED, SIMPLE, Graph, neighbors_at_distance, pair_count
 from sbmdp.models import (
     BasbmParams,
     CbsbmParams,
@@ -26,6 +26,8 @@ from sbmdp.models import (
 )
 from sbmdp.privacy import PrivacyParams, param_estimate, sample_laplace, stbl_fast
 from sbmdp.sdp import SolveOptions, mle_bruteforce, recover
+
+from oracles import cached_estimator, random_delta
 
 
 def gate(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -164,13 +166,7 @@ def test_criterion_07_sensitivity_audit():
         g = Graph(6, alphabet, values)
         params = (CbsbmParams(n=6, a=2.0, xi=0.3) if censored
                   else BasbmParams(n=6, a=2.5, b=0.5, rho=0.5))
-        cache = {}
-
-        def f(h, params=params, cache=cache):
-            if h not in cache:
-                cache[h] = recover(h, params, opts).matrix
-            return cache[h]
-
+        f = cached_estimator(params, opts, {})
         rng = np.random.default_rng(idx)
         base = stbl_fast(g, params, priv, 1.0, rng, f=f, solve_opts=opts,
                          noise_override=0.0)

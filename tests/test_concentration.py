@@ -25,7 +25,6 @@ from sbmdp.concentration import (
     tighten_constants,
 )
 from sbmdp.errors import DomainError, InfeasibleRegime, InvalidParams, InvalidShift
-from sbmdp.graph import random_delta
 from sbmdp.models import (
     BasbmParams,
     CbsbmParams,
@@ -34,6 +33,8 @@ from sbmdp.models import (
     expected_adjacency,
     generate,
 )
+
+from oracles import random_delta
 
 
 # ---------------------------------------------------------------------------

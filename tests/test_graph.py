@@ -16,16 +16,15 @@ from sbmdp.graph import (
     CENSORED,
     SIMPLE,
     Graph,
-    GraphDelta,
     ball_size,
     neighbors_at_distance,
-    neighbors_within,
     pair_count,
     pair_rank,
-    random_delta,
     read_edge_list,
     write_edge_list,
 )
+
+from oracles import GraphDelta, neighbors_within, random_delta
 
 
 def random_graph(n, alphabet, seed):

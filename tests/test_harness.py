@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sbmdp import harness
+from sbmdp import harness, privacy
 from sbmdp.cli import main
 from sbmdp.errors import InvalidParams
 from sbmdp.graph import Graph, write_edge_list
@@ -135,13 +135,13 @@ def test_capped_stbl_trial_withholds_without_neighbour_solves(monkeypatch):
     # 16-vertex graph, so the search radius is 0: only the base graph is
     # solved, and the distance 0 is released only on large noise
     solves = []
-    real_recover = harness.recover
+    real_recover_many = privacy.recover_many
 
-    def counted(g, *args, **kwargs):
-        solves.append(g)
-        return real_recover(g, *args, **kwargs)
+    def counted(graphs, *args, **kwargs):
+        solves.extend(graphs)
+        return real_recover_many(graphs, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "recover", counted)
+    monkeypatch.setattr(privacy, "recover_many", counted)
     cell = {"variant": "basbm", "n": 16, "a": 4.0, "b": 1.0, "rho": 0.5,
             "eps": 1.0, "delta_exp": 1.0}
     result = run_trial(cell, trial_seed(7, 0, 0), mode="stbl", max_evals=40)

@@ -27,6 +27,13 @@ from sbmdp.privacy import (
 )
 from sbmdp.sdp import SolveOptions, mle_bruteforce, recover
 
+from oracles import cached_estimator
+
+
+def lifted(f):
+    """The list-valued estimator of a per-graph function, in input order."""
+    return lambda graphs: enumerate(map(f, graphs))
+
 
 def test_privacy_params():
     priv = PrivacyParams(1.0, 0.05)
@@ -69,8 +76,8 @@ def test_outcomes_equal_failure_semantics():
 def test_distance_constant_function_hits_cap():
     g = Graph.empty(4)
     one = lambda h: np.ones((1, 1))
-    assert distance_to_instability(g, one, one(g), 3) == 3
-    assert distance_to_instability(g, one, one(g), 0) == 0
+    assert distance_to_instability(g, lifted(one), one(g), 3) == 3
+    assert distance_to_instability(g, lifted(one), one(g), 0) == 0
 
 
 def test_distance_one_flip_changes_mle():
@@ -79,7 +86,7 @@ def test_distance_one_flip_changes_mle():
     g = Graph.empty(4).set_entry(0, 2, 1)
     f = lambda h: mle_bruteforce(h, params)
     base = f(g)
-    assert distance_to_instability(g, f, base, 5) == 1
+    assert distance_to_instability(g, lifted(f), base, 5) == 1
     # independent oracle: exhaustive first differing radius
     found = None
     for k in range(1, 4):
@@ -105,7 +112,7 @@ def test_distance_matches_bruteforce_oracle():
                    for h in neighbors_at_distance(g, k)):
                 expected = k
                 break
-        assert distance_to_instability(g, f, base, cap) == expected
+        assert distance_to_instability(g, lifted(f), base, cap) == expected
 
 
 def test_distance_budget_guard():
@@ -118,11 +125,19 @@ def test_distance_budget_guard():
         calls.append(h)
         return np.ones((1, 1))
 
-    assert distance_to_instability(g, one, one(g), 4, max_evals=10) == 0
+    assert distance_to_instability(g, lifted(one), one(g), 4, max_evals=10) == 0
     assert calls == [g]
     # radius 1 is the cap itself, so no neighbour is solved
-    assert distance_to_instability(g, one, one(g), 4, max_evals=15) == 1
+    assert distance_to_instability(g, lifted(one), one(g), 4, max_evals=15) == 1
     assert len(calls) == 2
+
+
+def test_search_rejects_missing_outputs():
+    # a graph the estimator skipped would otherwise count as unchanged
+    g = Graph.empty(4)
+    drops_last = lambda graphs: enumerate([np.ones((1, 1))] * (len(graphs) - 1))
+    with pytest.raises(InvalidParams):
+        distance_to_instability(g, drops_last, np.ones((1, 1)), 3)
 
 
 @pytest.mark.parametrize("cap", [2, 3])
@@ -136,10 +151,11 @@ def test_search_never_solves_the_cap_level(cap):
             raise AssertionError("solved a graph at the cap")
         return np.ones((1, 1))
 
-    assert distance_to_instability(g, f, f(g), cap) == cap
+    assert distance_to_instability(g, lifted(f), f(g), cap) == cap
     # a budget that admits the ball of radius cap keeps the radius at cap
     budget = ball_size(g.n, g.alphabet, cap)
-    assert distance_to_instability(g, f, f(g), cap + 2, max_evals=budget) == cap
+    assert distance_to_instability(g, lifted(f), f(g), cap + 2,
+                                   max_evals=budget) == cap
 
 
 @st.composite
@@ -161,15 +177,31 @@ def capped_searches(draw):
     max_evals = draw(st.none() | st.sampled_from([lo, max(lo, hi - 1), hi])
                      | st.integers(lo, hi))
     g = Graph(n, alphabet, np.array(values, dtype=np.int8))
-    return g, weights, width, failing, cap, max_evals
+    order = draw(st.sampled_from(["forward", "reversed", "shuffled"]))
+    return g, weights, width, failing, cap, max_evals, order, draw(st.integers(0, 99))
+
+
+def in_order(f, order, seed):
+    """A list-valued estimator yielding f's outputs in the given order."""
+    def estimator(graphs):
+        positions = list(range(len(graphs)))
+        if order == "reversed":
+            positions.reverse()
+        elif order == "shuffled":
+            np.random.default_rng(seed).shuffle(positions)
+        for i in positions:
+            yield i, f(graphs[i])
+    return estimator
 
 
 @settings(max_examples=200, deadline=None)
 @given(capped_searches())
 def test_capped_search_is_bounded_lipschitz_and_exact(case):
     # f buckets a weighted entry sum and fails (None) on one bucket; it
-    # needs no solver, so every graph's distance can be checked directly
-    g, weights, width, failing, cap, max_evals = case
+    # needs no solver, so every graph's distance can be checked directly.
+    # The estimator yields each batch forward, reversed or shuffled: the
+    # order within a level must not change the distance.
+    g, weights, width, failing, cap, max_evals, order, seed = case
 
     def key(values):
         return (values.astype(np.int64) @ weights) // width
@@ -179,7 +211,8 @@ def test_capped_search_is_bounded_lipschitz_and_exact(case):
         return None if k == failing else np.full((1, 1), k)
 
     def distance(h):
-        return distance_to_instability(h, f, f(h), cap, max_evals=max_evals)
+        return distance_to_instability(h, in_order(f, order, seed), f(h), cap,
+                                       max_evals=max_evals)
 
     calls = []
 
@@ -191,7 +224,8 @@ def test_capped_search_is_bounded_lipschitz_and_exact(case):
     radius = max(k for k in range(cap + 1)
                  if max_evals is None or ball_size(g.n, g.alphabet, k) <= max_evals)
 
-    d = distance_to_instability(g, counted, f(g), cap, max_evals=max_evals)
+    d = distance_to_instability(g, in_order(counted, order, seed), f(g), cap,
+                                max_evals=max_evals)
     if max_evals is not None:
         assert len(calls) <= max_evals
     # the last level of the ball (radius <= cap) can only confirm the
@@ -218,7 +252,7 @@ def test_stbl_releases_stable_input():
     priv = PrivacyParams(1.0, 0.05)
     rng = np.random.default_rng(3)
     constant = np.ones((2, 2))
-    out = stbl(g, lambda h: constant, priv, rng, noise_override=0.0)
+    out = stbl(g, lifted(lambda h: constant), priv, rng, noise_override=0.0)
     cap = math.ceil(priv.threshold) + 20
     assert out.trace.d_hat == cap
     assert out.trace.released
@@ -233,7 +267,7 @@ def test_stbl_solves_the_base_graph_once():
         calls.append(h)
         return np.ones((1, 1))
 
-    stbl(g, f, PrivacyParams(1.0, 0.05), np.random.default_rng(0),
+    stbl(g, lifted(f), PrivacyParams(1.0, 0.05), np.random.default_rng(0),
          noise_override=0.0)
     assert calls.count(g) == 1
 
@@ -244,7 +278,7 @@ def test_stbl_withholds_unstable_input():
     f = lambda h: np.ones((1, 1)) * (1 + h.entry(0, 1))
     priv = PrivacyParams(1.0, 0.01)
     rng = np.random.default_rng(4)
-    out = stbl(g, f, priv, rng, noise_override=0.0)
+    out = stbl(g, lifted(f), priv, rng, noise_override=0.0)
     assert out.trace.d_hat == 1
     assert out.bottom
 
@@ -301,13 +335,7 @@ def test_stbl_fast_sensitivity_small_audit():
     # neighboring graphs: the internal distance value moves by at most one
     params = CbsbmParams(n=6, a=2.0, xi=0.3)
     priv = PrivacyParams.from_exponent(1.0, 1.0, 6)
-    cache = {}
-
-    def f(h):
-        if h not in cache:
-            cache[h] = recover(h, params).matrix
-        return cache[h]
-
+    f = cached_estimator(params, SolveOptions(), {})
     rng = np.random.default_rng(9)
     for seed in (0, 1):
         g, _ = generate(params, seed)
@@ -322,11 +350,7 @@ _audit_solves = {}
 
 
 def _cached_recover(params):
-    def f(h):
-        if (params, h) not in _audit_solves:
-            _audit_solves[params, h] = recover(h, params, AUDIT_OPTS).matrix
-        return _audit_solves[params, h]
-    return f
+    return cached_estimator(params, AUDIT_OPTS, _audit_solves.setdefault(params, {}))
 
 
 @st.composite

@@ -13,9 +13,11 @@ from sbmdp.errors import (
     InvalidParams,
     TooLarge,
 )
+from sbmdp.graph import Graph
 from sbmdp.models import (
     BasbmParams,
     CbsbmParams,
+    GroundTruth,
     GssbmParams,
     cluster_matrix,
     generate,
@@ -33,6 +35,7 @@ from sbmdp.sdp import (
     round_binary,
     round_general,
     solve,
+    solve_many,
 )
 
 FAST = SolveOptions(max_iters=1500)
@@ -340,3 +343,110 @@ def test_gssbm_recover_small():
     res = recover(g, params)
     assert not res.failed
     assert same_clustering(res.matrix, cluster_matrix(gt))
+
+
+def assert_labels_are_the_rounding(g, params, opts=SolveOptions()):
+    """A certified recover returns the rounding of its matrix without rounding."""
+    res = recover(g, params, opts)
+    sol = res.solution
+    if not sol.certified:
+        assert sol.labels is None
+        return False
+    if params.variant == "gssbm":
+        rounded = round_general(sol, params.sizes)
+    else:
+        rounded = round_binary(sol, params.rho if params.variant == "basbm" else None)
+    assert np.array_equal(sol.labels, rounded)
+    assert res.labels is sol.labels and res.matrix is sol.matrix
+    assert np.array_equal(res.matrix,
+                          cluster_matrix(GroundTruth(params.variant, rounded)))
+    return True
+
+
+@given(small_instances())
+@settings(max_examples=60, deadline=None)
+def test_certified_labels_match_rounding(instance):
+    params, seed = instance
+    g, _ = generate(params, seed)
+    assert_labels_are_the_rounding(g, params, SolveOptions(max_iters=200))
+
+
+@pytest.mark.parametrize("params", [
+    BasbmParams(n=300, a=20, b=2, rho=0.5),
+    BasbmParams(n=300, a=25, b=2, rho=0.3),
+    CbsbmParams(n=300, a=8, xi=0.05),
+    GssbmParams(n=300, a=40, b=2, rhos=(0.3, 0.3, 0.3)),
+], ids=["basbm", "basbm-unbalanced", "cbsbm", "gssbm"])
+def test_certified_labels_match_rounding_at_scale(params):
+    g, _ = generate(params, 3)
+    assert assert_labels_are_the_rounding(g, params)
+
+
+# ---------------------------------------------------------------------------
+# batches
+
+
+BATCH_OPTS = SolveOptions(tol=1e-4, max_iters=300, certify_every=5)
+# a censored graph whose spectral candidate fails to certify and whose
+# ADMM iterate certifies at the checkpoint of iteration 10
+CHECKPOINT_CERTIFIED = Graph(9, "censored", np.array(
+    [0, 0, 1, -1, 0, 1, 1, 1, 1, 1, 0, 0, -1, 1, 1, 0, 1, 0, 1, 1, 1, 0, -1, 1,
+     1, 1, 1, 1, 0, 1, 1, 1, 1, -1, -1, 1], dtype=np.int8))
+
+
+def planted_problem(params, seed):
+    return problem_from_graph(generate(params, seed)[0], params)
+
+
+def anchor_problems():
+    """Problems that leave the stack in every way there is, under BATCH_OPTS."""
+    return [
+        planted_problem(BasbmParams(n=5, a=2.5, b=1.0, rho=0.5), 0),  # spectral
+        cbsbm_problem(CHECKPOINT_CERTIFIED),                           # checkpoint
+        planted_problem(BasbmParams(n=5, a=2.5, b=1.0, rho=0.5), 1),  # converged
+        planted_problem(CbsbmParams(n=5, a=2.0, xi=0.2), 2),           # converged
+        planted_problem(GssbmParams(n=5, a=3.0, b=1.0, rhos=(0.3, 0.3)), 0),
+        planted_problem(BasbmParams(n=6, a=2.5, b=1.0, rho=0.5), 0),  # max_iters
+    ]
+
+
+def finish(sol):
+    if sol.certified:
+        return "spectral" if sol.iterations == 0 else "checkpoint"
+    return sol.status
+
+
+def assert_same_solution(got, want):
+    assert got.problem is want.problem
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert (got.objective, got.primal_residual, got.dual_residual, got.iterations,
+            got.status, got.certified) == (want.objective, want.primal_residual,
+                                           want.dual_residual, want.iterations,
+                                           want.status, want.certified)
+    assert (got.labels is None) == (want.labels is None)
+    if want.labels is not None:
+        assert got.labels.tobytes() == want.labels.tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(extra=st.lists(small_instances(), max_size=4), data=st.data())
+def test_solve_many_matches_each_solve_alone(extra, data):
+    probs = anchor_problems() + [planted_problem(p, seed) for p, seed in extra]
+    alone = [solve(p, BATCH_OPTS) for p in probs]
+    assert {finish(sol) for sol in alone[:6]} == {
+        "spectral", "checkpoint", "converged", "max_iters"}
+
+    order = data.draw(st.permutations(range(len(probs))))
+    cut = data.draw(st.integers(0, len(probs)))
+    batched = list(solve_many(probs, BATCH_OPTS))
+    permuted = [(order[j], sol)
+                for j, sol in solve_many([probs[i] for i in order], BATCH_OPTS)]
+    split = (list(solve_many(probs[:cut], BATCH_OPTS))
+             + [(cut + j, sol) for j, sol in solve_many(probs[cut:], BATCH_OPTS)])
+    for results in (batched, permuted, split):
+        assert sorted(i for i, _ in results) == list(range(len(probs)))
+        for i, sol in results:
+            assert_same_solution(sol, alone[i])
+    # certified spectral candidates come out before any ADMM member
+    kinds = [finish(sol) == "spectral" for _, sol in batched]
+    assert kinds == sorted(kinds, reverse=True)
