@@ -9,9 +9,9 @@ Library layout:
 * :mod:`sbmdp.spectral` -- tolerances, symmetric validation, spectral norm,
   and the solver's eigendecomposition and PSD projection.
 * :mod:`sbmdp.sdp` -- the SDP relaxations, projection-splitting solver,
-  rounding, and the small-n brute-force oracle.
-* :mod:`sbmdp.concentration` -- threshold rate functions and the
-  per-variant concentration checkers with constant-tuple maps.
+  and rounding.
+* :mod:`sbmdp.concentration` -- threshold rate functions, default and
+  tightened constants, and the concentration checker.
 * :mod:`sbmdp.certificates` -- the dual-certificate kernels and verifiers
   behind the solver's early stop and the certificate diagnostics.
 * :mod:`sbmdp.privacy` -- Laplace noise, distance to instability, and the
@@ -31,7 +31,7 @@ from .models import (
     same_clustering,
 )
 from .privacy import MechanismOutcome, PrivacyParams, stbl, stbl_fast
-from .sdp import SolveOptions, mle_bruteforce, recover, solve
+from .sdp import SolveOptions, recover, solve
 
 __all__ = [
     "Graph",
@@ -50,7 +50,6 @@ __all__ = [
     "stbl",
     "stbl_fast",
     "SolveOptions",
-    "mle_bruteforce",
     "recover",
     "solve",
 ]

@@ -47,7 +47,7 @@ from .models import (
     cluster_indicator,
     expected_adjacency,
 )
-from .spectral import DEFAULT_TOLS
+from .spectral import DEFAULT_TOLS, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -224,8 +224,7 @@ def build_general(
     if constants is None:
         constants = default_constants(params, math.inf, 0.0)
     lam = constants.tau_tilde(params.b) * params.log_n / params.n
-    eta = float(np.abs(np.linalg.eigvalsh(
-        a_dense - expected_adjacency(params, gt))).max())
+    eta = spectral_norm(a_dense - expected_adjacency(params, gt))
     return general_certificate(a_dense, gt.assignment, np.array(gt.sizes), lam, eta)
 
 

@@ -1,4 +1,4 @@
-"""Threshold rate functions and the per-model concentration checkers.
+"""Threshold rate functions and the concentration checker.
 
 A graph is "concentrated" for its model when a small set of deterministic
 inequalities holds: spectral closeness of the adjacency to its expectation,
@@ -20,14 +20,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleRegime, InvalidParams, InvalidShift
+from .errors import InfeasibleRegime, InvalidParams, InvalidShift
 from .graph import dense_matrix
 from .models import (
     BASBM,
     CBSBM,
     GSSBM,
     BasbmParams,
-    CbsbmParams,
     GroundTruth,
     GssbmParams,
     SbmParams,
@@ -84,27 +83,6 @@ def degree_margin_exponent(x: float, a: float, b: float, rho: float) -> float:
     """
     tau = log_mean(a, b)
     return margin_exponent(x - tau * (1 - 2 * rho), a, b, rho)
-
-
-def binom_diff_exponent(
-    rho1: float, rho2: float, a: float, b: float, alpha: float
-) -> float:
-    """Tail exponent of a Binomial(rho1*n, p) minus Binomial(rho2*n, q) difference.
-
-    g = a*rho1 + b*rho2 - gamma - (alpha/2)*log((gamma-alpha)*a*rho1 /
-    ((gamma+alpha)*b*rho2)) with gamma = sqrt(alpha^2 + 4*rho1*rho2*a*b).
-    At alpha = 0 this collapses to (sqrt(a*rho1) - sqrt(b*rho2))^2.
-    """
-    if min(rho1, rho2, a, b) <= 0:
-        raise InvalidParams("rho1, rho2, a, b must all be positive")
-    gamma = math.sqrt(alpha * alpha + 4 * rho1 * rho2 * a * b)
-    if alpha == 0.0:
-        return a * rho1 + b * rho2 - gamma
-    num = (gamma - alpha) * a * rho1
-    den = (gamma + alpha) * b * rho2
-    if num <= 0 or den <= 0:
-        raise DomainError(f"log argument nonpositive at alpha={alpha}")
-    return a * rho1 + b * rho2 - gamma - 0.5 * alpha * math.log(num / den)
 
 
 def censored_margin_exponent(xi: float, a: float) -> float:
@@ -268,64 +246,6 @@ def expected_degree_margins(params: BasbmParams, gt: GroundTruth) -> np.ndarray:
 # checkers
 
 
-def check_basbm(
-    graph, gt: GroundTruth, params: BasbmParams, constants: BasbmConstants
-) -> ConcentrationReport:
-    """Evaluate the four asymmetric-model concentration conditions."""
-    a_dense = dense_matrix(graph)
-    if a_dense.shape[0] != gt.n or gt.n != params.n:
-        raise InvalidParams("graph, ground truth, and params sizes disagree")
-    n = params.n
-    logn = params.log_n
-    sqlogn = math.sqrt(logn)
-
-    ea = expected_adjacency(params, gt)
-    lhs1 = spectral_norm(a_dense - ea)
-    cond1 = ConditionResult("spectral_deviation", lhs1, constants.c1 * sqlogn,
-                            lhs1 <= constants.c1 * sqlogn)
-
-    x = balanced_direction(gt)
-    d = degree_margins(a_dense, gt, params)
-    j_term = (lambda_star(params) - (params.p + params.q) / 2.0) * x.sum() ** 2
-    lhs2 = float((x * x * d).sum() + j_term)
-    cond2 = ConditionResult("balanced_direction_margin", lhs2,
-                            constants.c2 * logn, lhs2 > constants.c2 * logn)
-
-    d_expected = expected_degree_margins(params, gt)
-    lhs3 = float(np.linalg.norm((d - d_expected) * x))
-    cond3 = ConditionResult("margin_fluctuation", lhs3, constants.c3 * sqlogn,
-                            lhs3 <= constants.c3 * sqlogn)
-
-    lhs4 = float(d.min())
-    cond4 = ConditionResult("degree_margin", lhs4, constants.c4 * logn,
-                            lhs4 >= constants.c4 * logn)
-
-    return ConcentrationReport((cond1, cond2, cond3, cond4))
-
-
-def check_cbsbm(
-    graph, gt: GroundTruth, params: CbsbmParams, constants: CbsbmConstants
-) -> ConcentrationReport:
-    """Evaluate the two censored-model concentration conditions."""
-    a_dense = dense_matrix(graph)
-    if a_dense.shape[0] != gt.n or gt.n != params.n:
-        raise InvalidParams("graph, ground truth, and params sizes disagree")
-    logn = params.log_n
-    sqlogn = math.sqrt(logn)
-
-    ea = expected_adjacency(params, gt)
-    lhs1 = spectral_norm(a_dense - ea)
-    cond1 = ConditionResult("spectral_deviation", lhs1, constants.c1 * sqlogn,
-                            lhs1 <= constants.c1 * sqlogn)
-
-    d = degree_margins(a_dense, gt, params)
-    lhs2 = float(d.min())
-    cond2 = ConditionResult("degree_margin", lhs2, constants.c2 * logn,
-                            lhs2 >= constants.c2 * logn)
-
-    return ConcentrationReport((cond1, cond2))
-
-
 def cluster_edge_counts(
     a_dense: np.ndarray, assign: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -341,33 +261,67 @@ def cluster_edge_counts(
     return e, c
 
 
-def check_gssbm(
-    graph, gt: GroundTruth, params: GssbmParams, constants: GssbmConstants
+def check_concentration(
+    graph, gt: GroundTruth, params: SbmParams, constants: ConcentrationConstants
 ) -> ConcentrationReport:
-    """Evaluate the five general-structure concentration conditions.
+    """Evaluate the variant's concentration conditions, in a fixed order.
 
-    Conditions quantified over empty index sets (single cluster, no
-    outliers) pass vacuously with empty lhs/rhs.
+    Every variant starts with spectral_deviation, ||A - E[A]|| <=
+    c1*sqrt(log n). basbm then checks balanced_direction_margin (c2),
+    margin_fluctuation (c3) and degree_margin (c4); cbsbm degree_margin
+    (c2); gssbm the four edge-count conditions of
+    :func:`_general_conditions` (c2..c5).
     """
     a_dense = dense_matrix(graph)
     if a_dense.shape[0] != gt.n or gt.n != params.n:
         raise InvalidParams("graph, ground truth, and params sizes disagree")
-    n, b = params.n, params.b
     logn = params.log_n
     sqlogn = math.sqrt(logn)
+
+    lhs1 = spectral_norm(a_dense - expected_adjacency(params, gt))
+    conds = [ConditionResult("spectral_deviation", lhs1, constants.c1 * sqlogn,
+                             lhs1 <= constants.c1 * sqlogn)]
+    if params.variant == GSSBM:
+        conds += _general_conditions(a_dense, gt, params, constants, logn, sqlogn)
+        return ConcentrationReport(tuple(conds))
+
+    d = degree_margins(a_dense, gt, params)
+    c_margin = constants.c2
+    if params.variant == BASBM:
+        x = balanced_direction(gt)
+        j_term = (lambda_star(params) - (params.p + params.q) / 2.0) * x.sum() ** 2
+        lhs2 = float((x * x * d).sum() + j_term)
+        rhs2 = constants.c2 * logn
+        conds.append(ConditionResult("balanced_direction_margin", lhs2, rhs2,
+                                     lhs2 > rhs2))
+        lhs3 = float(np.linalg.norm((d - expected_degree_margins(params, gt)) * x))
+        rhs3 = constants.c3 * sqlogn
+        conds.append(ConditionResult("margin_fluctuation", lhs3, rhs3, lhs3 <= rhs3))
+        c_margin = constants.c4
+    lhs_margin = float(d.min())
+    conds.append(ConditionResult("degree_margin", lhs_margin, c_margin * logn,
+                                 lhs_margin >= c_margin * logn))
+    return ConcentrationReport(tuple(conds))
+
+
+def _general_conditions(
+    a_dense: np.ndarray, gt: GroundTruth, params: GssbmParams,
+    constants: GssbmConstants, logn: float, sqlogn: float,
+) -> list[ConditionResult]:
+    """internal_degree, foreign_degree, pair_density and outlier_degree.
+
+    Conditions quantified over empty index sets (single cluster, no
+    outliers) pass vacuously with empty lhs/rhs.
+    """
+    n, b = params.n, params.b
     sizes = np.array(gt.sizes, dtype=np.float64)
     r = sizes.size
     assign = gt.assignment
     tau_t = constants.tau_tilde(b)
-
-    ea = expected_adjacency(params, gt)
-    lhs1 = spectral_norm(a_dense - ea)
-    conds = [ConditionResult("spectral_deviation", lhs1, constants.c1 * sqlogn,
-                             lhs1 <= constants.c1 * sqlogn)]
-
     e_counts, pair_counts = cluster_edge_counts(a_dense, assign)
+    conds = []
 
-    # 2: every member's internal degree clears (b + 2 c2) * rho_k * log n
+    # every member's internal degree clears (b + 2 c2) * rho_k * log n
     members = assign > 0
     if members.any():
         s = e_counts[np.arange(n), np.maximum(assign - 1, 0)]
@@ -381,7 +335,7 @@ def check_gssbm(
     else:
         conds.append(ConditionResult("internal_degree", None, None, True))
 
-    # 3: edges from any vertex into a foreign cluster stay small
+    # edges from any vertex into a foreign cluster stay small
     worst = (-math.inf, None, None)
     for k in range(1, r + 1):
         foreign = assign != k
@@ -399,7 +353,7 @@ def check_gssbm(
         conds.append(ConditionResult("foreign_degree", worst[1], worst[2],
                                      worst[0] <= 0))
 
-    # 4: pairwise cluster-to-cluster edge totals are not too sparse
+    # pairwise cluster-to-cluster edge totals are not too sparse
     if r >= 2:
         worst4 = (math.inf, None, None)
         for k in range(r):
@@ -416,7 +370,7 @@ def check_gssbm(
     else:
         conds.append(ConditionResult("pair_density", None, None, True))
 
-    # 5: outliers attach to every cluster well below the dual rate
+    # outliers attach to every cluster well below the dual rate
     outliers = assign == 0
     if outliers.any() and r >= 1:
         rhs = tau_t * sizes[-1] * logn / n - constants.c5 * logn
@@ -424,76 +378,11 @@ def check_gssbm(
         conds.append(ConditionResult("outlier_degree", lhs5, rhs, lhs5 <= rhs))
     else:
         conds.append(ConditionResult("outlier_degree", None, None, True))
-
-    return ConcentrationReport(tuple(conds))
-
-
-def check_concentration(
-    graph, gt: GroundTruth, params: SbmParams, constants: ConcentrationConstants
-) -> ConcentrationReport:
-    """Dispatch to the model-specific checker."""
-    if params.variant == BASBM:
-        return check_basbm(graph, gt, params, constants)
-    if params.variant == CBSBM:
-        return check_cbsbm(graph, gt, params, constants)
-    return check_gssbm(graph, gt, params, constants)
+    return conds
 
 
 # ---------------------------------------------------------------------------
 # constant-tuple maps
-
-
-def shift_constants(
-    constants: ConcentrationConstants,
-    c_stab: float,
-    eps: float,
-    *,
-    rho: float | None = None,
-    rho_min: float | None = None,
-) -> ConcentrationConstants:
-    """Constants valid for every graph within c_stab*log(n)/eps flips.
-
-    Implements the persistence maps: basbm
-    (c1 + sqrt(2c/eps), c2 - c/eps, c3 + sqrt(2c(1-rho)/(eps*rho)),
-    c4 - c/eps); censored (c1 + sqrt(8c/eps), c2 - c/eps); general
-    (c1 + sqrt(2c/eps), c2 - c/(eps*rho_min), c3 - c/eps, c4 + c/eps,
-    c5 - c/eps). Raises InvalidShift when a shifted constant drops to
-    or below zero.
-    """
-    if c_stab < 0 or eps <= 0:
-        raise InvalidParams("need c_stab >= 0 and eps > 0")
-    shift = c_stab / eps
-    if isinstance(constants, BasbmConstants):
-        if rho is None:
-            raise InvalidParams("basbm shift needs rho")
-        out = BasbmConstants(
-            c1=constants.c1 + math.sqrt(2 * shift),
-            c2=constants.c2 - shift,
-            c3=constants.c3 + math.sqrt(2 * shift * (1 - rho) / rho),
-            c4=constants.c4 - shift,
-        )
-    elif isinstance(constants, CbsbmConstants):
-        out = CbsbmConstants(
-            c1=constants.c1 + math.sqrt(8 * shift),
-            c2=constants.c2 - shift,
-        )
-    elif isinstance(constants, GssbmConstants):
-        if rho_min is None:
-            raise InvalidParams("gssbm shift needs rho_min")
-        out = GssbmConstants(
-            c1=constants.c1 + math.sqrt(2 * shift),
-            c2=constants.c2 - shift / rho_min,
-            c3=constants.c3 - shift,
-            c4=constants.c4 + shift,
-            c5=constants.c5 - shift,
-        )
-    else:
-        raise InvalidParams(f"unknown constants type {type(constants)!r}")
-    if min(out.as_tuple()) <= 0 and shift > 0:
-        raise InvalidShift(
-            f"shift c/eps = {shift:.4f} drives a constant nonpositive: {out}"
-        )
-    return out
 
 
 # which direction makes each condition stricter: -1 shrinks an upper-bound

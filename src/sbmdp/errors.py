@@ -53,10 +53,6 @@ class InconsistentRelation(SbmdpError):
     """Thresholded same-cluster relation is not a partition of the stated sizes."""
 
 
-class TooLarge(SbmdpError):
-    """Instance exceeds the brute-force enumeration guard."""
-
-
 class InvalidShift(SbmdpError):
     """Shifted or tightened constants violate positivity or lemma-side restrictions."""
 
@@ -70,7 +66,3 @@ class InfeasibleRegime(SbmdpError):
 
 class DegenerateEstimate(SbmdpError):
     """Degree-split estimator hit a (near-)singular denominator."""
-
-
-class DomainError(SbmdpError):
-    """Argument outside the mathematical domain of a rate function."""

@@ -41,7 +41,7 @@ def pair_rank(i: int, j: int, n: int) -> int:
 
 
 class Graph:
-    """Symmetric graph with copy-on-write entry mutation.
+    """Symmetric graph over one alphabet.
 
     Instances are immutable (the backing array is write-locked), hashable,
     and safe to share between workers.
@@ -96,21 +96,6 @@ class Graph:
             return 0
         i, j = self._check_pair(i, j)
         return int(self._values[pair_rank(i, j, self.n)])
-
-    def set_entry(self, i: int, j: int, v: int) -> "Graph":
-        """Return a copy of this graph with entry {i, j} replaced by ``v``."""
-        i, j = self._check_pair(i, j)
-        if v not in ALPHABETS[self.alphabet]:
-            raise AlphabetViolation(f"value {v} not in {self.alphabet} alphabet")
-        values = self._values.copy()
-        values[pair_rank(i, j, self.n)] = v
-        return Graph(self.n, self.alphabet, values)
-
-    def hamming_distance(self, other: "Graph") -> int:
-        """Number of unordered pairs whose entries differ."""
-        if self.n != other.n or self.alphabet != other.alphabet:
-            raise ShapeMismatch("graphs differ in size or alphabet")
-        return int(np.count_nonzero(self._values != other._values))
 
     def to_dense(self, dtype=np.float64) -> np.ndarray:
         """Dense symmetric adjacency matrix with zero diagonal."""

@@ -140,26 +140,11 @@ class GssbmParams:
         return self.b * self.log_n / self.n
 
     @property
-    def r(self) -> int:
-        return len(self.rhos)
-
-    @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(int(math.floor(r * self.n)) for r in self.rhos)
 
 
 SbmParams = Union[BasbmParams, CbsbmParams, GssbmParams]
-
-
-def params_to_dict(params: SbmParams) -> dict:
-    d = {"variant": params.variant, "n": params.n, "a": params.a}
-    if params.variant == BASBM:
-        d.update(b=params.b, rho=params.rho)
-    elif params.variant == CBSBM:
-        d.update(xi=params.xi, rho=params.rho)
-    else:
-        d.update(b=params.b, rhos=list(params.rhos))
-    return d
 
 
 def params_from_dict(d: dict) -> SbmParams:
@@ -221,12 +206,6 @@ class GroundTruth:
                          for k in range(1, r + 1))
         k = self.first_cluster_size
         return (k, self.n - k)
-
-    @property
-    def outliers(self) -> np.ndarray:
-        if self.variant != GSSBM:
-            return np.zeros(self.n, dtype=bool)
-        return self.assignment == 0
 
 
 def cluster_indicator(assign: np.ndarray) -> np.ndarray:

@@ -205,12 +205,10 @@ def _publish(
     d_hat: float,
     priv: PrivacyParams,
     rng: np.random.Generator,
-    noise_override: float | None,
     **trace,
 ) -> MechanismOutcome:
     """Release ``value`` when d_hat plus Laplace(1/eps) noise clears the threshold."""
-    noise = noise_override if noise_override is not None else sample_laplace(
-        1.0 / priv.eps, rng)
+    noise = sample_laplace(1.0 / priv.eps, rng)
     released = d_hat + noise > priv.threshold
     return MechanismOutcome(
         result=value if released else None,
@@ -226,7 +224,6 @@ def stbl(
     rng: np.random.Generator,
     *,
     max_evals: int | None = None,
-    noise_override: float | None = None,
 ) -> MechanismOutcome:
     """Stability mechanism over an arbitrary clustering estimator.
 
@@ -237,12 +234,11 @@ def stbl(
     that cap the release decision changes with probability below exp(-20),
     which is folded into the approximate-DP accounting. ``max_evals``
     shrinks the cap further, as :func:`distance_to_instability` describes.
-    ``noise_override`` is a test hook pinning the Laplace draw.
     """
     cap = math.ceil(priv.threshold) + math.ceil(20.0 / priv.eps)
     ((_, base),) = f([g])
     d = distance_to_instability(g, f, base, cap, max_evals=max_evals)
-    return _publish(base, float(d), priv, rng, noise_override)
+    return _publish(base, float(d), priv, rng)
 
 
 def param_estimate(g: Graph) -> tuple[float, float, float]:
@@ -286,7 +282,6 @@ def stbl_fast(
     solve_opts: SolveOptions = SolveOptions(),
     f: Estimator | None = None,
     max_evals: int | None = None,
-    noise_override: float | None = None,
 ) -> MechanismOutcome:
     """Fast stability mechanism: concentration test instead of search.
 
@@ -352,6 +347,6 @@ def stbl_fast(
         d = distance_to_instability(g, f, matrix, math.ceil(cap_real),
                                     max_evals=max_evals)
         d_hat = min(cap_real, float(d))
-    return _publish(matrix, d_hat, priv, rng, noise_override,
+    return _publish(matrix, d_hat, priv, rng,
                     solver_status=solver_status, fast_path=conc_pass,
                     estimated_rates=estimated)

@@ -35,7 +35,6 @@ search relies on.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -54,7 +53,6 @@ from .errors import (
     InconsistentRelation,
     InfeasibleProblem,
     InvalidParams,
-    TooLarge,
 )
 from .graph import CENSORED, SIMPLE, Graph, dense_matrix
 from .models import (
@@ -64,7 +62,13 @@ from .models import (
     SbmParams,
     assignment_to_cluster_matrix,
 )
-from .spectral import DEFAULT_TOLS, as_symmetric, eig_sorted, psd_project
+from .spectral import (
+    DEFAULT_TOLS,
+    as_symmetric,
+    eig_sorted,
+    psd_project,
+    spectral_norm,
+)
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -288,7 +292,7 @@ def _general_multipliers(
         return None
     expected = np.where(same, *rates)
     np.fill_diagonal(expected, 0.0)
-    eta = float(np.abs(np.linalg.eigvalsh(a_dense - expected)).max())
+    eta = spectral_norm(a_dense - expected)
 
     e_counts, pair_counts = cluster_edge_counts(a_dense, assign)
     ksz = sizes.astype(np.float64)
@@ -688,76 +692,6 @@ def round_general(sol: SdpSolution, sizes) -> np.ndarray:
             "thresholded relation is not a clique partition with the "
             f"requested sizes {sizes.tolist()}")
     return assign
-
-
-# ---------------------------------------------------------------------------
-# brute-force maximum-likelihood oracle
-
-_BRUTE_FORCE_LIMIT = 16
-
-
-def mle_bruteforce(g: Graph, params: SbmParams) -> np.ndarray:
-    """Exact maximizer of the combinatorial objective, n <= 16 only.
-
-    Enumerates every admissible assignment, scores sum_ij A_ij sigma_i
-    sigma_j (or twice the internal edge total for the general variant), and
-    returns the cluster matrix of the first maximizer in deterministic
-    enumeration order, which breaks ties by the lexicographically smallest
-    assignment.
-    """
-    n = g.n
-    if n > _BRUTE_FORCE_LIMIT:
-        raise TooLarge(f"n = {n} exceeds the enumeration guard {_BRUTE_FORCE_LIMIT}")
-    a_dense = g.to_dense()
-
-    if params.variant == BASBM:
-        k = params.first_cluster_size
-        best, best_obj = None, -math.inf
-        for plus in itertools.combinations(range(n), k):
-            sig = -np.ones(n)
-            sig[list(plus)] = 1.0
-            obj = float(sig @ a_dense @ sig)
-            if obj > best_obj:
-                best, best_obj = sig, obj
-        return np.outer(best, best)
-
-    if params.variant == CBSBM:
-        best, best_obj = None, -math.inf
-        for bits in range(2 ** (n - 1)):
-            sig = np.ones(n)
-            for v in range(1, n):
-                if bits & (1 << (v - 1)):
-                    sig[v] = -1.0
-            obj = float(sig @ a_dense @ sig)
-            if obj > best_obj:
-                best, best_obj = sig, obj
-        return np.outer(best, best)
-
-    sizes = params.sizes
-    best_assign, best_obj = None, -math.inf
-    for assign in _partitions(n, sizes):
-        obj = 0.0
-        for k in range(1, len(sizes) + 1):
-            members = np.where(assign == k)[0]
-            obj += float(a_dense[np.ix_(members, members)].sum())
-        if obj > best_obj:
-            best_assign, best_obj = assign, obj
-    return assignment_to_cluster_matrix(GSSBM, best_assign)
-
-
-def _partitions(n: int, sizes):
-    """Yield all assignments of sizes[k] vertices to cluster k+1, rest outliers."""
-    def rec(available: tuple[int, ...], k: int, assign: np.ndarray):
-        if k == len(sizes):
-            yield assign.copy()
-            return
-        for chosen in itertools.combinations(available, sizes[k]):
-            assign[list(chosen)] = k + 1
-            rest = tuple(v for v in available if v not in chosen)
-            yield from rec(rest, k + 1, assign)
-            assign[list(chosen)] = 0
-
-    yield from rec(tuple(range(n)), 0, np.zeros(n, dtype=np.int64))
 
 
 @dataclass(frozen=True)

@@ -53,8 +53,13 @@ def as_symmetric(m: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix."""
-    m = as_symmetric(m)
+    """Largest absolute eigenvalue of a symmetric matrix.
+
+    Skips :func:`as_symmetric`'s validation, as the solver's eigen steps
+    do: every caller passes the difference of two validated, exactly
+    symmetric matrices, once per concentration check and general
+    certificate.
+    """
     if m.shape[0] == 0:
         return 0.0
     w = np.linalg.eigvalsh(m)

@@ -1,18 +1,30 @@
 """Test-support code the library itself does not use.
 
-Random flip sets and the radius-bounded neighbour enumeration, used as
-oracles and fixtures by the graph, concentration and acceptance tests, and
-a caching SDP estimator for the mechanism audits.
+Reference oracles the tests compare the library against: the brute-force
+maximum-likelihood clustering for n <= 16, the binomial-difference tail
+exponent and the persistence map of the concentration constants. Fixtures:
+random flip sets and entry writes (:class:`GraphDelta`), the
+radius-bounded neighbour enumeration, and a caching SDP estimator for the
+mechanism audits. The oracles raise plain ``ValueError`` on arguments
+outside their domain.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from sbmdp.errors import AlphabetViolation, DuplicateEdge, IndexOutOfRange
+from sbmdp.concentration import (
+    BasbmConstants,
+    CbsbmConstants,
+    ConcentrationConstants,
+    GssbmConstants,
+)
+from sbmdp.errors import AlphabetViolation, DuplicateEdge, IndexOutOfRange, InvalidShift
 from sbmdp.graph import (
     ALPHABETS,
     Graph,
@@ -21,6 +33,7 @@ from sbmdp.graph import (
     pair_count,
     pair_rank,
 )
+from sbmdp.models import BASBM, GSSBM, SbmParams, assignment_to_cluster_matrix
 from sbmdp.sdp import recover_many
 
 
@@ -100,3 +113,124 @@ def cached_estimator(params, opts, cache: dict):
             cache[graphs[todo[j]]] = res.matrix
             yield todo[j], res.matrix
     return estimator
+
+
+# ---------------------------------------------------------------------------
+# brute-force maximum-likelihood oracle
+
+_BRUTE_FORCE_LIMIT = 16
+
+
+def mle_bruteforce(g: Graph, params: SbmParams) -> np.ndarray:
+    """Exact maximizer of the combinatorial objective, n <= 16 only.
+
+    Enumerates every admissible assignment, scores sum_ij A_ij sigma_i
+    sigma_j (or twice the internal edge total for the general variant), and
+    returns the cluster matrix of the first maximizer in deterministic
+    enumeration order, which breaks ties by the lexicographically smallest
+    assignment.
+    """
+    n = g.n
+    if n > _BRUTE_FORCE_LIMIT:
+        raise ValueError(f"n = {n} exceeds the enumeration guard {_BRUTE_FORCE_LIMIT}")
+    a_dense = g.to_dense()
+    if params.variant == GSSBM:
+        clusters = range(1, len(params.sizes) + 1)
+        best = max(_partitions(n, params.sizes), key=lambda assign: sum(
+            float(a_dense[np.ix_(assign == k, assign == k)].sum()) for k in clusters))
+        return assignment_to_cluster_matrix(GSSBM, best)
+    if params.variant == BASBM:
+        sigs = (np.where(np.isin(np.arange(n), plus), 1.0, -1.0)
+                for plus in itertools.combinations(range(n), params.first_cluster_size))
+    else:
+        # vertex 0 stays +1; vertex v > 0 is -1 when bit v - 1 is set
+        sigs = (np.concatenate(([1.0], 1.0 - 2.0 * ((bits >> np.arange(n - 1)) & 1)))
+                for bits in range(2 ** (n - 1)))
+    # max keeps the first maximizer, so ties go to the earliest assignment
+    best = max(sigs, key=lambda sig: float(sig @ a_dense @ sig))
+    return np.outer(best, best)
+
+
+def _partitions(n: int, sizes):
+    """Yield all assignments of sizes[k] vertices to cluster k+1, rest outliers."""
+    def rec(available: tuple[int, ...], k: int, assign: np.ndarray):
+        if k == len(sizes):
+            yield assign.copy()
+            return
+        for chosen in itertools.combinations(available, sizes[k]):
+            assign[list(chosen)] = k + 1
+            rest = tuple(v for v in available if v not in chosen)
+            yield from rec(rest, k + 1, assign)
+            assign[list(chosen)] = 0
+
+    yield from rec(tuple(range(n)), 0, np.zeros(n, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# concentration-proof oracles
+
+
+def binom_diff_exponent(
+    rho1: float, rho2: float, a: float, b: float, alpha: float
+) -> float:
+    """Tail exponent of a Binomial(rho1*n, p) minus Binomial(rho2*n, q) difference.
+
+    g = a*rho1 + b*rho2 - gamma - (alpha/2)*log((gamma-alpha)*a*rho1 /
+    ((gamma+alpha)*b*rho2)) with gamma = sqrt(alpha^2 + 4*rho1*rho2*a*b).
+    At alpha = 0 this collapses to (sqrt(a*rho1) - sqrt(b*rho2))^2.
+    """
+    if min(rho1, rho2, a, b) <= 0:
+        raise ValueError("rho1, rho2, a, b must all be positive")
+    gamma = math.sqrt(alpha * alpha + 4 * rho1 * rho2 * a * b)
+    if alpha == 0.0:
+        return a * rho1 + b * rho2 - gamma
+    num = (gamma - alpha) * a * rho1
+    den = (gamma + alpha) * b * rho2
+    if num <= 0 or den <= 0:
+        raise ValueError(f"log argument nonpositive at alpha={alpha}")
+    return a * rho1 + b * rho2 - gamma - 0.5 * alpha * math.log(num / den)
+
+
+def shift_constants(
+    constants: ConcentrationConstants,
+    c_stab: float,
+    eps: float,
+    *,
+    rho: float | None = None,
+    rho_min: float | None = None,
+) -> ConcentrationConstants:
+    """Constants valid for every graph within c_stab*log(n)/eps flips.
+
+    Implements the persistence maps: basbm
+    (c1 + sqrt(2c/eps), c2 - c/eps, c3 + sqrt(2c(1-rho)/(eps*rho)),
+    c4 - c/eps); censored (c1 + sqrt(8c/eps), c2 - c/eps); general
+    (c1 + sqrt(2c/eps), c2 - c/(eps*rho_min), c3 - c/eps, c4 + c/eps,
+    c5 - c/eps). Raises InvalidShift when a shifted constant drops to
+    or below zero.
+    """
+    shift = c_stab / eps
+    if isinstance(constants, BasbmConstants):
+        out = BasbmConstants(
+            c1=constants.c1 + math.sqrt(2 * shift),
+            c2=constants.c2 - shift,
+            c3=constants.c3 + math.sqrt(2 * shift * (1 - rho) / rho),
+            c4=constants.c4 - shift,
+        )
+    elif isinstance(constants, CbsbmConstants):
+        out = CbsbmConstants(
+            c1=constants.c1 + math.sqrt(8 * shift),
+            c2=constants.c2 - shift,
+        )
+    else:
+        out = GssbmConstants(
+            c1=constants.c1 + math.sqrt(2 * shift),
+            c2=constants.c2 - shift / rho_min,
+            c3=constants.c3 - shift,
+            c4=constants.c4 + shift,
+            c5=constants.c5 - shift,
+        )
+    if min(out.as_tuple()) <= 0 and shift > 0:
+        raise InvalidShift(
+            f"shift c/eps = {shift:.4f} drives a constant nonpositive: {out}"
+        )
+    return out

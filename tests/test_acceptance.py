@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from sbmdp.certificates import build_binary, build_general, verify_binary, verify_general
-from sbmdp.concentration import check_basbm, default_constants, shift_constants
+from sbmdp.concentration import check_concentration, default_constants
 from sbmdp.graph import CENSORED, SIMPLE, Graph, neighbors_at_distance, pair_count
 from sbmdp.models import (
     BasbmParams,
@@ -25,9 +25,9 @@ from sbmdp.models import (
     same_clustering,
 )
 from sbmdp.privacy import PrivacyParams, param_estimate, sample_laplace, stbl_fast
-from sbmdp.sdp import SolveOptions, mle_bruteforce, recover
+from sbmdp.sdp import SolveOptions, recover
 
-from oracles import cached_estimator, random_delta
+from oracles import cached_estimator, mle_bruteforce, random_delta, shift_constants
 
 
 def gate(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -120,7 +120,8 @@ def _criterion5_instances():
     results = []
     for seed in range(20):
         g, gt = generate(params, seed)
-        results.append((seed, g, gt, check_basbm(g, gt, params, constants).passed))
+        passed = check_concentration(g, gt, params, constants).passed
+        results.append((seed, g, gt, passed))
     return params, constants, results
 
 
@@ -141,13 +142,13 @@ def test_criterion_06_persistence_under_flips():
     seed = 20
     while len(passing) < 20 and seed < 40:
         g, gt = generate(params, seed)
-        if check_basbm(g, gt, params, constants).passed:
+        if check_concentration(g, gt, params, constants).passed:
             passing.append((g, gt))
         seed += 1
     survived = 0
     for g, gt in passing[:20]:
         delta = random_delta(g, flips, rng)
-        if check_basbm(delta.apply(g), gt, params, shifted).passed:
+        if check_concentration(delta.apply(g), gt, params, shifted).passed:
             survived += 1
     gate(6, "shifted check survives log-n flips in 20/20", survived == 20,
          f"({survived}/20, {flips} flips each)")
@@ -168,11 +169,9 @@ def test_criterion_07_sensitivity_audit():
                   else BasbmParams(n=6, a=2.5, b=0.5, rho=0.5))
         f = cached_estimator(params, opts, {})
         rng = np.random.default_rng(idx)
-        base = stbl_fast(g, params, priv, 1.0, rng, f=f, solve_opts=opts,
-                         noise_override=0.0)
+        base = stbl_fast(g, params, priv, 1.0, rng, f=f, solve_opts=opts)
         for h in neighbors_at_distance(g, 1):
-            other = stbl_fast(h, params, priv, 1.0, rng, f=f, solve_opts=opts,
-                              noise_override=0.0)
+            other = stbl_fast(h, params, priv, 1.0, rng, f=f, solve_opts=opts)
             pairs += 1
             if abs(base.trace.d_hat - other.trace.d_hat) > 1.0 + 1e-12:
                 violations += 1

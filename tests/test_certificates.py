@@ -122,7 +122,7 @@ def test_general_certificate_slackness_structure():
     cert = build_general(g, gt, params, GssbmConstants(7.3, 2.0, 0.25, 1.0, 0.5))
     z = cluster_matrix(gt)
     assert np.abs(cert.b_matrix * z).max() == 0.0
-    assert np.all(cert.d_star[gt.outliers] == 0.0)
+    assert np.all(cert.d_star[gt.assignment == 0] == 0.0)
     # kernel identity for every indicator vector
     scale = max(spectral_norm(cert.s_matrix), 1.0)
     assert np.abs(cert.s_matrix @ cluster_indicator(gt.assignment)).max() <= 1e-10 * scale
@@ -164,7 +164,7 @@ def test_verify_general_outlier_hub_invalid():
     params = GssbmParams(n=250, a=40, b=2, rhos=(0.3, 0.3, 0.3))
     g, gt = generate(params, 6)
     dense = g.to_dense()
-    hub = int(np.where(gt.outliers)[0][0])
+    hub = int(np.where(gt.assignment == 0)[0][0])
     members = np.where(gt.assignment == 3)[0]
     dense[hub, members] = 1.0
     dense[members, hub] = 1.0

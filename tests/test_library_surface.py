@@ -1,0 +1,47 @@
+"""The library keeps only what the system calls.
+
+Every public module-level name defined in ``src/sbmdp`` must be used by
+the package or the benchmark (``perfbench/``) outside its own definition,
+or be exported in ``sbmdp.__all__``. Helpers and reference oracles that
+only the tests need live in ``tests/oracles.py``.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import sbmdp
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sbmdp"
+
+
+def defined_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = getattr(node, "targets", [getattr(node, "target", None)])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def names_without_caller() -> list[str]:
+    sources = {path: path.read_text().splitlines()
+               for root in (PACKAGE, ROOT / "perfbench")
+               for path in sorted(root.rglob("*.py"))}
+    missing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse("\n".join(sources[path])).body:
+            own = range(node.lineno, node.end_lineno + 1)
+            for name in defined_names(node):
+                if name.startswith("_") or name in sbmdp.__all__:
+                    continue
+                word = re.compile(rf"\b{re.escape(name)}\b")
+                if not any(word.search(line)
+                           for src, lines in sources.items()
+                           for lineno, line in enumerate(lines, start=1)
+                           if not (src == path and lineno in own)):
+                    missing.append(f"{path.stem}.{name}")
+    return missing
+
+
+def test_every_public_name_has_a_library_or_benchmark_caller():
+    assert names_without_caller() == []

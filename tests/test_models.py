@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from sbmdp.models import (
     expected_adjacency,
     generate,
     params_from_dict,
-    params_to_dict,
     permute_instance,
     same_clustering,
 )
@@ -121,7 +121,7 @@ def test_expected_adjacency_gssbm():
     params = GssbmParams(n=20, a=6, b=1, rhos=(0.3, 0.3))
     _, gt = generate(params, 0)
     ea = expected_adjacency(params, gt)
-    outliers = np.where(gt.outliers)[0]
+    outliers = np.where(gt.assignment == 0)[0]
     # outlier-outlier pairs sit at q: expand (p-q)Z + qJ - p I_in - q I_out
     assert ea[outliers[0], outliers[1]] == pytest.approx(params.q)
     assert ea[0, 1] == pytest.approx(params.p)
@@ -176,10 +176,15 @@ def test_permute_instance_consistent():
 
 
 def test_params_json_roundtrip():
-    for params in (BasbmParams(n=50, a=8, b=2, rho=0.4),
-                   CbsbmParams(n=50, a=8, xi=0.2),
-                   GssbmParams(n=50, a=8, b=2, rhos=(0.4, 0.3))):
-        assert params_from_dict(params_to_dict(params)) == params
+    # the JSON forms that sweep configs and the command line build
+    for text, params in (
+            ('{"variant": "basbm", "n": 50, "a": 8, "b": 2, "rho": 0.4}',
+             BasbmParams(n=50, a=8, b=2, rho=0.4)),
+            ('{"variant": "cbsbm", "n": 50, "a": 8, "xi": 0.2}',
+             CbsbmParams(n=50, a=8, xi=0.2)),
+            ('{"variant": "gssbm", "n": 50, "a": 8, "b": 2, "rhos": [0.4, 0.3]}',
+             GssbmParams(n=50, a=8, b=2, rhos=(0.4, 0.3)))):
+        assert params_from_dict(json.loads(text)) == params
     with pytest.raises(InvalidParams):
         params_from_dict({"variant": "nope"})
     with pytest.raises(InvalidParams):

@@ -1,21 +1,31 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbmdp.concentration import (
+    check_concentration,
+    default_constants,
+    degree_margins,
+    tighten_constants,
+)
 from sbmdp.errors import DegenerateEstimate, InvalidParams
 from sbmdp.graph import ALPHABETS, Graph, ball_size, neighbors_at_distance, pair_count
 from sbmdp.models import (
+    BASBM,
     BasbmParams,
     CbsbmParams,
+    GroundTruth,
     cluster_matrix,
     generate,
     same_clustering,
 )
 from sbmdp.privacy import (
+    TIGHTEN_ALPHA,
     PrivacyParams,
     distance_to_instability,
     laplace_quantile,
@@ -25,14 +35,20 @@ from sbmdp.privacy import (
     stbl,
     stbl_fast,
 )
-from sbmdp.sdp import SolveOptions, mle_bruteforce, recover
+from sbmdp.sdp import SolveOptions, recover
 
-from oracles import cached_estimator
+from oracles import GraphDelta, cached_estimator, mle_bruteforce, shift_constants
 
 
 def lifted(f):
     """The list-valued estimator of a per-graph function, in input order."""
     return lambda graphs: enumerate(map(f, graphs))
+
+
+# a Generator whose every uniform draw is 1/2, which sample_laplace maps
+# to exactly -0.0: a mechanism run with it releases iff d_hat clears the
+# threshold
+MEDIAN_DRAW = SimpleNamespace(random=lambda: 0.5)
 
 
 def test_privacy_params():
@@ -83,7 +99,7 @@ def test_distance_constant_function_hits_cap():
 def test_distance_one_flip_changes_mle():
     # single edge {0,2}: adding {0,1} creates a tie broken to another split
     params = BasbmParams(n=4, a=2, b=0.5, rho=0.5)
-    g = Graph.empty(4).set_entry(0, 2, 1)
+    g = GraphDelta(((0, 2, 1),)).apply(Graph.empty(4))
     f = lambda h: mle_bruteforce(h, params)
     base = f(g)
     assert distance_to_instability(g, lifted(f), base, 5) == 1
@@ -250,9 +266,9 @@ def test_capped_search_is_bounded_lipschitz_and_exact(case):
 def test_stbl_releases_stable_input():
     g = Graph.empty(5)
     priv = PrivacyParams(1.0, 0.05)
-    rng = np.random.default_rng(3)
     constant = np.ones((2, 2))
-    out = stbl(g, lifted(lambda h: constant), priv, rng, noise_override=0.0)
+    out = stbl(g, lifted(lambda h: constant), priv, MEDIAN_DRAW)
+    assert out.trace.noise == 0.0
     cap = math.ceil(priv.threshold) + 20
     assert out.trace.d_hat == cap
     assert out.trace.released
@@ -267,8 +283,7 @@ def test_stbl_solves_the_base_graph_once():
         calls.append(h)
         return np.ones((1, 1))
 
-    stbl(g, lifted(f), PrivacyParams(1.0, 0.05), np.random.default_rng(0),
-         noise_override=0.0)
+    stbl(g, lifted(f), PrivacyParams(1.0, 0.05), np.random.default_rng(0))
     assert calls.count(g) == 1
 
 
@@ -277,8 +292,7 @@ def test_stbl_withholds_unstable_input():
     g = Graph.empty(5)
     f = lambda h: np.ones((1, 1)) * (1 + h.entry(0, 1))
     priv = PrivacyParams(1.0, 0.01)
-    rng = np.random.default_rng(4)
-    out = stbl(g, lifted(f), priv, rng, noise_override=0.0)
+    out = stbl(g, lifted(f), priv, MEDIAN_DRAW)
     assert out.trace.d_hat == 1
     assert out.bottom
 
@@ -299,8 +313,7 @@ def test_stbl_fast_deterministic_fast_path():
     params = BasbmParams(n=200, a=24, b=2, rho=0.5)
     g, gt = generate(params, 0)
     priv = PrivacyParams.from_exponent(2.0, 2.0, params.n)
-    rng = np.random.default_rng(6)
-    out = stbl_fast(g, params, priv, 4.0, rng, noise_override=0.0)
+    out = stbl_fast(g, params, priv, 4.0, MEDIAN_DRAW)
     assert out.trace.fast_path
     assert out.trace.d_hat == pytest.approx(4.0 * math.log(200) / 2.0)
     assert not out.bottom
@@ -313,8 +326,7 @@ def test_stbl_fast_empty_graph_withholds():
     params = BasbmParams(n=20, a=2.5, b=0.5, rho=0.5)
     g, _ = generate(params, 0, _force_probs=(0.0, 0.0))
     priv = PrivacyParams.from_exponent(1.0, 2.0, params.n)
-    rng = np.random.default_rng(7)
-    out = stbl_fast(g, params, priv, 1.0, rng, noise_override=0.0)
+    out = stbl_fast(g, params, priv, 1.0, MEDIAN_DRAW)
     assert not out.trace.fast_path
     assert out.trace.d_hat <= math.log(20)
     assert out.bottom
@@ -324,9 +336,8 @@ def test_stbl_fast_mechanism_determinism():
     params = BasbmParams(n=150, a=20, b=2, rho=0.5)
     g, _ = generate(params, 1)
     priv = PrivacyParams.from_exponent(2.0, 2.0, params.n)
-    rng = np.random.default_rng(8)
-    out1 = stbl_fast(g, params, priv, 4.0, rng, noise_override=0.25)
-    out2 = stbl_fast(g, params, priv, 4.0, rng, noise_override=0.25)
+    out1 = stbl_fast(g, params, priv, 4.0, np.random.default_rng(8))
+    out2 = stbl_fast(g, params, priv, 4.0, np.random.default_rng(8))
     assert out1.trace == out2.trace
     assert same_clustering(out1.result, out2.result)
 
@@ -339,10 +350,79 @@ def test_stbl_fast_sensitivity_small_audit():
     rng = np.random.default_rng(9)
     for seed in (0, 1):
         g, _ = generate(params, seed)
-        base = stbl_fast(g, params, priv, 1.0, rng, f=f, noise_override=0.0)
+        base = stbl_fast(g, params, priv, 1.0, rng, f=f)
         for h in neighbors_at_distance(g, 1):
-            other = stbl_fast(h, params, priv, 1.0, rng, f=f, noise_override=0.0)
+            other = stbl_fast(h, params, priv, 1.0, rng, f=f)
             assert abs(base.trace.d_hat - other.trace.d_hat) <= 1.0 + 1e-12
+
+
+def _weakest_vertex_flips(g, gt, params, budget):
+    """Greedy flips at the vertex v of smallest degree margin, one per step.
+
+    Each step deletes an internal edge of v or adds a cross edge of v,
+    whichever reaches the partner of smallest margin, so that both margins
+    drop by one. Yields the flips made so far after each step.
+    """
+    dense = g.to_dense()
+    same = np.equal.outer(gt.assignment, gt.assignment)
+    flips = []
+    for _ in range(budget):
+        d = degree_margins(dense, gt, params)
+        v = int(d.argmin())
+        # v's internal edges and cross non-edges; a flipped pair is neither
+        u = int(np.where(same[v] == (dense[v] == 1), d, np.inf).argmin())
+        dense[v, u] = dense[u, v] = 1 - dense[v, u]
+        flips.append((min(u, v), max(u, v), int(dense[v, u])))
+        yield GraphDelta(tuple(flips))
+
+
+def _cross_block_flips(g, gt, params, budget):
+    """Edge additions packed into one cross block, one per step.
+
+    The block joins the three vertices of smallest margin in the first
+    cluster to those of the second, in increasing margin order, which
+    concentrates the perturbation for the spectral term.
+    """
+    dense = g.to_dense()
+    order = np.argsort(degree_margins(dense, gt, params), kind="stable")
+    first = [i for i in order if gt.assignment[i] == 1][:3]
+    second = [j for j in order if gt.assignment[j] == -1]
+    absent = [(int(min(i, j)), int(max(i, j)), 1)
+              for j in second for i in first if dense[i, j] == 0]
+    for k in range(1, budget + 1):
+        yield GraphDelta(tuple(absent[:k]))
+
+
+@pytest.mark.parametrize("adversary", [_weakest_vertex_flips, _cross_block_flips],
+                         ids=["weakest-vertex", "cross-block"])
+def test_stbl_fast_pinned_distance_survives_adversarial_flips(adversary):
+    # the fast path pins d_hat at c_stab*log(n)/eps without searching; the
+    # persistence lemma behind that claims, for every graph within that
+    # many flips, (i) the check passes under the shifted constants and
+    # (ii) the SDP still certifies the released clustering. Criterion 9's
+    # setting, where the pinned distance is 12.4, so 12 flips.
+    params = BasbmParams(n=500, a=30, b=2, rho=0.5)
+    eps, c_stab = 2.0, 4.0
+    priv = PrivacyParams.from_exponent(eps, 2.0, params.n)
+    budget = int(c_stab * math.log(params.n) / eps)
+    constants = tighten_constants(default_constants(params, eps, c_stab),
+                                  TIGHTEN_ALPHA, params)
+    shifted = shift_constants(constants, c_stab, eps, rho=params.rho)
+    for seed in range(3):
+        g, _ = generate(params, seed)
+        out = stbl_fast(g, params, priv, c_stab, MEDIAN_DRAW)
+        assert out.trace.fast_path and not out.bottom
+        gt_hat = GroundTruth(BASBM, recover(g, params).labels)
+        assert same_clustering(out.result, cluster_matrix(gt_hat))
+        steps = 0
+        for delta in adversary(g, gt_hat, params, budget):
+            h = delta.apply(g)
+            assert check_concentration(h, gt_hat, params, shifted).passed, delta
+            res = recover(h, params)
+            assert res.solution.certified, delta
+            assert same_clustering(res.matrix, out.result), delta
+            steps += 1
+        assert steps == budget
 
 
 AUDIT_OPTS = SolveOptions(tol=1e-5, max_iters=300, certify_every=25)
@@ -396,14 +476,13 @@ def test_mechanism_distance_is_one_lipschitz(rates, data):
         if mechanism == "stbl":
             # eps 10: cap = ceil(log(n)/10) + 2 = 3
             out = stbl(h, f, PrivacyParams.from_exponent(10.0, 1.0, h.n),
-                       np.random.default_rng(0), max_evals=max_evals,
-                       noise_override=0.0)
+                       np.random.default_rng(0), max_evals=max_evals)
         else:
             # cap = ceil(c_stab*log(n)/eps): 1-2 with 0.9, 3-4 with 2.0
             out = stbl_fast(h, params, PrivacyParams.from_exponent(1.0, 1.0, h.n),
                             0.9 if rates else 2.0, np.random.default_rng(0),
                             estimate_rates=rates, solve_opts=AUDIT_OPTS, f=f,
-                            max_evals=max_evals, noise_override=0.0)
+                            max_evals=max_evals)
         return out.trace.d_hat
 
     base = d_hat(g)
