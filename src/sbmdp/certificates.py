@@ -33,12 +33,12 @@ from .concentration import (
     GssbmConstants,
     cluster_edge_counts,
     default_constants,
+    degree_margins,
     lambda_star,
 )
 from .errors import InvalidParams, ShapeMismatch
 from .graph import dense_matrix
 from .models import (
-    BASBM,
     GSSBM,
     BasbmParams,
     CbsbmParams,
@@ -46,6 +46,7 @@ from .models import (
     GssbmParams,
     cluster_indicator,
     expected_adjacency,
+    same_cluster,
 )
 from .spectral import DEFAULT_TOLS, spectral_norm
 
@@ -104,13 +105,11 @@ def binary_certificate(
 ) -> BinaryCertificate:
     """S = diag(d) - A + lam*J for the +-1 labels ``sigma``.
 
-    d_i = sum_j A_ij sigma_i sigma_j - lam*(2K - n)*sigma_i, where K counts
-    the +1 labels, so S*sigma = 0 for any adjacency and any lam. lam = 0 is
-    the censored certificate, which has no size constraint.
+    d is :func:`~sbmdp.concentration.degree_margins`, so S*sigma = 0 for
+    any adjacency and any lam. lam = 0 is the censored certificate, which
+    has no size constraint.
     """
-    n = sigma.size
-    k = int(np.count_nonzero(sigma > 0))
-    d = (a_dense @ sigma) * sigma - lam * (2 * k - n) * sigma
+    d = degree_margins(a_dense, sigma, lam)
     return BinaryCertificate(sigma, d, lam, np.diag(d) - a_dense + lam)
 
 
@@ -124,8 +123,7 @@ def build_binary(graph, gt: GroundTruth, params) -> BinaryCertificate:
     a_dense = dense_matrix(graph)
     if a_dense.shape[0] != gt.n:
         raise ShapeMismatch("adjacency and ground truth sizes disagree")
-    lam = lambda_star(params) if params.variant == BASBM else 0.0
-    return binary_certificate(a_dense, gt.sigma, lam)
+    return binary_certificate(a_dense, gt.sigma, lambda_star(params))
 
 
 def verify_binary(cert: BinaryCertificate) -> BinaryReport:
@@ -247,7 +245,7 @@ def verify_general(cert: GeneralCertificate) -> GeneralReport:
 
     kernel_residual = float(np.abs(s @ indicator).max()) if r else 0.0
 
-    z = (assign[:, None] == assign[None, :]) & (assign[:, None] > 0)
+    z = same_cluster(assign)
     slackness = float(np.abs(cert.b_matrix[z]).max()) if z.any() else 0.0
 
     diff = assign[:, None] != assign[None, :]

@@ -27,6 +27,7 @@ from .models import (
     CBSBM,
     GSSBM,
     BasbmParams,
+    CbsbmParams,
     GroundTruth,
     GssbmParams,
     SbmParams,
@@ -118,8 +119,6 @@ class BasbmConstants:
     c3: float
     c4: float
 
-    variant = BASBM
-
     def as_tuple(self) -> tuple[float, ...]:
         return (self.c1, self.c2, self.c3, self.c4)
 
@@ -128,8 +127,6 @@ class BasbmConstants:
 class CbsbmConstants:
     c1: float
     c2: float
-
-    variant = CBSBM
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.c1, self.c2)
@@ -142,8 +139,6 @@ class GssbmConstants:
     c3: float
     c4: float
     c5: float
-
-    variant = GSSBM
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.c1, self.c2, self.c3, self.c4, self.c5)
@@ -210,25 +205,21 @@ def balanced_direction(gt: GroundTruth) -> np.ndarray:
     return x
 
 
-def lambda_star(params: BasbmParams) -> float:
-    """Dual multiplier log_mean(a, b) * log(n) / n for the size constraint."""
+def lambda_star(params: Union[BasbmParams, CbsbmParams]) -> float:
+    """Size-constraint multiplier log_mean(a, b)*log(n)/n; 0 for cbsbm."""
+    if params.variant == CBSBM:
+        return 0.0
     return log_mean(params.a, params.b) * params.log_n / params.n
 
 
-def degree_margins(
-    a_dense: np.ndarray, gt: GroundTruth, params: SbmParams
-) -> np.ndarray:
-    """Per-vertex margins sum_j A_ij * sigma_i * sigma_j, recentered for basbm.
+def degree_margins(a_dense: np.ndarray, sigma: np.ndarray, lam: float) -> np.ndarray:
+    """Per-vertex margins sum_j A_ij sigma_i sigma_j - lam*(2K - n)*sigma_i.
 
-    For the asymmetric model the size-constraint multiplier contributes
-    -lambda * (2K - n) * sigma_i; the censored model has no such term.
+    K counts the +1 labels. This is the binary certificate's diagonal; lam
+    is the size-constraint multiplier, :func:`lambda_star`.
     """
-    sigma = gt.sigma
-    d = (a_dense * np.outer(sigma, sigma)).sum(axis=1)
-    if params.variant == BASBM:
-        k = gt.first_cluster_size
-        d = d - lambda_star(params) * (2 * k - params.n) * sigma
-    return d
+    k = int(np.count_nonzero(sigma > 0))
+    return (a_dense @ sigma) * sigma - lam * (2 * k - sigma.size) * sigma
 
 
 def expected_degree_margins(params: BasbmParams, gt: GroundTruth) -> np.ndarray:
@@ -285,11 +276,12 @@ def check_concentration(
         conds += _general_conditions(a_dense, gt, params, constants, logn, sqlogn)
         return ConcentrationReport(tuple(conds))
 
-    d = degree_margins(a_dense, gt, params)
+    lam = lambda_star(params)
+    d = degree_margins(a_dense, gt.sigma, lam)
     c_margin = constants.c2
     if params.variant == BASBM:
         x = balanced_direction(gt)
-        j_term = (lambda_star(params) - (params.p + params.q) / 2.0) * x.sum() ** 2
+        j_term = (lam - (params.p + params.q) / 2.0) * x.sum() ** 2
         lhs2 = float((x * x * d).sum() + j_term)
         rhs2 = constants.c2 * logn
         conds.append(ConditionResult("balanced_direction_margin", lhs2, rhs2,
@@ -298,7 +290,8 @@ def check_concentration(
         rhs3 = constants.c3 * sqlogn
         conds.append(ConditionResult("margin_fluctuation", lhs3, rhs3, lhs3 <= rhs3))
         c_margin = constants.c4
-    lhs_margin = float(d.min())
+    # + 0.0 reads a zero margin as +0.0 whatever the sign of its zero
+    lhs_margin = float(d.min()) + 0.0
     conds.append(ConditionResult("degree_margin", lhs_margin, c_margin * logn,
                                  lhs_margin >= c_margin * logn))
     return ConcentrationReport(tuple(conds))

@@ -67,10 +67,6 @@ class Graph:
         self._hash = None
 
     @classmethod
-    def empty(cls, n: int, alphabet: str = SIMPLE) -> "Graph":
-        return cls(n, alphabet, np.zeros(pair_count(n), dtype=np.int8))
-
-    @classmethod
     def from_dense(cls, dense: np.ndarray, alphabet: str = SIMPLE) -> "Graph":
         dense = np.asarray(dense)
         n = dense.shape[0]
@@ -81,21 +77,6 @@ class Graph:
     def values(self) -> np.ndarray:
         """Read-only upper-triangle entries in row-major pair order."""
         return self._values
-
-    def _check_pair(self, i: int, j: int) -> tuple[int, int]:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexOutOfRange(f"pair ({i}, {j}) outside [0, {self.n})")
-        if i == j:
-            raise IndexOutOfRange("diagonal entries are fixed at zero")
-        return (i, j) if i < j else (j, i)
-
-    def entry(self, i: int, j: int) -> int:
-        if i == j:
-            if not 0 <= i < self.n:
-                raise IndexOutOfRange(f"vertex {i} outside [0, {self.n})")
-            return 0
-        i, j = self._check_pair(i, j)
-        return int(self._values[pair_rank(i, j, self.n)])
 
     def to_dense(self, dtype=np.float64) -> np.ndarray:
         """Dense symmetric adjacency matrix with zero diagonal."""

@@ -33,21 +33,16 @@ GSSBM = "gssbm"
 
 
 @dataclass(frozen=True)
-class BasbmParams:
+class _Params:
+    """Fields, rates and checks every variant shares."""
+
     n: int
     a: float
-    b: float
-    rho: float = 0.5
-
-    variant = BASBM
 
     def validate(self) -> None:
         if self.n < 2:
             raise InvalidParams("n must be at least 2")
-        if not (self.a > self.b > 0):
-            raise InvalidParams(f"need a > b > 0, got a={self.a}, b={self.b}")
-        if not (0 < self.rho <= 0.5):
-            raise InvalidParams(f"rho must lie in (0, 0.5], got {self.rho}")
+        self._validate_variant()
         if self.p > 1.0:
             raise InvalidParams(f"a*log(n)/n = {self.p:.4f} exceeds 1")
 
@@ -58,6 +53,20 @@ class BasbmParams:
     @property
     def p(self) -> float:
         return self.a * self.log_n / self.n
+
+
+@dataclass(frozen=True)
+class BasbmParams(_Params):
+    b: float
+    rho: float = 0.5
+
+    variant = BASBM
+
+    def _validate_variant(self) -> None:
+        if not (self.a > self.b > 0):
+            raise InvalidParams(f"need a > b > 0, got a={self.a}, b={self.b}")
+        if not (0 < self.rho <= 0.5):
+            raise InvalidParams(f"rho must lie in (0, 0.5], got {self.rho}")
 
     @property
     def q(self) -> float:
@@ -69,33 +78,19 @@ class BasbmParams:
 
 
 @dataclass(frozen=True)
-class CbsbmParams:
-    n: int
-    a: float
+class CbsbmParams(_Params):
     xi: float
     rho: float = 0.5
 
     variant = CBSBM
 
-    def validate(self) -> None:
-        if self.n < 2:
-            raise InvalidParams("n must be at least 2")
+    def _validate_variant(self) -> None:
         if self.a <= 0:
             raise InvalidParams(f"need a > 0, got {self.a}")
         if not (0.0 <= self.xi <= 0.5):
             raise InvalidParams(f"xi must lie in [0, 0.5], got {self.xi}")
         if not (0 < self.rho <= 0.5):
             raise InvalidParams(f"rho must lie in (0, 0.5], got {self.rho}")
-        if self.p > 1.0:
-            raise InvalidParams(f"a*log(n)/n = {self.p:.4f} exceeds 1")
-
-    @property
-    def log_n(self) -> float:
-        return math.log(self.n)
-
-    @property
-    def p(self) -> float:
-        return self.a * self.log_n / self.n
 
     @property
     def first_cluster_size(self) -> int:
@@ -103,17 +98,13 @@ class CbsbmParams:
 
 
 @dataclass(frozen=True)
-class GssbmParams:
-    n: int
-    a: float
+class GssbmParams(_Params):
     b: float
     rhos: tuple[float, ...]
 
     variant = GSSBM
 
-    def validate(self) -> None:
-        if self.n < 2:
-            raise InvalidParams("n must be at least 2")
+    def _validate_variant(self) -> None:
         if not (self.a > self.b > 0):
             raise InvalidParams(f"need a > b > 0, got a={self.a}, b={self.b}")
         if not self.rhos:
@@ -124,16 +115,6 @@ class GssbmParams:
             raise InvalidParams("cluster fractions must be nonincreasing")
         if sum(self.sizes) > self.n:
             raise InvalidParams("cluster sizes exceed n")
-        if self.p > 1.0:
-            raise InvalidParams(f"a*log(n)/n = {self.p:.4f} exceeds 1")
-
-    @property
-    def log_n(self) -> float:
-        return math.log(self.n)
-
-    @property
-    def p(self) -> float:
-        return self.a * self.log_n / self.n
 
     @property
     def q(self) -> float:
@@ -201,9 +182,7 @@ class GroundTruth:
     def sizes(self) -> tuple[int, ...]:
         """Cluster sizes; (K, n-K) for binary, (K_1..K_r) for gssbm."""
         if self.variant == GSSBM:
-            r = int(self.assignment.max(initial=0))
-            return tuple(int(np.count_nonzero(self.assignment == k))
-                         for k in range(1, r + 1))
+            return tuple(int(c) for c in cluster_indicator(self.assignment).sum(axis=0))
         k = self.first_cluster_size
         return (k, self.n - k)
 
@@ -214,73 +193,53 @@ def cluster_indicator(assign: np.ndarray) -> np.ndarray:
     return (assign[:, None] == np.arange(1, r + 1)).astype(np.float64)
 
 
-def generate(
-    params: SbmParams, seed: int, _force_probs: tuple | None = None
-) -> tuple[Graph, GroundTruth]:
-    """Sample a graph and its planted assignment, deterministically per seed.
+def same_cluster(labels: np.ndarray) -> np.ndarray:
+    """n x n boolean relation: the pairs that share a nonzero label.
 
-    ``_force_probs`` is a test hook overriding (p, q) without touching the
-    validated parameters.
+    This is the one reading of a clustering's labels, +-1 for the binary
+    variants and 1..r with 0 for outliers for the general one; the diagonal
+    marks the clustered vertices.
     """
+    labels = np.asarray(labels)
+    return (labels[:, None] == labels[None, :]) & (labels[:, None] != 0)
+
+
+def generate(params: SbmParams, seed: int) -> tuple[Graph, GroundTruth]:
+    """Sample a graph and its planted assignment, deterministically per seed."""
     params.validate()
     n = params.n
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    iu = np.triu_indices(n, 1)
-
     if params.variant == GSSBM:
-        assign = np.zeros(n, dtype=np.int64)
-        pos = 0
-        for k, size in enumerate(params.sizes, start=1):
-            assign[pos:pos + size] = k
-            pos += size
-        gt = GroundTruth(GSSBM, assign)
-        p, q = (params.p, params.q) if _force_probs is None else _force_probs
-        same = (assign[iu[0]] == assign[iu[1]]) & (assign[iu[0]] > 0)
-        probs = np.where(same, p, q)
-        u = rng.random(probs.size)
-        values = (u < probs).astype(np.int8)
-        return Graph(n, SIMPLE, values), gt
+        sizes = params.sizes
+        gt = GroundTruth(GSSBM, np.repeat([*range(1, len(sizes) + 1), 0],
+                                          [*sizes, n - sum(sizes)]))
+    else:
+        k1 = params.first_cluster_size
+        gt = GroundTruth(params.variant, np.repeat([1, -1], [k1, n - k1]))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    same = same_cluster(gt.assignment)[np.triu_indices(n, 1)]
 
-    k1 = params.first_cluster_size
-    assign = np.full(n, -1, dtype=np.int64)
-    assign[:k1] = 1
-    gt = GroundTruth(params.variant, assign)
+    if params.variant == CBSBM:
+        # one stream for presence, one for label flips
+        present = rng.random(same.size) < params.p
+        flipped = rng.random(same.size) < params.xi
+        signs = np.where(same, 1, -1)
+        values = np.where(present, np.where(flipped, -signs, signs), 0)
+        return Graph(n, CENSORED, values.astype(np.int8)), gt
 
-    if params.variant == BASBM:
-        p, q = (params.p, params.q) if _force_probs is None else _force_probs
-        same = assign[iu[0]] == assign[iu[1]]
-        probs = np.where(same, p, q)
-        u = rng.random(probs.size)
-        values = (u < probs).astype(np.int8)
-        return Graph(n, SIMPLE, values), gt
-
-    # censored: one stream for presence, one for label flips
-    p = params.p if _force_probs is None else _force_probs[0]
-    u_edge = rng.random(iu[0].size)
-    u_flip = rng.random(iu[0].size)
-    present = u_edge < p
-    signs = (assign[iu[0]] * assign[iu[1]]).astype(np.int8)
-    flipped = u_flip < params.xi
-    labels = np.where(flipped, -signs, signs)
-    values = np.where(present, labels, 0).astype(np.int8)
-    return Graph(n, CENSORED, values), gt
+    u = rng.random(same.size)
+    values = (u < np.where(same, params.p, params.q)).astype(np.int8)
+    return Graph(n, SIMPLE, values), gt
 
 
 def expected_adjacency(params: SbmParams, gt: GroundTruth) -> np.ndarray:
     """Entrywise expectation of the generated adjacency; zero diagonal."""
     if gt.n != params.n:
         raise InvalidParams("ground truth size does not match params")
-    n = params.n
-    if params.variant == BASBM:
-        sigma = gt.sigma
-        same = np.equal.outer(sigma, sigma)
-        ea = np.where(same, params.p, params.q)
-    elif params.variant == CBSBM:
-        sigma = gt.sigma
-        ea = (1.0 - 2.0 * params.xi) * params.p * np.outer(sigma, sigma)
+    same = same_cluster(gt.assignment)
+    if params.variant == CBSBM:
+        signal = (1.0 - 2.0 * params.xi) * params.p
+        ea = np.where(same, signal, -signal)
     else:
-        assign = gt.assignment
-        same = (assign[:, None] == assign[None, :]) & (assign[:, None] > 0)
         ea = np.where(same, params.p, params.q)
     np.fill_diagonal(ea, 0.0)
     return ea
@@ -288,12 +247,7 @@ def expected_adjacency(params: SbmParams, gt: GroundTruth) -> np.ndarray:
 
 def cluster_matrix(gt: GroundTruth) -> np.ndarray:
     """sigma*sigma^T for binary variants; sum of indicator outer products else."""
-    if gt.variant == GSSBM:
-        assign = gt.assignment
-        z = ((assign[:, None] == assign[None, :]) & (assign[:, None] > 0))
-        return z.astype(np.float64)
-    sigma = gt.sigma
-    return np.outer(sigma, sigma)
+    return assignment_to_cluster_matrix(gt.variant, gt.assignment)
 
 
 def same_clustering(m1: np.ndarray, m2: np.ndarray) -> bool:
@@ -311,7 +265,8 @@ def same_clustering(m1: np.ndarray, m2: np.ndarray) -> bool:
 
 
 def assignment_to_cluster_matrix(variant: str, assignment: np.ndarray) -> np.ndarray:
-    return cluster_matrix(GroundTruth(variant, np.asarray(assignment)))
+    """1 on same-cluster pairs; -1 (binary) or 0 (gssbm) everywhere else."""
+    return np.where(same_cluster(assignment), 1.0, 0.0 if variant == GSSBM else -1.0)
 
 
 def permute_instance(

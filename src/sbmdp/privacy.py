@@ -67,7 +67,21 @@ class PrivacyParams:
 
 
 def sample_laplace(scale: float, rng: np.random.Generator) -> float:
-    """One Laplace(scale) draw by inverse CDF from a single uniform."""
+    """One Laplace(scale) draw by inverse CDF from a single uniform.
+
+    Floating-point noise can leak its input through the values it reaches
+    (Mironov, CCS 2012), but only the bit ``d_hat + noise > threshold`` is
+    published. u is uniform on the 2^53 - 1 nonzero multiples of 2^-53,
+    which gives an interval its length in mass up to 2^-52, and the map
+    u -> noise -> d_hat + noise is monotone, each step exact or within one
+    ulp. So the computed bit differs from the exact one only where
+    |d_hat + x - threshold| <= 2^-51 |x| + 2^-52 threshold for the exact
+    quantile x, a band of Laplace(1/eps) mass at most
+    2^-51/e + 2^-52 log(1/delta). The release probability is thus within
+    gamma = 2^-50 (1 + log(1/delta)) of the exact one, and delta absorbs
+    that: the mechanisms are (eps, delta + (1 + e^eps) gamma)-DP, an extra
+    1.1e-13 at eps = 2, delta = 500^-2.
+    """
     if scale <= 0:
         raise InvalidParams(f"scale must be positive, got {scale}")
     u = rng.random()
@@ -174,6 +188,9 @@ def distance_to_instability(
 
 @dataclass(frozen=True)
 class MechanismTrace:
+    """Non-private: ``d_hat`` and ``noise`` are unnoised, so neither may be
+    published next to a release."""
+
     d_hat: float
     noise: float
     threshold: float

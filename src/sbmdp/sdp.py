@@ -61,6 +61,7 @@ from .models import (
     GSSBM,
     SbmParams,
     assignment_to_cluster_matrix,
+    same_cluster,
 )
 from .spectral import (
     DEFAULT_TOLS,
@@ -213,15 +214,12 @@ def _project_box_sum(v: np.ndarray, lo: float, hi: float, s: float) -> np.ndarra
     def mass(theta: float) -> float:
         return float(np.clip(v - theta, lo, hi).sum())
 
+    # for 0 <= s <= size*hi: mass(theta_hi) <= s <= mass(theta_lo)
     theta_hi = float(v.max()) - lo + 1.0
     if math.isfinite(hi):
         theta_lo = float(v.min()) - hi - 1.0
     else:
         theta_lo = float(v.min()) - s / v.size - 1.0
-    while mass(theta_lo) < s:
-        theta_lo -= max(1.0, abs(theta_lo))
-    while mass(theta_hi) > s:
-        theta_hi += max(1.0, abs(theta_hi))
     for _ in range(100):
         mid = 0.5 * (theta_lo + theta_hi)
         if mass(mid) > s:
@@ -286,7 +284,7 @@ def _general_multipliers(
     the candidate's edge counts, and the midpoint is taken.
     """
     n = a_dense.shape[0]
-    same = (assign[:, None] == assign[None, :]) & (assign[:, None] > 0)
+    same = same_cluster(assign)
     rates = _empirical_rates(a_dense, same)
     if rates is None or not rates[0] > rates[1] >= 0:
         return None
@@ -337,7 +335,7 @@ def _certify_candidate(prob: SdpProblem, labels: np.ndarray) -> bool:
             general_certificate(a_dense, labels, sizes, *multipliers)).valid
     lam = 0.0
     if prob.variant == BASBM:
-        rates = _empirical_rates(a_dense, np.equal.outer(labels, labels))
+        rates = _empirical_rates(a_dense, same_cluster(labels))
         if rates is None or not rates[0] > rates[1] > 0:
             return False
         lam = log_mean(*rates)
@@ -381,44 +379,30 @@ def _best_binary_candidate(
 
 
 def _extract_general(x: np.ndarray, sizes: np.ndarray) -> Optional[np.ndarray]:
-    """Assignment from thresholding a near-integral matrix; None if malformed."""
+    """Assignment from thresholding a near-integral matrix; None if malformed.
+
+    The thresholded relation is a clustering iff it equals "same first
+    related vertex"; clusters are numbered by size, ties by lowest vertex.
+    """
     n = x.shape[0]
     thr = DEFAULT_TOLS.z_threshold
-    keep = np.diag(x) >= thr
-    idx = np.where(keep)[0]
+    idx = np.flatnonzero(np.diag(x) >= thr)
     if idx.size != int(sizes.sum()):
         return None
     rel = x[np.ix_(idx, idx)] > thr
     np.fill_diagonal(rel, True)
-    seen = np.zeros(idx.size, dtype=bool)
-    comps = []
-    for start in range(idx.size):
-        if seen[start]:
-            continue
-        stack = [start]
-        comp = []
-        while stack:
-            u = stack.pop()
-            if seen[u]:
-                continue
-            seen[u] = True
-            comp.append(u)
-            stack.extend(np.where(rel[u] & ~seen)[0].tolist())
-        comps.append(sorted(comp))
-    if sorted(len(c) for c in comps) != sorted(int(s) for s in sizes):
+    cls = rel.argmax(axis=1) if idx.size else idx
+    if not np.array_equal(rel, cls[:, None] == cls[None, :]):
         return None
-    for comp in comps:
-        block = rel[np.ix_(comp, comp)]
-        if not block.all():
-            return None
-    assign = np.zeros(n, dtype=np.int64)
-    comps_sorted = sorted(comps, key=lambda c: (-len(c), c[0]))
+    firsts, inverse, counts = np.unique(cls, return_inverse=True, return_counts=True)
+    order = np.lexsort((firsts, -counts))
     cluster_order = np.argsort(-sizes, kind="stable")
-    for rank, comp in enumerate(comps_sorted):
-        k = int(cluster_order[rank]) + 1
-        if len(comp) != int(sizes[k - 1]):
-            return None
-        assign[idx[comp]] = k
+    if not np.array_equal(counts[order], sizes[cluster_order]):
+        return None
+    label = np.empty(firsts.size, dtype=np.int64)
+    label[order] = cluster_order + 1
+    assign = np.zeros(n, dtype=np.int64)
+    assign[idx] = label[inverse]
     return assign
 
 
@@ -428,19 +412,16 @@ def _candidate_from_iterate(
     """(cluster matrix, discrete labels) rounded from ascending eigenpairs."""
     if eigvals[-1] <= 0:
         return None, None
-    v = eigvecs[:, -1]
-    if prob.variant == BASBM:
-        sig = _best_binary_candidate(prob.a_dense, v, prob.first_cluster_size)
-        return np.outer(sig, sig), sig
-    if prob.variant == CBSBM:
-        sig = _best_binary_candidate(prob.a_dense, v, None)
-        return np.outer(sig, sig), sig
-    pos = eigvals > 0
-    x = (eigvecs[:, pos] * eigvals[pos]) @ eigvecs[:, pos].T
-    assign = _extract_general(x, np.array(prob.sizes))
-    if assign is None:
-        return None, None
-    return assignment_to_cluster_matrix(GSSBM, assign), assign
+    if prob.variant == GSSBM:
+        pos = eigvals > 0
+        x = (eigvecs[:, pos] * eigvals[pos]) @ eigvecs[:, pos].T
+        labels = _extract_general(x, np.array(prob.sizes))
+        if labels is None:
+            return None, None
+    else:
+        labels = _best_binary_candidate(prob.a_dense, eigvecs[:, -1],
+                                        prob.first_cluster_size)
+    return assignment_to_cluster_matrix(prob.variant, labels), labels
 
 
 def _spectral_matrix(prob: SdpProblem) -> np.ndarray:
@@ -713,14 +694,14 @@ def _rounded(sol: SdpSolution, params: SbmParams) -> RecoveryResult:
         return RecoveryResult(sol.matrix, sol.labels, sol)
     try:
         if params.variant == GSSBM:
-            assign = round_general(sol, params.sizes)
-            return RecoveryResult(
-                assignment_to_cluster_matrix(GSSBM, assign), assign, sol)
-        rho = params.rho if params.variant == BASBM else None
-        sig = round_binary(sol, rho)
-        return RecoveryResult(np.outer(sig, sig), sig.astype(np.int64), sol)
+            labels = round_general(sol, params.sizes)
+        else:
+            rho = params.rho if params.variant == BASBM else None
+            labels = round_binary(sol, rho).astype(np.int64)
     except (DegenerateSpectrum, InconsistentRelation):
         return RecoveryResult(None, None, sol)
+    return RecoveryResult(
+        assignment_to_cluster_matrix(params.variant, labels), labels, sol)
 
 
 def recover(g: Graph, params: SbmParams,

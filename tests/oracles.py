@@ -3,10 +3,10 @@
 Reference oracles the tests compare the library against: the brute-force
 maximum-likelihood clustering for n <= 16, the binomial-difference tail
 exponent and the persistence map of the concentration constants. Fixtures:
-random flip sets and entry writes (:class:`GraphDelta`), the
-radius-bounded neighbour enumeration, and a caching SDP estimator for the
-mechanism audits. The oracles raise plain ``ValueError`` on arguments
-outside their domain.
+the empty graph and single-entry reads, random flip sets and entry writes
+(:class:`GraphDelta`), the radius-bounded neighbour enumeration, and a
+caching SDP estimator for the mechanism audits. The oracles raise plain
+``ValueError`` on arguments outside their domain.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from sbmdp.concentration import (
 from sbmdp.errors import AlphabetViolation, DuplicateEdge, IndexOutOfRange, InvalidShift
 from sbmdp.graph import (
     ALPHABETS,
+    SIMPLE,
     Graph,
     _unrank,
     neighbors_at_distance,
@@ -35,6 +36,28 @@ from sbmdp.graph import (
 )
 from sbmdp.models import BASBM, GSSBM, SbmParams, assignment_to_cluster_matrix
 from sbmdp.sdp import recover_many
+
+
+def empty_graph(n: int, alphabet: str = SIMPLE) -> Graph:
+    return Graph(n, alphabet, np.zeros(pair_count(n), dtype=np.int8))
+
+
+def _check_pair(g: Graph, i: int, j: int) -> tuple[int, int]:
+    if not (0 <= i < g.n and 0 <= j < g.n):
+        raise IndexOutOfRange(f"pair ({i}, {j}) outside [0, {g.n})")
+    if i == j:
+        raise IndexOutOfRange("diagonal entries are fixed at zero")
+    return (i, j) if i < j else (j, i)
+
+
+def entry(g: Graph, i: int, j: int) -> int:
+    """The (i, j) entry of the symmetric adjacency; 0 on the diagonal."""
+    if i == j:
+        if not 0 <= i < g.n:
+            raise IndexOutOfRange(f"vertex {i} outside [0, {g.n})")
+        return 0
+    i, j = _check_pair(g, i, j)
+    return int(g.values[pair_rank(i, j, g.n)])
 
 
 @dataclass(frozen=True)
@@ -55,7 +78,7 @@ class GraphDelta:
     def apply(self, g: Graph) -> Graph:
         values = g.values.copy()
         for i, j, v in self.flips:
-            g._check_pair(i, j)
+            _check_pair(g, i, j)
             if v not in ALPHABETS[g.alphabet]:
                 raise AlphabetViolation(f"value {v} not in {g.alphabet} alphabet")
             values[pair_rank(i, j, g.n)] = v

@@ -12,6 +12,7 @@ from sbmdp.certificates import (
 )
 from sbmdp.concentration import log_mean
 from sbmdp.errors import InvalidParams
+from sbmdp.graph import CENSORED, SIMPLE, Graph, pair_count
 from sbmdp.models import (
     BasbmParams,
     CbsbmParams,
@@ -23,11 +24,12 @@ from sbmdp.models import (
 )
 from sbmdp.spectral import spectral_norm
 
+from oracles import empty_graph
+
 
 def test_kernel_identity_holds_for_arbitrary_inputs():
     # S*sigma = 0 and S*indicator = 0 are algebraic: any adjacency, any
     # labels, any rates or multipliers
-    from sbmdp.graph import CENSORED, SIMPLE, Graph, pair_count
     rng = np.random.default_rng(0)
     for trial in range(30):
         n = int(rng.integers(3, 15))
@@ -65,7 +67,8 @@ def test_kernel_identity_holds_for_arbitrary_inputs():
 
 def test_cbsbm_complete_noiseless_hand_example():
     params = CbsbmParams(n=4, a=1.0, xi=0.0)
-    g, gt = generate(params, 0, _force_probs=(1.0,))
+    _, gt = generate(params, 0)
+    g = Graph.from_dense(np.outer(gt.sigma, gt.sigma), CENSORED)
     cert = build_binary(g, gt, params)
     assert cert.d_star.tolist() == [3.0, 3.0, 3.0, 3.0]
     assert np.abs(cert.s_matrix @ gt.sigma).max() == 0.0
@@ -75,7 +78,8 @@ def test_cbsbm_complete_noiseless_hand_example():
 
 def test_empty_graph_margin_formula():
     params = BasbmParams(n=10, a=3, b=1, rho=0.3)
-    g, gt = generate(params, 0, _force_probs=(0.0, 0.0))
+    _, gt = generate(params, 0)
+    g = empty_graph(params.n)
     cert = build_binary(g, gt, params)
     k = gt.first_cluster_size
     lam = log_mean(3, 1) * math.log(10) / 10
@@ -109,7 +113,8 @@ def test_verify_binary_two_vertices_unique_feasible_point():
     # n=2 with the balanced mass constraint has a single feasible matrix,
     # so the certificate is legitimately valid even on the empty graph
     params = BasbmParams(n=2, a=0.5, b=0.2, rho=0.5)
-    g, gt = generate(params, 0, _force_probs=(0.0, 0.0))
+    _, gt = generate(params, 0)
+    g = empty_graph(params.n)
     report = verify_binary(build_binary(g, gt, params))
     assert report.valid
     assert report.lambda2 > 0

@@ -14,12 +14,14 @@ from sbmdp.concentration import (
     degree_margin_exponent,
     degree_margins,
     expected_degree_margins,
+    lambda_star,
     log_mean,
     margin_exponent,
     poisson_tail_rate,
     tighten_constants,
 )
 from sbmdp.errors import InfeasibleRegime, InvalidParams, InvalidShift
+from sbmdp.graph import CENSORED, SIMPLE, Graph, pair_count
 from sbmdp.models import (
     BasbmParams,
     CbsbmParams,
@@ -190,14 +192,16 @@ def test_check_basbm_margin_expectation_formula():
     params = BasbmParams(n=50, a=6, b=1, rho=0.3)
     _, gt = generate(params, 3)
     expected = expected_degree_margins(params, gt)
-    direct = degree_margins(expected_adjacency(params, gt), gt, params)
+    direct = degree_margins(expected_adjacency(params, gt), gt.sigma,
+                            lambda_star(params))
     assert expected == pytest.approx(direct, abs=1e-9)
 
 
 def test_check_cbsbm_complete_noiseless():
     n = 40
     params = CbsbmParams(n=n, a=3.0, xi=0.0)
-    g, gt = generate(params, 4, _force_probs=(1.0,))
+    _, gt = generate(params, 4)
+    g = Graph.from_dense(np.outer(gt.sigma, gt.sigma), CENSORED)
     constants = CbsbmConstants(c1=2 * math.sqrt(3) + 1, c2=1.0)
     report = check_concentration(g, gt, params, constants)
     margin = [c for c in report.conditions if c.name == "degree_margin"][0]
@@ -221,7 +225,8 @@ def test_check_cbsbm_flipped_vertex_fails():
 def test_check_gssbm_single_complete_cluster_vacuous():
     n = 12
     params = GssbmParams(n=n, a=4.8, b=1.0, rhos=(1.0,))
-    g, gt = generate(params, 6, _force_probs=(1.0, 1.0))
+    _, gt = generate(params, 6)
+    g = Graph(n, SIMPLE, np.ones(pair_count(n), dtype=np.int8))
     constants = GssbmConstants(c1=14.0, c2=1.0, c3=0.3, c4=1.0, c5=0.5)
     report = check_concentration(g, gt, params, constants)
     names = {c.name: c for c in report.conditions}

@@ -21,7 +21,7 @@ from sbmdp.graph import (
     write_edge_list,
 )
 
-from oracles import GraphDelta, neighbors_within, random_delta
+from oracles import GraphDelta, empty_graph, entry, neighbors_within, random_delta
 
 
 def random_graph(n, alphabet, seed):
@@ -44,26 +44,26 @@ def hamming(g, h):
 
 
 def test_set_entry_from_empty():
-    g = GraphDelta(((0, 1, 1),)).apply(Graph.empty(3, SIMPLE))
-    assert g.entry(0, 1) == 1
-    assert g.entry(1, 0) == 1
-    assert g.entry(0, 2) == 0
-    assert g.entry(1, 1) == 0
+    g = GraphDelta(((0, 1, 1),)).apply(empty_graph(3, SIMPLE))
+    assert entry(g, 0, 1) == 1
+    assert entry(g, 1, 0) == 1
+    assert entry(g, 0, 2) == 0
+    assert entry(g, 1, 1) == 0
 
 
 def test_set_entry_idempotent_write():
     g = random_graph(5, SIMPLE, 0)
-    assert GraphDelta(((0, 1, g.entry(0, 1)),)).apply(g) == g
+    assert GraphDelta(((0, 1, entry(g, 0, 1)),)).apply(g) == g
 
 
 def test_set_entry_censored_neighbor():
-    g = GraphDelta(((0, 1, 1),)).apply(Graph.empty(3, CENSORED))
+    g = GraphDelta(((0, 1, 1),)).apply(empty_graph(3, CENSORED))
     g2 = GraphDelta(((0, 1, -1),)).apply(g)
     assert hamming(g, g2) == 1
 
 
 def test_set_entry_errors():
-    g = Graph.empty(3, SIMPLE)
+    g = empty_graph(3, SIMPLE)
     with pytest.raises(IndexOutOfRange):
         GraphDelta(((0, 3, 1),)).apply(g)
     with pytest.raises(IndexOutOfRange):
@@ -74,7 +74,7 @@ def test_set_entry_errors():
 
 def test_set_entry_restores_bit_exact():
     g = random_graph(6, CENSORED, 1)
-    old = g.entry(2, 4)
+    old = entry(g, 2, 4)
     changed = GraphDelta(((2, 4, -1 if old != -1 else 0),)).apply(g)
     restored = GraphDelta(((2, 4, old),)).apply(changed)
     assert restored == g
@@ -82,13 +82,13 @@ def test_set_entry_restores_bit_exact():
 
 
 def test_neighbors_radius_zero():
-    assert list(neighbors_within(Graph.empty(3, SIMPLE), 0)) == []
+    assert list(neighbors_within(empty_graph(3, SIMPLE), 0)) == []
 
 
 def test_neighbors_counts_radius_one():
-    assert len(list(neighbors_within(Graph.empty(3, SIMPLE), 1))) == 3
+    assert len(list(neighbors_within(empty_graph(3, SIMPLE), 1))) == 3
     # censored: 3 positions x 2 alternative values, verified by enumeration
-    censored = list(neighbors_within(Graph.empty(3, CENSORED), 1))
+    censored = list(neighbors_within(empty_graph(3, CENSORED), 1))
     assert len(censored) == 6
     assert len(set(censored)) == 6
 
@@ -122,19 +122,19 @@ def test_neighbors_nondecreasing_and_unique():
 
 
 def test_edge_list_empty_graph():
-    assert write_edge_list(Graph.empty(2, SIMPLE)) == "n 2 simple\n"
+    assert write_edge_list(empty_graph(2, SIMPLE)) == "n 2 simple\n"
 
 
 def test_edge_list_read_then_write():
     g = read_edge_list("n 3 simple\n0 1")
-    assert g.entry(0, 1) == 1
+    assert entry(g, 0, 1) == 1
     assert write_edge_list(g) == "n 3 simple\n0 1\n"
 
 
 def test_edge_list_censored_label():
     g = read_edge_list("n 3 censored\n0 2 -1")
-    assert g.entry(0, 2) == -1
-    assert g.entry(2, 0) == -1
+    assert entry(g, 0, 2) == -1
+    assert entry(g, 2, 0) == -1
 
 
 @pytest.mark.parametrize("alphabet", [SIMPLE, CENSORED])
@@ -162,7 +162,7 @@ def test_edge_list_errors():
 
 
 def test_graph_delta():
-    g = Graph.empty(4, SIMPLE)
+    g = empty_graph(4, SIMPLE)
     delta = GraphDelta(((0, 1, 1), (2, 3, 1)))
     g2 = delta.apply(g)
     assert hamming(g, g2) == 2

@@ -11,6 +11,7 @@ from sbmdp.concentration import (
     check_concentration,
     default_constants,
     degree_margins,
+    lambda_star,
     tighten_constants,
 )
 from sbmdp.errors import DegenerateEstimate, InvalidParams
@@ -37,7 +38,14 @@ from sbmdp.privacy import (
 )
 from sbmdp.sdp import SolveOptions, recover
 
-from oracles import GraphDelta, cached_estimator, mle_bruteforce, shift_constants
+from oracles import (
+    GraphDelta,
+    cached_estimator,
+    empty_graph,
+    entry,
+    mle_bruteforce,
+    shift_constants,
+)
 
 
 def lifted(f):
@@ -90,7 +98,7 @@ def test_outcomes_equal_failure_semantics():
 
 
 def test_distance_constant_function_hits_cap():
-    g = Graph.empty(4)
+    g = empty_graph(4)
     one = lambda h: np.ones((1, 1))
     assert distance_to_instability(g, lifted(one), one(g), 3) == 3
     assert distance_to_instability(g, lifted(one), one(g), 0) == 0
@@ -99,7 +107,7 @@ def test_distance_constant_function_hits_cap():
 def test_distance_one_flip_changes_mle():
     # single edge {0,2}: adding {0,1} creates a tie broken to another split
     params = BasbmParams(n=4, a=2, b=0.5, rho=0.5)
-    g = GraphDelta(((0, 2, 1),)).apply(Graph.empty(4))
+    g = GraphDelta(((0, 2, 1),)).apply(empty_graph(4))
     f = lambda h: mle_bruteforce(h, params)
     base = f(g)
     assert distance_to_instability(g, lifted(f), base, 5) == 1
@@ -134,7 +142,7 @@ def test_distance_matches_bruteforce_oracle():
 def test_distance_budget_guard():
     # the radius-1 ball around a 6-vertex graph holds 15 graphs: a budget
     # of 10 shrinks the radius to 0 without calling f, one of 15 to 1
-    g = Graph.empty(6)
+    g = empty_graph(6)
     calls = []
 
     def one(h):
@@ -150,7 +158,7 @@ def test_distance_budget_guard():
 
 def test_search_rejects_missing_outputs():
     # a graph the estimator skipped would otherwise count as unchanged
-    g = Graph.empty(4)
+    g = empty_graph(4)
     drops_last = lambda graphs: enumerate([np.ones((1, 1))] * (len(graphs) - 1))
     with pytest.raises(InvalidParams):
         distance_to_instability(g, drops_last, np.ones((1, 1)), 3)
@@ -264,7 +272,7 @@ def test_capped_search_is_bounded_lipschitz_and_exact(case):
 
 
 def test_stbl_releases_stable_input():
-    g = Graph.empty(5)
+    g = empty_graph(5)
     priv = PrivacyParams(1.0, 0.05)
     constant = np.ones((2, 2))
     out = stbl(g, lifted(lambda h: constant), priv, MEDIAN_DRAW)
@@ -276,7 +284,7 @@ def test_stbl_releases_stable_input():
 
 
 def test_stbl_solves_the_base_graph_once():
-    g = Graph.empty(3)
+    g = empty_graph(3)
     calls = []
 
     def f(h):
@@ -289,8 +297,8 @@ def test_stbl_solves_the_base_graph_once():
 
 def test_stbl_withholds_unstable_input():
     # f depends on the first entry, so every input sits at distance 1
-    g = Graph.empty(5)
-    f = lambda h: np.ones((1, 1)) * (1 + h.entry(0, 1))
+    g = empty_graph(5)
+    f = lambda h: np.ones((1, 1)) * (1 + entry(h, 0, 1))
     priv = PrivacyParams(1.0, 0.01)
     out = stbl(g, lifted(f), priv, MEDIAN_DRAW)
     assert out.trace.d_hat == 1
@@ -324,7 +332,7 @@ def test_stbl_fast_deterministic_fast_path():
 
 def test_stbl_fast_empty_graph_withholds():
     params = BasbmParams(n=20, a=2.5, b=0.5, rho=0.5)
-    g, _ = generate(params, 0, _force_probs=(0.0, 0.0))
+    g = empty_graph(params.n)
     priv = PrivacyParams.from_exponent(1.0, 2.0, params.n)
     out = stbl_fast(g, params, priv, 1.0, MEDIAN_DRAW)
     assert not out.trace.fast_path
@@ -367,7 +375,7 @@ def _weakest_vertex_flips(g, gt, params, budget):
     same = np.equal.outer(gt.assignment, gt.assignment)
     flips = []
     for _ in range(budget):
-        d = degree_margins(dense, gt, params)
+        d = degree_margins(dense, gt.sigma, lambda_star(params))
         v = int(d.argmin())
         # v's internal edges and cross non-edges; a flipped pair is neither
         u = int(np.where(same[v] == (dense[v] == 1), d, np.inf).argmin())
@@ -384,7 +392,8 @@ def _cross_block_flips(g, gt, params, budget):
     concentrates the perturbation for the spectral term.
     """
     dense = g.to_dense()
-    order = np.argsort(degree_margins(dense, gt, params), kind="stable")
+    d = degree_margins(dense, gt.sigma, lambda_star(params))
+    order = np.argsort(d, kind="stable")
     first = [i for i in order if gt.assignment[i] == 1][:3]
     second = [j for j in order if gt.assignment[j] == -1]
     absent = [(int(min(i, j)), int(max(i, j)), 1)
@@ -507,6 +516,6 @@ def test_param_estimate_reasonable_accuracy():
 
 
 def test_param_estimate_rejects_censored():
-    g = Graph.empty(4, "censored")
+    g = empty_graph(4, "censored")
     with pytest.raises(InvalidParams):
         param_estimate(g)

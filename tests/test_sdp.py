@@ -12,7 +12,7 @@ from sbmdp.errors import (
     InfeasibleProblem,
     InvalidParams,
 )
-from sbmdp.graph import Graph
+from sbmdp.graph import CENSORED, Graph
 from sbmdp.models import (
     BasbmParams,
     CbsbmParams,
@@ -36,7 +36,7 @@ from sbmdp.sdp import (
     solve_many,
 )
 
-from oracles import GraphDelta, mle_bruteforce
+from oracles import GraphDelta, empty_graph, mle_bruteforce
 
 FAST = SolveOptions(max_iters=1500)
 
@@ -77,7 +77,8 @@ def test_cluster_matrix_as_data_recovers_itself():
 def test_cbsbm_complete_noiseless_graph():
     n = 10
     params = CbsbmParams(n=n, a=2.0, xi=0.0)
-    g, gt = generate(params, 0, _force_probs=(1.0,))
+    _, gt = generate(params, 0)
+    g = Graph.from_dense(np.outer(gt.sigma, gt.sigma), CENSORED)
     sol = solve(cbsbm_problem(g))
     assert sol.objective == pytest.approx(n * (n - 1), abs=1e-3)
     assert same_clustering(np.sign(sol.matrix), cluster_matrix(gt))
@@ -219,16 +220,14 @@ def test_round_general_requires_clique_blocks():
 
 
 def test_mle_two_cliques():
-    g, _ = generate(BasbmParams(n=4, a=2, b=0.5, rho=0.5), 0,
-                    _force_probs=(0.0, 0.0))
-    g = GraphDelta(((0, 1, 1), (2, 3, 1))).apply(g)
+    g = GraphDelta(((0, 1, 1), (2, 3, 1))).apply(empty_graph(4))
     params = BasbmParams(n=4, a=2, b=0.5, rho=0.5)
     expected = np.outer([1, 1, -1, -1], [1, 1, -1, -1])
     assert same_clustering(mle_bruteforce(g, params), expected)
 
 
 def test_mle_empty_graph_tie_break():
-    g = Graph.empty(4)
+    g = empty_graph(4)
     params = BasbmParams(n=4, a=2, b=0.5, rho=0.5)
     expected = np.outer([1, 1, -1, -1], [1, 1, -1, -1])
     assert np.array_equal(mle_bruteforce(g, params), expected)
@@ -236,12 +235,13 @@ def test_mle_empty_graph_tie_break():
 
 def test_mle_cbsbm_complete_noiseless():
     params = CbsbmParams(n=6, a=1.5, xi=0.0)
-    g, gt = generate(params, 0, _force_probs=(1.0,))
+    _, gt = generate(params, 0)
+    g = Graph.from_dense(np.outer(gt.sigma, gt.sigma), CENSORED)
     assert same_clustering(mle_bruteforce(g, params), cluster_matrix(gt))
 
 
 def test_mle_gssbm_cliques():
-    g = GraphDelta(((0, 1, 1), (2, 3, 1))).apply(Graph.empty(6))
+    g = GraphDelta(((0, 1, 1), (2, 3, 1))).apply(empty_graph(6))
     params = GssbmParams(n=6, a=1.5, b=0.3, rhos=(2 / 6, 2 / 6))
     result = mle_bruteforce(g, params)
     expected = cluster_matrix(GroundTruth("gssbm", np.array([1, 1, 2, 2, 0, 0])))
@@ -250,7 +250,7 @@ def test_mle_gssbm_cliques():
 
 def test_mle_size_guard():
     with pytest.raises(ValueError):
-        mle_bruteforce(Graph.empty(17), BasbmParams(n=17, a=2, b=1))
+        mle_bruteforce(empty_graph(17), BasbmParams(n=17, a=2, b=1))
 
 
 def test_certificate_implies_oracle_agreement():
