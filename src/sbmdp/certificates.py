@@ -20,12 +20,41 @@ them from the empirical rates of its rounded candidate. Both judge the
 result with :func:`verify_binary` / :func:`verify_general`. A certificate
 carries the clustering it was built for, so it is always verified against
 those labels and no others.
+
+The verdict is the eigenvalue rule: with tol = ``Tolerances.certificate``,
+w = eigvalsh(S), scale = max(|w_1|, |w_n|, 1) and r cluster vectors, S is
+valid when n > r, the kernel and slackness residuals are at most
+tol*scale, w_1 >= -tol*scale and w_{r+1} > tol*scale (and, for the general
+variant, every cross-part price and member diagonal correction is
+positive). The verifiers reach that verdict without a full
+eigendecomposition where they can. With U = max(1, ||S||_inf) >= ||S||_2,
+they decide in this order and stop at the first step that decides:
+
+1. Cheap rejections: a nonpositive price or correction; a residual above
+   2*tol*U; a diagonal entry of S below -2*tol*U, which proves
+   w_1 < -tol*scale.
+2. One Cholesky factorisation of M = S + (U+1)*P_K - 2*tol*U*I accepts
+   when it succeeds, P_K the orthogonal projector onto the cluster
+   vectors. It is tried only when n > r, the kernel residual is at most
+   tol/(4*sqrt(n*r)) and the slackness at most tol. On the complement of
+   the kernel M equals S - 2*tol*U*I, so success gives w_{r+1} > 2*tol*U
+   (Courant-Fischer). The residual bound gives ||S Q||_2 <= tol/4 for an
+   orthonormal kernel basis Q, and that coupling against a complement
+   bounded below by 2*tol lowers w_1 to no less than -0.28*tol.
+3. Every certificate still undecided runs the eigenvalue rule itself.
+
+Each proof in steps 1 and 2 clears the rule's threshold by at least
+tol*U, far above the rounding of the factorisation and of eigvalsh
+(about n^2 * 1e-16 * U at the sizes served here), so every verdict is the
+one the eigenvalue rule gives. The reports keep lambda_min, lambda2 and
+lambda_after_kernel, computed by eigvalsh when first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +64,7 @@ from .concentration import (
     default_constants,
     degree_margins,
     lambda_star,
+    own_cluster_counts,
 )
 from .errors import InvalidParams, ShapeMismatch
 from .graph import dense_matrix
@@ -45,10 +75,9 @@ from .models import (
     GroundTruth,
     GssbmParams,
     cluster_indicator,
-    expected_adjacency,
     same_cluster,
 )
-from .spectral import DEFAULT_TOLS, spectral_norm
+from .spectral import DEFAULT_TOLS
 
 
 @dataclass(frozen=True)
@@ -71,10 +100,24 @@ class GeneralCertificate:
 
 @dataclass(frozen=True)
 class BinaryReport:
+    """Verdict on a binary certificate; the eigenvalues are computed on read."""
+
     valid: bool
-    lambda_min: float
-    lambda2: float
     kernel_residual: float
+    certificate: BinaryCertificate = field(repr=False, compare=False)
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.certificate.s_matrix)
+
+    @property
+    def lambda_min(self) -> float:
+        return float(self._spectrum[0])
+
+    @property
+    def lambda2(self) -> float:
+        w = self._spectrum
+        return float(w[1]) if w.size > 1 else float("nan")
 
     def to_dict(self) -> dict:
         return {"valid": self.valid, "lambda_min": self.lambda_min,
@@ -83,13 +126,28 @@ class BinaryReport:
 
 @dataclass(frozen=True)
 class GeneralReport:
+    """Verdict on a general certificate; the eigenvalues are computed on read."""
+
     valid: bool
-    lambda_min: float
-    lambda_after_kernel: float
     kernel_residual: float
     b_min_off: float
     d_min_member: float
     slackness_residual: float
+    certificate: GeneralCertificate = field(repr=False, compare=False)
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.certificate.s_matrix)
+
+    @property
+    def lambda_min(self) -> float:
+        return float(self._spectrum[0])
+
+    @property
+    def lambda_after_kernel(self) -> float:
+        w = self._spectrum
+        r = cluster_indicator(self.certificate.assign).shape[1]
+        return float(w[r]) if w.size > r else float("nan")
 
     def to_dict(self) -> dict:
         return {"valid": self.valid, "lambda_min": self.lambda_min,
@@ -98,6 +156,42 @@ class GeneralReport:
                 "b_min_off": self.b_min_off,
                 "d_min_member": self.d_min_member,
                 "slackness_residual": self.slackness_residual}
+
+
+def _spectral_verdict(s: np.ndarray, basis: np.ndarray, residual: float,
+                      slackness: float = 0.0) -> bool:
+    """The eigenvalue rule's verdict on S, by the steps of the module docstring.
+
+    ``basis`` holds orthonormal columns spanning the cluster vectors (a
+    zero column for an empty cluster); its column count is the r of the
+    rule. ``residual`` is the largest entry of |S times the cluster
+    vectors|.
+    """
+    n, r = basis.shape
+    tol = DEFAULT_TOLS.certificate
+    u = max(1.0, float(np.linalg.norm(s, np.inf)))
+    if (max(residual, slackness) > 2.0 * tol * u
+            or s.diagonal().min(initial=0.0) < -2.0 * tol * u):
+        return False
+    if (n > r and residual <= tol / (4.0 * math.sqrt(n * max(r, 1)))
+            and slackness <= tol):
+        m = (basis * (u + 1.0)) @ basis.T
+        m += s
+        m.flat[::n + 1] -= 2.0 * tol * u
+        try:
+            np.linalg.cholesky(m)
+            return True
+        except np.linalg.LinAlgError:
+            pass
+    w = np.linalg.eigvalsh(s)
+    scale = max(abs(float(w[0])), abs(float(w[-1])), 1.0)
+    return bool(
+        w.size > r
+        and residual <= tol * scale
+        and slackness <= tol * scale
+        and w[0] >= -tol * scale
+        and w[r] > tol * scale
+    )
 
 
 def binary_certificate(
@@ -130,19 +224,9 @@ def verify_binary(cert: BinaryCertificate) -> BinaryReport:
     """Numerical validity of a binary certificate, tolerances relative to ||S||."""
     s = cert.s_matrix
     sigma = cert.sigma
-    tol = DEFAULT_TOLS.certificate
-    w = np.linalg.eigvalsh(s)
-    scale = max(abs(float(w[0])), abs(float(w[-1])), 1.0)
     residual = float(np.abs(s @ sigma).max())
-    lambda_min = float(w[0])
-    lambda2 = float(w[1]) if w.size > 1 else float("nan")
-    valid = (
-        w.size > 1
-        and residual <= tol * scale
-        and lambda_min >= -tol * scale
-        and lambda2 > tol * scale
-    )
-    return BinaryReport(bool(valid), lambda_min, lambda2, residual)
+    basis = (sigma / np.linalg.norm(sigma))[:, None]
+    return BinaryReport(_spectral_verdict(s, basis, residual), residual, cert)
 
 
 def general_certificate(
@@ -166,9 +250,9 @@ def general_certificate(
     e_counts, pair_counts = cluster_edge_counts(a_dense, assign)
     member = assign > 0
     if r:
-        internal = e_counts[np.arange(n), np.maximum(assign - 1, 0)]
         d = np.where(member,
-                     internal - eta - lam * sizes[np.maximum(assign - 1, 0)],
+                     own_cluster_counts(e_counts, assign) - eta
+                     - lam * sizes[np.maximum(assign - 1, 0)],
                      0.0)
     else:
         d = np.zeros(n)
@@ -208,11 +292,16 @@ def build_general(
     gt: GroundTruth,
     params: GssbmParams,
     constants: GssbmConstants | None = None,
+    *,
+    deviation: float,
 ) -> GeneralCertificate:
     """Certificate for the general variant at the true rates.
 
-    Uses eta = ||A - E[A]||_2 and lambda = (b + 2*c2)*log(n)/n. When no
-    constants are supplied, non-private defaults are derived from params.
+    Uses eta = ``deviation`` and lambda = (b + 2*c2)*log(n)/n. The
+    deviation is ||A - E[A]||_2 as
+    :func:`~sbmdp.concentration.spectral_deviation` computes it, the first
+    lhs of the concentration report. When no constants are supplied,
+    non-private defaults are derived from params.
     """
     if params.variant != GSSBM:
         raise InvalidParams("general certificate needs gssbm params")
@@ -222,8 +311,8 @@ def build_general(
     if constants is None:
         constants = default_constants(params, math.inf, 0.0)
     lam = constants.tau_tilde(params.b) * params.log_n / params.n
-    eta = spectral_norm(a_dense - expected_adjacency(params, gt))
-    return general_certificate(a_dense, gt.assignment, np.array(gt.sizes), lam, eta)
+    return general_certificate(a_dense, gt.assignment, np.array(gt.sizes), lam,
+                               deviation)
 
 
 def verify_general(cert: GeneralCertificate) -> GeneralReport:
@@ -238,12 +327,7 @@ def verify_general(cert: GeneralCertificate) -> GeneralReport:
     s = cert.s_matrix
     assign = cert.assign
     indicator = cluster_indicator(assign)
-    r = indicator.shape[1]
-    tol = DEFAULT_TOLS.certificate
-    w = np.linalg.eigvalsh(s)
-    scale = max(abs(float(w[0])), abs(float(w[-1])), 1.0)
-
-    kernel_residual = float(np.abs(s @ indicator).max()) if r else 0.0
+    kernel_residual = float(np.abs(s @ indicator).max()) if indicator.shape[1] else 0.0
 
     z = same_cluster(assign)
     slackness = float(np.abs(cert.b_matrix[z]).max()) if z.any() else 0.0
@@ -254,16 +338,8 @@ def verify_general(cert: GeneralCertificate) -> GeneralReport:
     member = assign > 0
     d_min = float(cert.d_star[member].min()) if member.any() else math.inf
 
-    lambda_min = float(w[0])
-    lambda_after = float(w[r]) if w.size > r else float("nan")
-    valid = (
-        w.size > r
-        and kernel_residual <= tol * scale
-        and slackness <= tol * scale
-        and b_min_off > 0
-        and d_min > 0
-        and lambda_min >= -tol * scale
-        and lambda_after > tol * scale
-    )
-    return GeneralReport(bool(valid), lambda_min, lambda_after, kernel_residual,
-                         b_min_off, d_min, slackness)
+    basis = indicator / np.sqrt(np.maximum(indicator.sum(axis=0), 1.0))
+    valid = (b_min_off > 0 and d_min > 0
+             and _spectral_verdict(s, basis, kernel_residual, slackness))
+    return GeneralReport(bool(valid), kernel_residual, b_min_off, d_min,
+                         slackness, cert)

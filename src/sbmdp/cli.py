@@ -17,7 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .certificates import build_binary, build_general, verify_binary, verify_general
-from .concentration import check_concentration, default_constants, tighten_constants
+from .concentration import (
+    check_concentration,
+    default_constants,
+    spectral_deviation,
+    tighten_constants,
+)
 from .errors import InvalidParams, ParseError, SbmdpError
 from .graph import read_edge_list, write_edge_list
 from .harness import ExperimentConfig, sweep
@@ -180,7 +185,8 @@ def cmd_certify(args) -> int:
     gt = _load_gt(args.gt)
     params = _params_from_args(args, g.n)
     if params.variant == GSSBM:
-        report = verify_general(build_general(g, gt, params))
+        deviation = spectral_deviation(g.to_dense(), params, gt)
+        report = verify_general(build_general(g, gt, params, deviation=deviation))
     else:
         report = verify_binary(build_binary(g, gt, params))
     _emit(report.to_dict())

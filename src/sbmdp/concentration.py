@@ -252,6 +252,27 @@ def cluster_edge_counts(
     return e, c
 
 
+def own_cluster_counts(e_counts: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    """Each member's edge count into its own cluster, read from E.
+
+    E is the first output of :func:`cluster_edge_counts`. Outliers read
+    the cluster-1 column; callers mask them.
+    """
+    return e_counts[np.arange(assign.size), np.maximum(assign - 1, 0)]
+
+
+def spectral_deviation(a_dense: np.ndarray, params: SbmParams, gt: GroundTruth) -> float:
+    """||A - E[A]||_2, the spectral deviation of the adjacency from its model.
+
+    The one place this norm is computed: :func:`check_concentration`
+    reports it as its first lhs, and the general certificate takes it as
+    its eta.
+    """
+    if a_dense.shape[0] != gt.n or gt.n != params.n:
+        raise InvalidParams("graph, ground truth, and params sizes disagree")
+    return spectral_norm(a_dense - expected_adjacency(params, gt))
+
+
 def check_concentration(
     graph, gt: GroundTruth, params: SbmParams, constants: ConcentrationConstants
 ) -> ConcentrationReport:
@@ -264,12 +285,9 @@ def check_concentration(
     :func:`_general_conditions` (c2..c5).
     """
     a_dense = dense_matrix(graph)
-    if a_dense.shape[0] != gt.n or gt.n != params.n:
-        raise InvalidParams("graph, ground truth, and params sizes disagree")
+    lhs1 = spectral_deviation(a_dense, params, gt)
     logn = params.log_n
     sqlogn = math.sqrt(logn)
-
-    lhs1 = spectral_norm(a_dense - expected_adjacency(params, gt))
     conds = [ConditionResult("spectral_deviation", lhs1, constants.c1 * sqlogn,
                              lhs1 <= constants.c1 * sqlogn)]
     if params.variant == GSSBM:
@@ -317,7 +335,7 @@ def _general_conditions(
     # every member's internal degree clears (b + 2 c2) * rho_k * log n
     members = assign > 0
     if members.any():
-        s = e_counts[np.arange(n), np.maximum(assign - 1, 0)]
+        s = own_cluster_counts(e_counts, assign)
         rho_k = sizes[np.maximum(assign - 1, 0)] / n
         slack = s - tau_t * rho_k * logn
         i_min = int(np.where(members, slack, np.inf).argmin())

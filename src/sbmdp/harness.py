@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .certificates import build_binary, build_general, verify_binary, verify_general
-from .concentration import check_concentration, default_constants
+from .concentration import check_concentration, default_constants, spectral_deviation
 from .errors import InvalidParams, SbmdpError
 from .models import (
     GSSBM,
@@ -187,17 +187,25 @@ def run_trial(
 
 def _diagnostics(g, gt: GroundTruth, params: SbmParams,
                  eps: float, c_stab: float) -> tuple[bool, bool]:
-    """Concentration and certificate validity against the true labels."""
+    """Concentration and certificate validity against the true labels.
+
+    The general certificate's eta is the concentration report's spectral
+    deviation, computed afresh only when the check raised.
+    """
     constants = None
-    conc_pass = False
+    report = None
     try:
         constants = default_constants(params, eps if eps > 0 else math.inf, c_stab)
-        conc_pass = check_concentration(g, gt, params, constants).passed
+        report = check_concentration(g, gt, params, constants)
     except SbmdpError:
-        conc_pass = False
+        pass
+    conc_pass = report is not None and report.passed
     try:
         if params.variant == GSSBM:
-            cert_valid = verify_general(build_general(g, gt, params, constants)).valid
+            deviation = (report.conditions[0].lhs if report is not None
+                         else spectral_deviation(g.to_dense(), params, gt))
+            cert_valid = verify_general(build_general(
+                g, gt, params, constants, deviation=deviation)).valid
         else:
             cert_valid = verify_binary(build_binary(g, gt, params)).valid
     except SbmdpError:

@@ -47,7 +47,7 @@ from .certificates import (
     verify_binary,
     verify_general,
 )
-from .concentration import cluster_edge_counts, log_mean
+from .concentration import cluster_edge_counts, log_mean, own_cluster_counts
 from .errors import (
     DegenerateSpectrum,
     InconsistentRelation,
@@ -283,7 +283,6 @@ def _general_multipliers(
     cross-cluster prices nonnegative; both endpoints are closed-form in
     the candidate's edge counts, and the midpoint is taken.
     """
-    n = a_dense.shape[0]
     same = same_cluster(assign)
     rates = _empirical_rates(a_dense, same)
     if rates is None or not rates[0] > rates[1] >= 0:
@@ -295,7 +294,7 @@ def _general_multipliers(
     e_counts, pair_counts = cluster_edge_counts(a_dense, assign)
     ksz = sizes.astype(np.float64)
     r = ksz.size
-    internal = e_counts[np.arange(n), np.maximum(assign - 1, 0)]
+    internal = own_cluster_counts(e_counts, assign)
     lam_hi = math.inf
     for k in range(r):
         lam_hi = min(lam_hi, (float(internal[assign == k + 1].min()) - eta) / ksz[k])

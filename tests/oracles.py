@@ -2,7 +2,8 @@
 
 Reference oracles the tests compare the library against: the brute-force
 maximum-likelihood clustering for n <= 16, the binomial-difference tail
-exponent and the persistence map of the concentration constants. Fixtures:
+exponent, the persistence map of the concentration constants and the
+eigenvalue rule for dual certificates by one full ``eigvalsh``. Fixtures:
 the empty graph and single-entry reads, random flip sets and entry writes
 (:class:`GraphDelta`), the radius-bounded neighbour enumeration, and a
 caching SDP estimator for the mechanism audits. The oracles raise plain
@@ -34,8 +35,16 @@ from sbmdp.graph import (
     pair_count,
     pair_rank,
 )
-from sbmdp.models import BASBM, GSSBM, SbmParams, assignment_to_cluster_matrix
+from sbmdp.models import (
+    BASBM,
+    GSSBM,
+    SbmParams,
+    assignment_to_cluster_matrix,
+    cluster_indicator,
+    same_cluster,
+)
 from sbmdp.sdp import recover_many
+from sbmdp.spectral import DEFAULT_TOLS
 
 
 def empty_graph(n: int, alphabet: str = SIMPLE) -> Graph:
@@ -257,3 +266,65 @@ def shift_constants(
             f"shift c/eps = {shift:.4f} drives a constant nonpositive: {out}"
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# certificate rule by a full eigendecomposition
+
+
+def eigvalsh_binary_report(cert) -> dict:
+    """A binary certificate's report by one eigvalsh, as verify_binary's to_dict."""
+    s = cert.s_matrix
+    sigma = cert.sigma
+    tol = DEFAULT_TOLS.certificate
+    w = np.linalg.eigvalsh(s)
+    scale = max(abs(float(w[0])), abs(float(w[-1])), 1.0)
+    residual = float(np.abs(s @ sigma).max())
+    lambda_min = float(w[0])
+    lambda2 = float(w[1]) if w.size > 1 else float("nan")
+    valid = (
+        w.size > 1
+        and residual <= tol * scale
+        and lambda_min >= -tol * scale
+        and lambda2 > tol * scale
+    )
+    return {"valid": bool(valid), "lambda_min": lambda_min, "lambda2": lambda2,
+            "kernel_residual": residual}
+
+
+def eigvalsh_general_report(cert) -> dict:
+    """A general certificate's report by one eigvalsh, as verify_general's to_dict."""
+    s = cert.s_matrix
+    assign = cert.assign
+    indicator = cluster_indicator(assign)
+    r = indicator.shape[1]
+    tol = DEFAULT_TOLS.certificate
+    w = np.linalg.eigvalsh(s)
+    scale = max(abs(float(w[0])), abs(float(w[-1])), 1.0)
+
+    kernel_residual = float(np.abs(s @ indicator).max()) if r else 0.0
+
+    z = same_cluster(assign)
+    slackness = float(np.abs(cert.b_matrix[z]).max()) if z.any() else 0.0
+
+    diff = assign[:, None] != assign[None, :]
+    b_min_off = float(cert.b_matrix[diff].min()) if diff.any() else math.inf
+
+    member = assign > 0
+    d_min = float(cert.d_star[member].min()) if member.any() else math.inf
+
+    lambda_min = float(w[0])
+    lambda_after = float(w[r]) if w.size > r else float("nan")
+    valid = (
+        w.size > r
+        and kernel_residual <= tol * scale
+        and slackness <= tol * scale
+        and b_min_off > 0
+        and d_min > 0
+        and lambda_min >= -tol * scale
+        and lambda_after > tol * scale
+    )
+    return {"valid": bool(valid), "lambda_min": lambda_min,
+            "lambda_after_kernel": lambda_after,
+            "kernel_residual": kernel_residual, "b_min_off": b_min_off,
+            "d_min_member": d_min, "slackness_residual": slackness}

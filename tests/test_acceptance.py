@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from sbmdp.certificates import build_binary, build_general, verify_binary, verify_general
-from sbmdp.concentration import check_concentration, default_constants
+from sbmdp.concentration import check_concentration, default_constants, spectral_deviation
 from sbmdp.graph import CENSORED, SIMPLE, Graph, neighbors_at_distance, pair_count
 from sbmdp.models import (
     BasbmParams,
@@ -241,7 +241,8 @@ def test_criterion_11_general_structure():
         res = recover(g, params)
         if not res.failed and same_clustering(res.matrix, cluster_matrix(gt)):
             recovered += 1
-        if verify_general(build_general(g, gt, params)).valid:
+        deviation = spectral_deviation(g.to_dense(), params, gt)
+        if verify_general(build_general(g, gt, params, deviation=deviation)).valid:
             certified += 1
     ok = recovered >= 16 and certified >= 16
     gate(11, "general-structure recovery >= 16/20 and certificates >= 16/20",

@@ -1,18 +1,25 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbmdp.certificates import (
+    BinaryCertificate,
+    GeneralCertificate,
+    binary_certificate,
     build_binary,
     build_general,
     general_certificate,
     verify_binary,
     verify_general,
 )
-from sbmdp.concentration import log_mean
+from sbmdp.cli import main
+from sbmdp.concentration import log_mean, spectral_deviation
 from sbmdp.errors import InvalidParams
-from sbmdp.graph import CENSORED, SIMPLE, Graph, pair_count
+from sbmdp.graph import CENSORED, SIMPLE, Graph, dense_matrix, pair_count
 from sbmdp.models import (
     BasbmParams,
     CbsbmParams,
@@ -20,11 +27,20 @@ from sbmdp.models import (
     GssbmParams,
     cluster_indicator,
     cluster_matrix,
+    expected_adjacency,
     generate,
+    same_cluster,
 )
-from sbmdp.spectral import spectral_norm
+from sbmdp.sdp import _general_multipliers
+from sbmdp.spectral import DEFAULT_TOLS, spectral_norm
 
-from oracles import empty_graph
+from oracles import empty_graph, eigvalsh_binary_report, eigvalsh_general_report
+
+TOL = DEFAULT_TOLS.certificate
+
+
+def _deviation(graph_or_dense, params, gt) -> float:
+    return spectral_deviation(dense_matrix(graph_or_dense), params, gt)
 
 
 def test_kernel_identity_holds_for_arbitrary_inputs():
@@ -124,7 +140,8 @@ def test_general_certificate_slackness_structure():
     from sbmdp.concentration import GssbmConstants
     params = GssbmParams(n=60, a=10, b=1, rhos=(0.4, 0.3))
     g, gt = generate(params, 2)
-    cert = build_general(g, gt, params, GssbmConstants(7.3, 2.0, 0.25, 1.0, 0.5))
+    cert = build_general(g, gt, params, GssbmConstants(7.3, 2.0, 0.25, 1.0, 0.5),
+                         deviation=_deviation(g, params, gt))
     z = cluster_matrix(gt)
     assert np.abs(cert.b_matrix * z).max() == 0.0
     assert np.all(cert.d_star[gt.assignment == 0] == 0.0)
@@ -137,7 +154,8 @@ def test_general_certificate_single_cluster():
     from sbmdp.concentration import GssbmConstants
     params = GssbmParams(n=30, a=5, b=1, rhos=(1.0,))
     g, gt = generate(params, 3)
-    cert = build_general(g, gt, params, GssbmConstants(5.5, 1.0, 0.25, 1.0, 0.5))
+    cert = build_general(g, gt, params, GssbmConstants(5.5, 1.0, 0.25, 1.0, 0.5),
+                         deviation=_deviation(g, params, gt))
     assert np.abs(cert.b_matrix).max() == 0.0
 
 
@@ -148,7 +166,8 @@ def test_general_certificate_all_outliers():
     params = GssbmParams(n=20, a=4, b=1, rhos=(0.4,))
     g, _ = generate(params, 4)
     gt = GroundTruth("gssbm", np.zeros(20, dtype=np.int64))
-    cert = build_general(g, gt, params, GssbmConstants(5.0, 1.0, 0.25, 1.0, 0.5))
+    cert = build_general(g, gt, params, GssbmConstants(5.0, 1.0, 0.25, 1.0, 0.5),
+                         deviation=_deviation(g, params, gt))
     assert np.abs(cert.b_matrix).max() == 0.0
     assert np.all(cert.d_star == 0.0)
     report = verify_general(cert)
@@ -158,7 +177,8 @@ def test_general_certificate_all_outliers():
 def test_verify_general_on_concentrated_instance():
     params = GssbmParams(n=300, a=40, b=2, rhos=(0.3, 0.3, 0.3))
     g, gt = generate(params, 5)
-    report = verify_general(build_general(g, gt, params))
+    report = verify_general(build_general(
+        g, gt, params, deviation=_deviation(g, params, gt)))
     assert report.valid
     assert report.lambda_after_kernel > 0
     assert report.b_min_off > 0
@@ -173,7 +193,8 @@ def test_verify_general_outlier_hub_invalid():
     members = np.where(gt.assignment == 3)[0]
     dense[hub, members] = 1.0
     dense[members, hub] = 1.0
-    report = verify_general(build_general(dense, gt, params))
+    report = verify_general(build_general(
+        dense, gt, params, deviation=_deviation(dense, params, gt)))
     assert report.b_min_off <= 0
     assert not report.valid
 
@@ -183,3 +204,163 @@ def test_build_binary_variant_guard():
     g, gt = generate(params, 0)
     with pytest.raises(InvalidParams):
         build_binary(g, gt, params)
+
+
+# ---------------------------------------------------------------------------
+# the factorised verdict against the eigenvalue rule
+
+
+def _verify_against_rule(cert) -> tuple[dict, dict]:
+    """(the verifier's report, the eigenvalue rule's), as JSON-ready dicts."""
+    if isinstance(cert, BinaryCertificate):
+        return verify_binary(cert).to_dict(), eigvalsh_binary_report(cert)
+    return verify_general(cert).to_dict(), eigvalsh_general_report(cert)
+
+
+@st.composite
+def planted_certificates(draw):
+    """A binary or general certificate of a random planted graph.
+
+    General assignments carry outliers; their multipliers are the solver's
+    own when those are defined, else drawn.
+    """
+    n = draw(st.integers(2, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_in = draw(st.floats(0.3, 1.0))
+    p_out = draw(st.floats(0.0, 0.6))
+    if draw(st.booleans()):
+        labels = rng.choice([-1, 1], size=n)
+    else:
+        r = int(rng.integers(1, 4))
+        labels = rng.integers(0, r + 1, size=n)
+    same = same_cluster(labels)
+    upper = np.triu(rng.random((n, n)) < np.where(same, p_in, p_out), 1)
+    a = (upper | upper.T).astype(np.float64)
+    if labels.min() < 0:
+        if draw(st.booleans()):  # censored: signed entries
+            a *= np.where(rng.random((n, n)) < 0.8, 1.0, -1.0) * np.outer(labels, labels)
+            a = np.triu(a, 1) + np.triu(a, 1).T
+        return binary_certificate(a, labels.astype(np.float64),
+                                  draw(st.floats(-0.5, 1.0)))
+    sizes = np.bincount(labels, minlength=int(labels.max()) + 1)[1:]
+    multipliers = None
+    if (sizes > 0).all() and draw(st.booleans()):
+        multipliers = _general_multipliers(a, labels, sizes)
+    if multipliers is None:
+        multipliers = (draw(st.floats(-0.5, 1.0)), draw(st.floats(0.0, 4.0)))
+    return general_certificate(a, labels, sizes, *multipliers)
+
+
+@st.composite
+def constructed_certificates(draw):
+    """A certificate whose S has a chosen spectrum around the rule's thresholds.
+
+    S = W diag(mu) W^T with W spanning the complement of the cluster
+    vectors, so the eigenvalue just above the kernel is +-c*tol*scale for
+    c in {0.5, 1, 1.5, 2, 3}. A rank-one dip can drive a diagonal entry
+    negative, and a coupling between a kernel vector and that eigenvector
+    puts the kernel residual near the factorised step's bound
+    tol/(4*sqrt(n*r)) or near the rule's tol*scale.
+    """
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    general = draw(st.booleans())
+    if general:
+        r_max = min(3, n - 1)
+        assign = rng.permutation(np.concatenate([
+            np.arange(1, r_max + 1), rng.integers(0, r_max + 1, size=n - r_max)]))
+        vectors = cluster_indicator(assign)
+    else:
+        sigma = rng.choice([-1.0, 1.0], size=n)
+        vectors = sigma[:, None]
+    r = vectors.shape[1]
+    kernel = vectors / np.linalg.norm(vectors, axis=0)
+    q, _ = np.linalg.qr(np.hstack([kernel, rng.standard_normal((n, n - r))]))
+    comp = q[:, r:]
+
+    top = draw(st.sampled_from([1e-3, 0.5, 1.0, 8.0, 300.0]))
+    scale = max(top, 1.0)
+    above = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, -0.5, -1.0, -3.0]))
+    mu = rng.uniform(abs(above) * TOL * scale, top, size=n - r)
+    mu[-1] = top
+    mu[0] = above * TOL * scale
+    s = (comp * mu) @ comp.T
+
+    dip = draw(st.sampled_from([0.0, 0.0, 1.0, 2.5, 4.0]))
+    p = comp @ comp[int(rng.integers(n))]
+    if dip and p @ p > 1e-6:  # not when the vertex lies in the kernel
+        s -= dip * TOL * scale * np.outer(p, p) / (p @ p)
+
+    bound = TOL / (4.0 * math.sqrt(n * r))
+    target = draw(st.sampled_from([
+        0.0, 0.5 * bound, 0.99 * bound, 1.01 * bound, 2.0 * bound,
+        0.5 * TOL * scale, 0.9 * TOL * scale, 1.5 * TOL * scale, 3.0 * TOL * scale]))
+    if target:
+        coupling = np.outer(kernel[:, 0], comp[:, 0])
+        coupling += coupling.T
+        s += coupling * (target / np.abs(coupling @ vectors).max())
+    s = (s + s.T) / 2.0
+
+    if not general:
+        return BinaryCertificate(sigma, np.diag(s).copy(), 0.0, s)
+    b = np.where(assign[:, None] != assign[None, :], 1.0, 0.0)
+    slack = draw(st.sampled_from([0.0, 0.0, 0.5 * TOL, 1.5 * TOL, 3.0 * TOL * scale]))
+    b[same_cluster(assign)] = slack
+    d = np.where(assign > 0, 1.0, 0.0)
+    return GeneralCertificate(assign, d, b, 0.0, 0.0, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_certificates())
+def test_verdict_matches_eigvalsh_rule_on_planted_certificates(cert):
+    report, rule = _verify_against_rule(cert)
+    assert json.dumps(report) == json.dumps(rule)
+
+
+@settings(max_examples=600, deadline=None)
+@given(constructed_certificates())
+def test_verdict_matches_eigvalsh_rule_near_thresholds(cert):
+    report, rule = _verify_against_rule(cert)
+    assert json.dumps(report) == json.dumps(rule)
+
+
+def test_report_eigenvalues_are_read_from_eigvalsh():
+    params = GssbmParams(n=200, a=30, b=2, rhos=(0.3, 0.3, 0.3))
+    g, gt = generate(params, 2)
+    report = verify_general(build_general(
+        g, gt, params, deviation=_deviation(g, params, gt)))
+    w = np.linalg.eigvalsh(report.certificate.s_matrix)
+    assert report.lambda_min == float(w[0])
+    assert report.lambda_after_kernel == float(w[3])
+
+    params = BasbmParams(n=100, a=20, b=2, rho=0.5)
+    g, gt = generate(params, 2)
+    report = verify_binary(build_binary(g, gt, params))
+    w = np.linalg.eigvalsh(report.certificate.s_matrix)
+    assert (report.lambda_min, report.lambda2) == (float(w[0]), float(w[1]))
+
+
+@pytest.mark.parametrize("model, params, seed", [
+    (["--a", "30", "--b", "2", "--rhos", "0.3,0.3,0.3"],
+     GssbmParams(n=200, a=30, b=2, rhos=(0.3, 0.3, 0.3)), 1),
+    (["--a", "20", "--b", "2", "--rho", "0.5"], BasbmParams(n=200, a=20, b=2, rho=0.5), 3),
+])
+def test_certify_prints_the_eigvalsh_report(tmp_path, capsys, model, params, seed):
+    # the printed report is byte for byte the one a full eigvalsh gives
+    graph_file, gt_file = tmp_path / "g.txt", tmp_path / "gt.json"
+    model = ["--variant", params.variant, *model]
+    main(["generate", *model, "--n", str(params.n), "--seed", str(seed),
+          "--out", str(graph_file), "--gt-out", str(gt_file)])
+    capsys.readouterr()
+    assert main(["certify", *model, "--graph", str(graph_file),
+                 "--gt", str(gt_file)]) == 0
+    printed = capsys.readouterr().out
+
+    g, gt = generate(params, seed)
+    if params.variant == "gssbm":
+        eta = spectral_norm(g.to_dense() - expected_adjacency(params, gt))
+        rule = eigvalsh_general_report(build_general(g, gt, params, deviation=eta))
+    else:
+        rule = eigvalsh_binary_report(build_binary(g, gt, params))
+    assert rule["valid"]
+    assert printed == json.dumps(rule, indent=2) + "\n"
