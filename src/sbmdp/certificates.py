@@ -98,13 +98,8 @@ class GeneralCertificate:
     s_matrix: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
-class BinaryReport:
-    """Verdict on a binary certificate; the eigenvalues are computed on read."""
-
-    valid: bool
-    kernel_residual: float
-    certificate: BinaryCertificate = field(repr=False, compare=False)
+class _ReadSpectrum:
+    """The eigenvalues of a report's S, computed by eigvalsh when first read."""
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
@@ -113,6 +108,13 @@ class BinaryReport:
     @property
     def lambda_min(self) -> float:
         return float(self._spectrum[0])
+
+
+@dataclass(frozen=True)
+class BinaryReport(_ReadSpectrum):
+    valid: bool
+    kernel_residual: float
+    certificate: BinaryCertificate = field(repr=False, compare=False)
 
     @property
     def lambda2(self) -> float:
@@ -125,23 +127,13 @@ class BinaryReport:
 
 
 @dataclass(frozen=True)
-class GeneralReport:
-    """Verdict on a general certificate; the eigenvalues are computed on read."""
-
+class GeneralReport(_ReadSpectrum):
     valid: bool
     kernel_residual: float
     b_min_off: float
     d_min_member: float
     slackness_residual: float
     certificate: GeneralCertificate = field(repr=False, compare=False)
-
-    @cached_property
-    def _spectrum(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.certificate.s_matrix)
-
-    @property
-    def lambda_min(self) -> float:
-        return float(self._spectrum[0])
 
     @property
     def lambda_after_kernel(self) -> float:
