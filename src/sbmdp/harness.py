@@ -149,7 +149,11 @@ def run_trial(
     permute: bool = False,
     max_evals: int = 2000,
 ) -> TrialResult:
-    """Generate one instance, recover per mode, and score against the truth."""
+    """Generate one instance, recover per mode, and score against the truth.
+
+    The graph is densified once; the diagnostics and the non-private
+    recovery read that matrix.
+    """
     params = _cell_params(cell)
     t0 = time.perf_counter()
     g, gt = generate(params, seed)
@@ -164,10 +168,11 @@ def run_trial(
     if c_stab is None:
         c_stab = delta_exp + 2.0 if mode != "nonprivate" else 0.0
 
-    conc_pass, cert_valid = _diagnostics(g, gt, params, eps, c_stab)
+    a_dense = g.to_dense()
+    conc_pass, cert_valid = _diagnostics(a_dense, gt, params, eps, c_stab)
 
     if mode == "nonprivate":
-        res = recover(g, params)
+        res = recover(a_dense, params)
         recovered = res.matrix is not None and same_clustering(res.matrix, target)
         bottom = False
     elif mode == "fast":
@@ -185,29 +190,30 @@ def run_trial(
     return TrialResult(cell, seed, recovered, bottom, conc_pass, cert_valid, ms=ms)
 
 
-def _diagnostics(g, gt: GroundTruth, params: SbmParams,
+def _diagnostics(a_dense: np.ndarray, gt: GroundTruth, params: SbmParams,
                  eps: float, c_stab: float) -> tuple[bool, bool]:
     """Concentration and certificate validity against the true labels.
 
-    The general certificate's eta is the concentration report's spectral
-    deviation, computed afresh only when the check raised.
+    ``a_dense`` is the graph's dense adjacency. The general certificate's
+    eta is the concentration report's spectral deviation, computed afresh
+    only when the check raised.
     """
     constants = None
     report = None
     try:
         constants = default_constants(params, eps if eps > 0 else math.inf, c_stab)
-        report = check_concentration(g, gt, params, constants)
+        report = check_concentration(a_dense, gt, params, constants)
     except SbmdpError:
         pass
     conc_pass = report is not None and report.passed
     try:
         if params.variant == GSSBM:
             deviation = (report.conditions[0].lhs if report is not None
-                         else spectral_deviation(g.to_dense(), params, gt))
+                         else spectral_deviation(a_dense, params, gt))
             cert_valid = verify_general(build_general(
-                g, gt, params, constants, deviation=deviation)).valid
+                a_dense, gt, params, constants, deviation=deviation)).valid
         else:
-            cert_valid = verify_binary(build_binary(g, gt, params)).valid
+            cert_valid = verify_binary(build_binary(a_dense, gt, params)).valid
     except SbmdpError:
         cert_valid = False
     return conc_pass, cert_valid

@@ -22,6 +22,14 @@ never certify and fall back to plain ADMM convergence. A certified
 solution carries the candidate's labels, so recovery rounds only
 uncertified ones.
 
+The spectral estimate reads only the top one (binary) or r (general)
+eigenpairs. From ``KRYLOV_MIN_N`` vertices on they come from block Krylov
+iteration (``spectral.top_eigenpairs``), below it from one full
+eigendecomposition per batch. The two agree to about 1e-10, far inside
+the rounding thresholds, so they round to the same candidate. Were the
+candidates ever to differ, a certified one would still be the unique
+optimum, and ADMM starts from the identity, not from the candidate.
+
 There is one solver loop, :func:`solve_many`; :func:`solve` is its batch
 of one. Problems of one variant and size run as one ``(B, n, n)`` stack in
 lockstep, which pays the per-iteration Python overhead of small problems
@@ -69,10 +77,18 @@ from .spectral import (
     eig_sorted,
     psd_project,
     spectral_norm,
+    top_eigenpairs,
 )
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
+
+# Groups of at least this size get their spectral candidates from
+# spectral.top_eigenpairs, one matrix at a time; smaller ones from one batched
+# eig_sorted. The two break even near n = 128 on one core: there the full
+# eigh takes 2.0-2.4 ms and block Krylov 1.4-2.9 ms (gssbm the slowest),
+# at n = 300 12-14 ms against 3.2-4.5 ms.
+KRYLOV_MIN_N = 128
 
 
 @dataclass(frozen=True)
@@ -150,7 +166,8 @@ def gssbm_problem(graph_or_matrix, sizes) -> SdpProblem:
     return SdpProblem(GSSBM, a_dense, sizes=sizes)
 
 
-def problem_from_graph(g: Graph, params: SbmParams) -> SdpProblem:
+def problem_from_graph(g: Graph | np.ndarray, params: SbmParams) -> SdpProblem:
+    """The variant's relaxation of a graph, or of its dense adjacency."""
     if params.variant == BASBM:
         return basbm_problem(g, params.rho)
     if params.variant == CBSBM:
@@ -433,10 +450,28 @@ def _spectral_matrix(prob: SdpProblem) -> np.ndarray:
     return a_dense - a_dense.mean() if prob.variant == BASBM else a_dense
 
 
+def _spectral_rank(prob: SdpProblem) -> int:
+    """How many trailing eigenpairs the spectral candidate reads."""
+    return len(prob.sizes) if prob.variant == GSSBM else 1
+
+
+def _spectral_pairs(probs: list[SdpProblem]) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+    """(eigenvectors, ascending eigenvalues) of each problem's
+    :func:`_spectral_matrix`, for problems of one variant and size.
+
+    Below ``KRYLOV_MIN_N`` that is the full spectrum, from one batched
+    eigendecomposition; from there on only the trailing
+    :func:`_spectral_rank` pairs, by block Krylov.
+    """
+    if probs[0].n < KRYLOV_MIN_N:
+        return zip(*eig_sorted(np.stack([_spectral_matrix(p) for p in probs])))
+    return (top_eigenpairs(_spectral_matrix(p), _spectral_rank(p)) for p in probs)
+
+
 def _spectral_candidate(
     prob: SdpProblem, evecs: np.ndarray, evals: np.ndarray
 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """(cluster matrix, discrete labels) rounded from the eigenpairs of
+    """(cluster matrix, discrete labels) rounded from trailing eigenpairs of
     :func:`_spectral_matrix`.
 
     gssbm rescales its top-r eigenpairs so that the member diagonal of the
@@ -444,7 +479,7 @@ def _spectral_candidate(
     general rounding expects.
     """
     if prob.variant == GSSBM:
-        r = len(prob.sizes)
+        r = _spectral_rank(prob)
         evecs, evals = evecs[:, -r:], evals[-r:]
         diag = np.sort((evecs ** 2) @ evals)
         scale = float(diag[-sum(prob.sizes):].mean())
@@ -581,8 +616,8 @@ def solve_many(probs: Iterable[SdpProblem], opts: SolveOptions = SolveOptions(),
     """Solve several problems, yielding (position, solution) as each finishes.
 
     Problems of one variant and size run as one ``(B, n, n)`` stack: first
-    one batched eigendecomposition for the spectral candidates, whose
-    certified members come out at once, then lockstep ADMM on the rest
+    the spectral candidates (see :func:`_spectral_pairs`), whose certified
+    members come out at once, then lockstep ADMM on the rest
     (see :func:`_admm`), which yields each member as it finishes. Each
     solution is exactly, bit for bit, what :func:`solve` gives that problem
     alone, whatever else is in the batch. A group is held in memory as
@@ -596,10 +631,9 @@ def solve_many(probs: Iterable[SdpProblem], opts: SolveOptions = SolveOptions(),
     uncertified = []
     for members in groups.values():
         if opts.certify_every:
-            evecs, evals = eig_sorted(np.stack([_spectral_matrix(probs[i])
-                                                for i in members]))
             rest = []
-            for i, vecs, vals in zip(members, evecs, evals):
+            pairs = _spectral_pairs([probs[i] for i in members])
+            for i, (vecs, vals) in zip(members, pairs):
                 cand, labels = _spectral_candidate(probs[i], vecs, vals)
                 if cand is not None and _certify_candidate(probs[i], labels):
                     yield i, _certified_solution(probs[i], cand, labels, 0)
@@ -703,9 +737,12 @@ def _rounded(sol: SdpSolution, params: SbmParams) -> RecoveryResult:
         assignment_to_cluster_matrix(params.variant, labels), labels, sol)
 
 
-def recover(g: Graph, params: SbmParams,
+def recover(g: Graph | np.ndarray, params: SbmParams,
             opts: SolveOptions = SolveOptions()) -> RecoveryResult:
     """Solve the variant's SDP and round to a discrete clustering.
+
+    ``g`` is a graph or its dense adjacency (validated as
+    ``graph.dense_matrix`` does).
 
     A certified solution carries its labels, so only an uncertified one is
     rounded. A rounding failure (degenerate spectrum or inconsistent

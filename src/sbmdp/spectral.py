@@ -5,9 +5,11 @@ and asymmetry above ``Tolerances.symmetry``. :func:`eig_sorted` and
 :func:`psd_project` are the solver's eigen steps and skip that validation:
 they symmetrise their input and run on every iteration. Both take one
 matrix or a stack of same-size matrices, so that the solver has a single
-eigen/PSD step however many problems it runs in lockstep. Matrices at the
-target scale (n up to a few thousand) are handled with full dense
-eigendecompositions.
+eigen/PSD step however many problems it runs in lockstep, and both run a
+full dense eigendecomposition. :func:`top_eigenpairs` computes only the
+few algebraically largest eigenpairs of one matrix by block Krylov
+iteration, and falls back to :func:`eig_sorted` when it cannot vouch for
+them; the solver's spectral candidate at large n reads nothing else.
 """
 
 from __future__ import annotations
@@ -27,9 +29,17 @@ class Tolerances:
     certificate: float = 1e-8        # certificate checks, relative to ||S||_2
     eigen_gap: float = 1e-6          # rounding degenerate-spectrum guard
     z_threshold: float = 0.5         # same-cluster threshold for 0/1 matrices
+    krylov_residual: float = 1e-10   # top_eigenpairs: ||Mv - theta v|| / max(|theta|, 1)
+    krylov_angle: float = 1e-8       # top_eigenpairs: residual / Ritz gap
 
 
 DEFAULT_TOLS = Tolerances()
+
+# top_eigenpairs: the most basis columns before it falls back to
+# eig_sorted, and the seed of its start block, which therefore depends on
+# the shape alone and never on another matrix
+KRYLOV_MAX_BASIS = 96
+_KRYLOV_SEED = 0x5B3D
 
 
 def as_symmetric(m: np.ndarray) -> np.ndarray:
@@ -45,6 +55,10 @@ def as_symmetric(m: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NonFinite("matrix has NaN or infinite entries")
+    bits = m.view(np.int64)
+    if np.array_equal(bits, bits.T):
+        # exactly symmetric: (m + m.T) / 2 would give back the same bits
+        return m.copy()
     scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
     asym = float(np.abs(m - m.T).max()) if m.size else 0.0
     if asym > tol * scale:
@@ -92,3 +106,63 @@ def psd_project(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cols = evecs[..., n - k:]
     weighted = cols * np.maximum(evals[..., None, n - k:], 0.0)
     return weighted @ cols.swapaxes(-1, -2), evecs, evals
+
+
+def top_eigenpairs(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvectors, ascending eigenvalues) of the ``r`` algebraically
+    largest eigenpairs of one exactly symmetric matrix.
+
+    Block Krylov iteration with Rayleigh-Ritz (Musco & Musco, NeurIPS
+    2015). The orthonormal basis Q starts from a block of r + 1 columns
+    drawn from a fixed seed and grows by M times its newest block,
+    orthogonalised twice against Q. The extra column lets Q hold the
+    (r+1)-st eigenvector too, so that a top of the spectrum degenerate at r
+    shows in the Ritz values instead of hiding in one direction. After
+    every second block, the Ritz pairs (theta, v) are the trailing
+    eigenpairs of Q^T M Q, and the basis stops growing once
+
+    - every returned pair has ||Mv - theta v|| <=
+      ``Tolerances.krylov_residual`` * max(|theta|, 1), and
+    - the largest residual is at most ``Tolerances.krylov_angle`` times the
+      gap between the r-th and (r+1)-st Ritz values. This bounds the angle
+      between the returned vectors and the true top-r invariant subspace
+      (Davis-Kahan, with the next Ritz value standing in for the next
+      eigenvalue), so a near-degenerate top of the spectrum never passes.
+
+    When that has not happened within ``KRYLOV_MAX_BASIS`` columns, or Q
+    stops growing, the result is :func:`eig_sorted`'s trailing ``r`` pairs,
+    bit for bit. The start block depends on n and r alone, so each call is
+    a deterministic function of ``m`` and ``r``. Unlike :func:`eig_sorted`, this does
+    not symmetrise ``m``: the solver's data matrices are symmetric bit for
+    bit.
+    """
+    tols = DEFAULT_TOLS
+    n = m.shape[0]
+    b = r + 1
+    cap = min(KRYLOV_MAX_BASIS, n) // (2 * b) * (2 * b)
+    basis = np.empty((n, cap))
+    image = np.empty((n, cap))
+    block = np.linalg.qr(np.random.default_rng(_KRYLOV_SEED).standard_normal((n, b)))[0]
+    for k in range(b, cap + 1, b):
+        basis[:, k - b:k] = block
+        image[:, k - b:k] = m @ block
+        q, mq = basis[:, :k], image[:, :k]
+        if k % (2 * b) == 0:
+            t = q.T @ mq
+            theta, s = np.linalg.eigh((t + t.T) / 2.0)
+            s = s[:, -r:]
+            vecs = q @ s
+            res = np.linalg.norm(mq @ s - vecs * theta[-r:], axis=0)
+            if ((res <= tols.krylov_residual * np.maximum(np.abs(theta[-r:]), 1.0)).all()
+                    and res.max() <= tols.krylov_angle * (theta[-r] - theta[-r - 1])):
+                return vecs, theta[-r:]
+        if k == cap:
+            break
+        new = mq[:, -b:]
+        w = new - q @ (q.T @ new)
+        w -= q @ (q.T @ w)
+        block, rr = np.linalg.qr(w)
+        if not np.abs(rr.diagonal()).min() > tols.krylov_residual * np.linalg.norm(new):
+            break  # Q spans an invariant subspace and cannot grow
+    evecs, evals = eig_sorted(m)
+    return evecs[:, -r:], evals[-r:]

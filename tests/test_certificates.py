@@ -1,12 +1,15 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbmdp import certificates
 from sbmdp.certificates import (
+    CHOLESKY_MIN_N,
     BinaryCertificate,
     GeneralCertificate,
     binary_certificate,
@@ -210,11 +213,24 @@ def test_build_binary_variant_guard():
 # the factorised verdict against the eigenvalue rule
 
 
-def _verify_against_rule(cert) -> tuple[dict, dict]:
-    """(the verifier's report, the eigenvalue rule's), as JSON-ready dicts."""
+def _verify_against_rule(cert) -> tuple[list[str], str]:
+    """The verifier's reports, with the factorised steps tried from n = 2 on
+    and from ``CHOLESKY_MIN_N`` on, and the eigenvalue rule's, as JSON."""
     if isinstance(cert, BinaryCertificate):
-        return verify_binary(cert).to_dict(), eigvalsh_binary_report(cert)
-    return verify_general(cert).to_dict(), eigvalsh_general_report(cert)
+        verify, rule = verify_binary, eigvalsh_binary_report
+    else:
+        verify, rule = verify_general, eigvalsh_general_report
+    with mock.patch.object(certificates, "CHOLESKY_MIN_N", 2):
+        everywhere = verify(cert).to_dict()
+    reports = [json.dumps(everywhere), json.dumps(verify(cert).to_dict())]
+    return reports, json.dumps(rule(cert))
+
+
+def sizes_around_the_cutover(small_max: int):
+    """Sizes the plain rule decides (2..small_max) or the factorised steps
+    do (from ``CHOLESKY_MIN_N``)."""
+    return st.one_of(st.integers(2, small_max),
+                     st.integers(CHOLESKY_MIN_N, CHOLESKY_MIN_N + 6))
 
 
 @st.composite
@@ -224,7 +240,7 @@ def planted_certificates(draw):
     General assignments carry outliers; their multipliers are the solver's
     own when those are defined, else drawn.
     """
-    n = draw(st.integers(2, 14))
+    n = draw(sizes_around_the_cutover(14))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p_in = draw(st.floats(0.3, 1.0))
     p_out = draw(st.floats(0.0, 0.6))
@@ -256,13 +272,13 @@ def constructed_certificates(draw):
     """A certificate whose S has a chosen spectrum around the rule's thresholds.
 
     S = W diag(mu) W^T with W spanning the complement of the cluster
-    vectors, so the eigenvalue just above the kernel is +-c*tol*scale for
-    c in {0.5, 1, 1.5, 2, 3}. A rank-one dip can drive a diagonal entry
+    vectors, so the eigenvalue just above the kernel is +-c*tol*scale or
+    +-c*tol*||S||_inf for c in {0.5, 1, 1.5, 2, 3}. A rank-one dip can drive a diagonal entry
     negative, and a coupling between a kernel vector and that eigenvector
     puts the kernel residual near the factorised step's bound
     tol/(4*sqrt(n*r)) or near the rule's tol*scale.
     """
-    n = draw(st.integers(2, 12))
+    n = draw(sizes_around_the_cutover(12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     general = draw(st.booleans())
     if general:
@@ -281,10 +297,14 @@ def constructed_certificates(draw):
     top = draw(st.sampled_from([1e-3, 0.5, 1.0, 8.0, 300.0]))
     scale = max(top, 1.0)
     above = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, -0.5, -1.0, -3.0]))
-    mu = rng.uniform(abs(above) * TOL * scale, top, size=n - r)
+    mu = rng.uniform(3.0 * TOL * math.sqrt(n) * scale, top, size=n - r)
     mu[-1] = top
-    mu[0] = above * TOL * scale
+    mu[0] = 0.0
     s = (comp * mu) @ comp.T
+    # the rule's threshold is tol*scale, the factorised step's 2*tol*U,
+    # U = ||S||_inf, which at larger n lies far above it
+    unit = TOL * draw(st.sampled_from([scale, max(1.0, float(np.linalg.norm(s, np.inf)))]))
+    s += above * unit * np.outer(comp[:, 0], comp[:, 0])
 
     dip = draw(st.sampled_from([0.0, 0.0, 1.0, 2.5, 4.0]))
     p = comp @ comp[int(rng.integers(n))]
@@ -313,15 +333,34 @@ def constructed_certificates(draw):
 @settings(max_examples=300, deadline=None)
 @given(planted_certificates())
 def test_verdict_matches_eigvalsh_rule_on_planted_certificates(cert):
-    report, rule = _verify_against_rule(cert)
-    assert json.dumps(report) == json.dumps(rule)
+    reports, rule = _verify_against_rule(cert)
+    assert reports == [rule, rule]
 
 
 @settings(max_examples=600, deadline=None)
 @given(constructed_certificates())
 def test_verdict_matches_eigvalsh_rule_near_thresholds(cert):
-    report, rule = _verify_against_rule(cert)
-    assert json.dumps(report) == json.dumps(rule)
+    reports, rule = _verify_against_rule(cert)
+    assert reports == [rule, rule]
+
+
+@pytest.mark.parametrize("n, factorised", [
+    (6, False), (CHOLESKY_MIN_N - 1, False), (CHOLESKY_MIN_N, True)])
+def test_small_certificates_go_straight_to_the_rule(n, factorised, monkeypatch):
+    calls = []
+    for name in ("cholesky", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(m, _real=real, _name=name):
+            calls.append(_name)
+            return _real(m)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    # complete noiseless censored graph: a valid certificate at every n
+    sigma = np.where(np.arange(n) % 3 == 0, 1.0, -1.0)
+    a = np.outer(sigma, sigma) - np.eye(n)
+    assert verify_binary(binary_certificate(a, sigma, 0.0)).valid
+    assert calls == (["cholesky"] if factorised else ["eigvalsh"])
 
 
 def test_report_eigenvalues_are_read_from_eigvalsh():

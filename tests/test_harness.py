@@ -108,6 +108,22 @@ def test_run_trial_deterministic():
     assert r1.recovered and not r1.bottom
 
 
+def test_run_trial_densifies_once(monkeypatch):
+    calls = []
+    real = Graph.to_dense
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.n)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "to_dense", counted)
+    cell = {"variant": "gssbm", "n": 200, "a": 30.0, "b": 2.0,
+            "rhos": [0.3, 0.3, 0.3]}
+    result = run_trial(cell, trial_seed(1, 0, 0))
+    assert calls == [200]
+    assert result.recovered and result.conc_pass and result.cert_valid
+
+
 def test_run_trial_fast_mode():
     cell = {"variant": "basbm", "n": 150, "a": 20.0, "b": 2.0, "rho": 0.5,
             "eps": 2.0, "delta_exp": 2.0}

@@ -22,7 +22,9 @@ from sbmdp.models import (
     generate,
     same_clustering,
 )
+from sbmdp import sdp
 from sbmdp.sdp import (
+    KRYLOV_MIN_N,
     SdpSolution,
     SolveOptions,
     basbm_problem,
@@ -35,6 +37,7 @@ from sbmdp.sdp import (
     solve,
     solve_many,
 )
+from sbmdp.spectral import eig_sorted, top_eigenpairs
 
 from oracles import GraphDelta, empty_graph, mle_bruteforce
 
@@ -280,6 +283,54 @@ def test_above_threshold_certifies_before_admm(params):
     sol = solve(problem_from_graph(g, params))
     assert sol.certified and sol.iterations == 0
     assert same_clustering(sol.matrix, cluster_matrix(gt))
+
+
+def test_gssbm_rounding_miss_certifies_after_admm():
+    # the rescaled spectral rounding misses this instance (a member's
+    # diagonal is about 0.495, under the 1/2 threshold), so the solve falls
+    # through to ADMM, whose rounded iterate certifies at iteration 125
+    params = GssbmParams(n=200, a=30, b=2, rhos=(0.3, 0.3, 0.3))
+    g, gt = generate(params, 11)
+    sol = solve(problem_from_graph(g, params))
+    assert sol.certified and sol.iterations == 125
+    assert same_clustering(sol.matrix, cluster_matrix(gt))
+
+
+@pytest.mark.parametrize("params, seeds", [
+    (BasbmParams(n=KRYLOV_MIN_N, a=15, b=2, rho=0.3), range(4)),
+    (BasbmParams(n=300, a=25, b=2, rho=0.3), range(4)),
+    (CbsbmParams(n=300, a=8, xi=0.05), range(4)),
+    (GssbmParams(n=200, a=30, b=2, rhos=(0.3, 0.3, 0.3)), range(9, 13)),
+], ids=["basbm-cutover", "basbm", "cbsbm", "gssbm"])
+def test_krylov_and_full_spectra_give_the_same_candidate(params, seeds):
+    for seed in seeds:
+        prob = problem_from_graph(generate(params, seed)[0], params)
+        m = sdp._spectral_matrix(prob)
+        full = sdp._spectral_candidate(prob, *eig_sorted(m))
+        krylov = sdp._spectral_candidate(
+            prob, *top_eigenpairs(m, sdp._spectral_rank(prob)))
+        for got, want in zip(krylov, full):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.tobytes() == want.tobytes()
+
+
+def test_spectral_stage_switches_to_krylov_at_the_cutover(monkeypatch):
+    calls = []
+    real = sdp.top_eigenpairs
+
+    def counted(m, r):
+        calls.append((m.shape[0], r))
+        return real(m, r)
+
+    monkeypatch.setattr(sdp, "top_eigenpairs", counted)
+    for n in (KRYLOV_MIN_N - 1, KRYLOV_MIN_N):
+        params = BasbmParams(n=n, a=20, b=2, rho=0.5)
+        sol = solve(problem_from_graph(generate(params, 0)[0], params))
+        assert sol.certified and sol.iterations == 0
+    params = GssbmParams(n=KRYLOV_MIN_N, a=20, b=2, rhos=(0.3, 0.3))
+    solve(problem_from_graph(generate(params, 0)[0], params))
+    assert calls == [(KRYLOV_MIN_N, 1), (KRYLOV_MIN_N, 2)]
 
 
 def test_subthreshold_runs_admm():

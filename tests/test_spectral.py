@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
+from sbmdp import spectral
 from sbmdp.errors import NonFinite, NotSymmetric, ShapeMismatch
-from sbmdp.spectral import as_symmetric, psd_project, spectral_norm
+from sbmdp.models import BasbmParams, CbsbmParams, GssbmParams, generate
+from sbmdp.sdp import KRYLOV_MIN_N, _spectral_matrix, _spectral_rank, problem_from_graph
+from sbmdp.spectral import (
+    as_symmetric,
+    eig_sorted,
+    psd_project,
+    spectral_norm,
+    top_eigenpairs,
+)
 
 
 def sample_symmetric(n, seed):
@@ -82,3 +91,111 @@ def test_input_validation():
     m = np.array([[0.0, 1.0], [1.0 + 1e-14, 0.0]])
     out = as_symmetric(m)
     assert np.array_equal(out, out.T)
+
+
+def test_as_symmetric_copies_exactly_symmetric_input():
+    m = sample_symmetric(9, 4)
+    m[0, 1] = m[1, 0] = -0.0
+    out = as_symmetric(m)
+    assert out is not m and out.flags.c_contiguous
+    assert out.tobytes() == ((m + m.T) / 2.0).tobytes() == m.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# top_eigenpairs
+
+
+def spectral_data(params, seed):
+    prob = problem_from_graph(generate(params, seed)[0], params)
+    return _spectral_matrix(prob), _spectral_rank(prob)
+
+
+def krylov_only(monkeypatch):
+    """Make the fallback to eig_sorted fail, so a result is Krylov's own."""
+    def no_fallback(m):
+        raise AssertionError("top_eigenpairs fell back to eig_sorted")
+    monkeypatch.setattr(spectral, "eig_sorted", no_fallback)
+
+
+def assert_same_pairs(got, want):
+    (vecs, vals), (evecs, evals) = got, want
+    r = vals.size
+    assert vecs.shape == (evecs.shape[0], r)
+    assert np.all(np.diff(vals) >= 0)
+    assert np.allclose(vals, evals[-r:], rtol=1e-8, atol=0)
+    for v, w in zip(vecs.T, evecs[:, -r:].T):
+        assert min(np.abs(v - w).max(), np.abs(v + w).max()) < 1e-8
+
+
+@pytest.mark.parametrize("params", [
+    BasbmParams(n=KRYLOV_MIN_N, a=15, b=2, rho=0.3),
+    BasbmParams(n=300, a=20, b=2, rho=0.5),
+    CbsbmParams(n=300, a=8, xi=0.05),
+    GssbmParams(n=200, a=30, b=2, rhos=(0.3, 0.3, 0.3)),
+    GssbmParams(n=300, a=40, b=2, rhos=(0.3, 0.3, 0.3)),
+], ids=["basbm-cutover", "basbm", "cbsbm", "gssbm-200", "gssbm-300"])
+def test_top_eigenpairs_match_the_full_decomposition(params, monkeypatch):
+    for seed in range(3):
+        m, r = spectral_data(params, seed)
+        want = eig_sorted(m)
+        with monkeypatch.context() as patch:
+            krylov_only(patch)
+            got = top_eigenpairs(m, r)
+        assert_same_pairs(got, want)
+
+
+def with_spectrum(extremes) -> np.ndarray:
+    """A symmetric n = 200 matrix with the eigenvalues ``extremes`` and a
+    bulk in [-5, 5]."""
+    n = 200
+    rng = np.random.default_rng(6)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    w = np.concatenate([rng.uniform(-5.0, 5.0, n - len(extremes)), extremes])
+    m = (q * w) @ q.T
+    return (m + m.T) / 2.0
+
+
+def test_top_eigenpairs_are_the_algebraically_largest(monkeypatch):
+    # the largest-magnitude eigenvalue, -60, is the most negative one
+    m = with_spectrum([-60.0, 20.0, 30.0])
+    want = eig_sorted(m)
+    krylov_only(monkeypatch)
+    vecs, vals = top_eigenpairs(m, 2)
+    assert np.allclose(vals, [20.0, 30.0], rtol=1e-10, atol=0)
+    assert_same_pairs((vecs, vals), want)
+
+
+@pytest.mark.parametrize("m, r", [
+    # the top two eigenvalues 1e-9 apart: the returned vector is not
+    # determined to the angle tolerance
+    (with_spectrum([30.0 - 1e-9, 30.0]), 1),
+    # no planted structure: the top of a Wigner matrix is the bulk edge,
+    # with gaps too small to resolve within the basis cap
+    (sample_symmetric(300, 8), 1),
+    (sample_symmetric(300, 9), 3),
+    # a sub-threshold basbm data matrix
+    (spectral_data(BasbmParams(n=300, a=3, b=2, rho=0.5), 0)[0], 1),
+], ids=["near-degenerate", "wigner-r1", "wigner-r3", "basbm-subthreshold"])
+def test_top_eigenpairs_fall_back_to_the_full_decomposition(m, r):
+    vecs, vals = top_eigenpairs(m, r)
+    evecs, evals = eig_sorted(m)
+    assert vecs.tobytes() == evecs[:, -r:].tobytes()
+    assert vals.tobytes() == evals[-r:].tobytes()
+
+
+def test_top_eigenpairs_converge_past_a_separated_pair(monkeypatch):
+    # the same spectrum with a gap of 1 is resolved without falling back
+    m = with_spectrum([29.0, 30.0])
+    krylov_only(monkeypatch)
+    vecs, vals = top_eigenpairs(m, 1)
+    assert np.allclose(vals, [30.0], rtol=1e-10, atol=0)
+
+
+def test_top_eigenpairs_are_bit_deterministic():
+    m, r = spectral_data(GssbmParams(n=300, a=40, b=2, rhos=(0.3, 0.3, 0.3)), 1)
+    other, _ = spectral_data(BasbmParams(n=300, a=20, b=2, rho=0.3), 1)
+    first = top_eigenpairs(m, r)
+    top_eigenpairs(other, 1)
+    again = top_eigenpairs(m.copy(), r)
+    for a, b in zip(first, again):
+        assert a.tobytes() == b.tobytes()
