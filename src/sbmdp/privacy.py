@@ -107,9 +107,10 @@ Estimator = Callable[[Sequence[Graph]], Iterable[tuple[int, Optional[np.ndarray]
 
 # The search feeds each level to the estimator in chunks of at most
 # SEARCH_CHUNK_ENTRIES // n^2 graphs, at least one. Measured per member
-# and ADMM iteration on 2 vCPUs (Intel Xeon, one BLAS thread): 100 us alone
-# against 12 us in a stack of 64 at n = 6, 190 against 90 us in a stack of
-# 8 at n = 24, and no steady gain from n = 64 on, where a chunk is one graph.
+# and ADMM iteration on 2 vCPUs (Intel Xeon, one BLAS thread, best of 4-40
+# runs, checkpoints included): 64 us alone against 11 us in a stack of 64
+# at n = 6, 144 against 115 us in a stack of 8 at n = 24, and no steady
+# gain from n = 64 on (774 us alone or in a pair), where a chunk is one graph.
 SEARCH_CHUNK_ENTRIES = 8000
 
 

@@ -23,29 +23,33 @@ solution carries the candidate's labels, so recovery rounds only
 uncertified ones.
 
 The spectral estimate reads only the top one (binary) or r (general)
-eigenpairs. From ``KRYLOV_MIN_N`` vertices on they come from block Krylov
-iteration (``spectral.top_eigenpairs``), below it from one full
-eigendecomposition per batch. The two agree to about 1e-10, far inside
-the rounding thresholds, so they round to the same candidate. Were the
-candidates ever to differ, a certified one would still be the unique
-optimum, and ADMM starts from the identity, not from the candidate.
+eigenpairs. From ``KRYLOV_MIN_N`` vertices on (``KRYLOV_MIN_N_GENERAL`` for
+gssbm) they come from block Krylov iteration (``spectral.top_eigenpairs``),
+below it from one full eigendecomposition per batch. The two agree to
+about 1e-10, far inside the rounding thresholds, so they round to the same
+candidate. Were the candidates ever to differ, a certified one would still
+be the unique optimum, and ADMM starts from the identity, not from the
+candidate.
 
 There is one solver loop, :func:`solve_many`; :func:`solve` is its batch
 of one. Problems of one variant and size run as one ``(B, n, n)`` stack in
 lockstep, which pays the per-iteration Python overhead of small problems
-once per batch. Nothing is shared between members: each keeps its own step
-size, residuals, step-size changes and checkpoint candidates, every norm
-and sum is reduced per matrix exactly as for one matrix, and a member
-leaves the stack when it finishes. Each result is therefore bit for bit
-the one-problem solve, whatever else is in the batch, which the privacy
-search relies on.
+once per batch: at n = 6 an iteration takes about 60 us alone and 11 us
+per member in a stack of 64 (one core, checkpoints included). Nothing is
+shared between members: each keeps its own step size, residuals,
+step-size changes and checkpoint candidates, every norm and sum is reduced
+per matrix exactly as for one matrix, and a member leaves the stack when
+it finishes. Each result is therefore bit for bit the one-problem solve,
+whatever else is in the batch, which the privacy search relies on. Within
+one call, each candidate's certificate verdict is kept, so an iterate that
+rounds to the same candidate at a later checkpoint is not tested again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -83,12 +87,17 @@ from .spectral import (
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
 
-# Groups of at least this size get their spectral candidates from
-# spectral.top_eigenpairs, one matrix at a time; smaller ones from one batched
-# eig_sorted. The two break even near n = 128 on one core: there the full
-# eigh takes 2.0-2.4 ms and block Krylov 1.4-2.9 ms (gssbm the slowest),
-# at n = 300 12-14 ms against 3.2-4.5 ms.
+# Binary groups of at least KRYLOV_MIN_N vertices, and gssbm groups of at
+# least KRYLOV_MIN_N_GENERAL, get their spectral candidates from
+# spectral.top_eigenpairs, one matrix at a time; smaller ones from one
+# batched eig_sorted. Each is where the two break even on one core (median
+# over 3 seeds). Binary: at n = 128 the full eigh takes 2.0-2.7 ms and block
+# Krylov 1.4-1.9 ms; at n = 300 12-14 ms against 3.2-4.5 ms. gssbm grows
+# blocks of r + 1 columns and so breaks even later: at r = 3 and n = 128,
+# 144, 152, 160 the eigh took 2.7, 3.7, 4.4, 4.6 ms and Krylov 3.8, 4.6,
+# 4.7, 3.6 ms; r = 2 crossed near n = 150.
 KRYLOV_MIN_N = 128
+KRYLOV_MIN_N_GENERAL = 160
 
 
 @dataclass(frozen=True)
@@ -183,7 +192,7 @@ def _project(variant: str, m: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Each matrix of a stack projected onto its variant's constraint set.
 
     ``targets`` holds one row of right-hand sides per matrix (see
-    :func:`_admm`).
+    :func:`_admm`). The binary projections overwrite ``m``.
     """
     if variant == BASBM:
         return _project_basbm(m, targets[:, 0])
@@ -199,28 +208,29 @@ def _diagonal(m: np.ndarray) -> np.ndarray:
 
 
 def _project_basbm(m: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Exact projection of each matrix onto {diag = 1, <J, Y> = mass}.
+    """Exact projection of each matrix onto {diag = 1, <J, Y> = mass},
+    written over ``m``, which is returned.
 
     The diagonal and the uniform off-diagonal shift are orthogonal
     directions, so the two constraints project independently: the shift is
     added everywhere and the diagonal reset afterwards.
     """
     n = m.shape[-1]
-    p = m.copy()
-    diag = _diagonal(p)
+    diag = _diagonal(m)
     diag[...] = 1.0
     off_count = n * n - n
     if off_count:
-        off_sum = p.sum(axis=(1, 2)) - n
-        p += ((mass - n - off_sum) / off_count)[:, None, None]
+        off_sum = m.sum(axis=(1, 2)) - n
+        m += ((mass - n - off_sum) / off_count)[:, None, None]
         diag[...] = 1.0
-    return p
+    return m
 
 
 def _project_diag_one(m: np.ndarray) -> np.ndarray:
-    p = m.copy()
-    _diagonal(p)[...] = 1.0
-    return p
+    """Each matrix with its diagonal set to one, written over ``m``, which
+    is returned."""
+    _diagonal(m)[...] = 1.0
+    return m
 
 
 def _project_box_sum(v: np.ndarray, lo: float, hi: float, s: float) -> np.ndarray:
@@ -368,17 +378,15 @@ def _binary_candidates(v: np.ndarray, k: int | None) -> list[np.ndarray]:
     Entries are quantized at 1e-9 relative before ranking so exact ties in
     the eigenvector break by lowest index rather than by rounding jitter.
     """
-    n = v.size
     scale = max(float(np.abs(v).max()), 1e-300)
+    quantized = np.round(v / scale * 1e9)  # that of -v is exactly its negation
     out = []
-    for vec in (v, -v):
-        quantized = np.round(vec / scale * 1e9)
+    for q in (quantized, -quantized):
         if k is None:
-            sig = np.where(quantized >= 0, 1.0, -1.0)
+            sig = np.where(q >= 0, 1.0, -1.0)
         else:
-            order = np.lexsort((np.arange(n), -quantized))
-            sig = -np.ones(n)
-            sig[order[:k]] = 1.0
+            sig = np.full(v.size, -1.0)
+            sig[np.argsort(-q, kind="stable")[:k]] = 1.0
         out.append(sig)
     return out
 
@@ -424,20 +432,16 @@ def _extract_general(x: np.ndarray, sizes: np.ndarray) -> Optional[np.ndarray]:
 
 def _candidate_from_iterate(
     prob: SdpProblem, eigvecs: np.ndarray, eigvals: np.ndarray
-) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """(cluster matrix, discrete labels) rounded from ascending eigenpairs."""
+) -> Optional[np.ndarray]:
+    """Discrete labels rounded from ascending eigenpairs; None if malformed."""
     if eigvals[-1] <= 0:
-        return None, None
+        return None
     if prob.variant == GSSBM:
         pos = eigvals > 0
         x = (eigvecs[:, pos] * eigvals[pos]) @ eigvecs[:, pos].T
-        labels = _extract_general(x, np.array(prob.sizes))
-        if labels is None:
-            return None, None
-    else:
-        labels = _best_binary_candidate(prob.a_dense, eigvecs[:, -1],
-                                        prob.first_cluster_size)
-    return assignment_to_cluster_matrix(prob.variant, labels), labels
+        return _extract_general(x, np.array(prob.sizes))
+    return _best_binary_candidate(prob.a_dense, eigvecs[:, -1],
+                                  prob.first_cluster_size)
 
 
 def _spectral_matrix(prob: SdpProblem) -> np.ndarray:
@@ -459,20 +463,22 @@ def _spectral_pairs(probs: list[SdpProblem]) -> Iterable[tuple[np.ndarray, np.nd
     """(eigenvectors, ascending eigenvalues) of each problem's
     :func:`_spectral_matrix`, for problems of one variant and size.
 
-    Below ``KRYLOV_MIN_N`` that is the full spectrum, from one batched
-    eigendecomposition; from there on only the trailing
+    Below the variant's cut-over (``KRYLOV_MIN_N``, or
+    ``KRYLOV_MIN_N_GENERAL`` for gssbm) that is the full spectrum, from one
+    batched eigendecomposition; from there on only the trailing
     :func:`_spectral_rank` pairs, by block Krylov.
     """
-    if probs[0].n < KRYLOV_MIN_N:
+    cutover = KRYLOV_MIN_N_GENERAL if probs[0].variant == GSSBM else KRYLOV_MIN_N
+    if probs[0].n < cutover:
         return zip(*eig_sorted(np.stack([_spectral_matrix(p) for p in probs])))
     return (top_eigenpairs(_spectral_matrix(p), _spectral_rank(p)) for p in probs)
 
 
 def _spectral_candidate(
     prob: SdpProblem, evecs: np.ndarray, evals: np.ndarray
-) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """(cluster matrix, discrete labels) rounded from trailing eigenpairs of
-    :func:`_spectral_matrix`.
+) -> Optional[np.ndarray]:
+    """Discrete labels rounded from trailing eigenpairs of
+    :func:`_spectral_matrix`; None if malformed.
 
     gssbm rescales its top-r eigenpairs so that the member diagonal of the
     rank-r reconstruction is about 1, the scale the 1/2 threshold of the
@@ -484,13 +490,13 @@ def _spectral_candidate(
         diag = np.sort((evecs ** 2) @ evals)
         scale = float(diag[-sum(prob.sizes):].mean())
         if not scale > 0:
-            return None, None
+            return None
         evals = evals / scale
     return _candidate_from_iterate(prob, evecs, evals)
 
 
-def _certified_solution(prob: SdpProblem, cand: np.ndarray, labels: np.ndarray,
-                        it: int) -> SdpSolution:
+def _certified_solution(prob: SdpProblem, labels: np.ndarray, it: int) -> SdpSolution:
+    cand = assignment_to_cluster_matrix(prob.variant, labels)
     return SdpSolution(problem=prob, matrix=cand, objective=prob.objective(cand),
                        primal_residual=0.0, dual_residual=0.0,
                        iterations=it, status=CONVERGED, certified=True,
@@ -499,19 +505,22 @@ def _certified_solution(prob: SdpProblem, cand: np.ndarray, labels: np.ndarray,
 
 def _uncertified_solution(prob: SdpProblem, x: np.ndarray, y: np.ndarray,
                           primal: float, dual: float, it: int,
-                          best_candidate: Optional[np.ndarray],
+                          best_labels: Optional[np.ndarray],
                           tol: float) -> SdpSolution:
     """The final iterate, or an exactly-feasible rounded candidate (vertex
-    polish) when that scores at least as well."""
+    polish) when that scores at least as well. The candidate is rounded
+    from ``x``, or else is the last checkpoint's, ``best_labels``."""
     status = CONVERGED if (primal < tol and dual < tol) else MAX_ITERS
     matrix = y.copy()
     objective = prob.objective(y)
-    cand, _ = _candidate_from_iterate(prob, *eig_sorted(x))
-    if cand is None:
-        cand = best_candidate
-    if cand is not None and prob.objective(cand) >= objective:
-        matrix = cand
-        objective = prob.objective(cand)
+    labels = _candidate_from_iterate(prob, *eig_sorted(x))
+    if labels is None:
+        labels = best_labels
+    if labels is not None:
+        cand = assignment_to_cluster_matrix(prob.variant, labels)
+        if prob.objective(cand) >= objective:
+            matrix = cand
+            objective = prob.objective(cand)
     return SdpSolution(problem=prob, matrix=matrix, objective=objective,
                        primal_residual=float(primal), dual_residual=float(dual),
                        iterations=it, status=status, certified=False)
@@ -531,8 +540,9 @@ def _fro_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
 
 
-def _admm(probs: list[SdpProblem], members: list[int],
-          opts: SolveOptions) -> Iterator[tuple[int, SdpSolution]]:
+def _admm(probs: list[SdpProblem], members: list[int], opts: SolveOptions,
+          certifies: Callable[[int, np.ndarray], bool],
+          ) -> Iterator[tuple[int, SdpSolution]]:
     """Lockstep projection splitting over problems of one variant and size.
 
     Yields (position in ``probs``, solution) for each member as it
@@ -540,7 +550,8 @@ def _admm(probs: list[SdpProblem], members: list[int],
     drops it from the stack. Every member keeps its own step size t and
     bracket, residuals, step-size changes, checkpoint candidate and best
     candidate, and every reduction runs per matrix, so each member's
-    iterates are bit for bit those of its solve alone.
+    iterates are bit for bit those of its solve alone. ``certifies(i,
+    labels)`` is the verdict of :func:`_certify_candidate` on ``probs[i]``.
     """
     stacked = [probs[i] for i in members]
     variant, n = stacked[0].variant, stacked[0].n
@@ -558,6 +569,7 @@ def _admm(probs: list[SdpProblem], members: list[int],
 
     t = np.array([max(float(np.linalg.norm(p.a_dense, 2)), 1e-3) for p in stacked])
     t_lo, t_hi = t / 16.0, t * 16.0
+    data = a / t[:, None, None]  # the data term, recomputed when t changes
     u = np.zeros_like(a)
     x = y
     primal = dual = np.full(len(stacked), math.inf)
@@ -568,42 +580,48 @@ def _admm(probs: list[SdpProblem], members: list[int],
     for it in range(1, opts.max_iters + 1):
         x, evecs, evals = psd_project(y - u)
         y_old = y
-        y = _project(variant, x + u + a / t[:, None, None], targets)
+        y = x + u  # a new array, which the projection overwrites
+        y += data
+        y = _project(variant, y, targets)
         gap = x - y
-        u = u + gap
+        u += gap
 
-        scale = np.maximum(np.maximum(1.0, _fro_norms(x)), _fro_norms(y))
-        primal = _fro_norms(gap) / scale
-        dual = t * _fro_norms(y - y_old) / scale
-        done = (primal < tol) & (dual < tol)
-        if done.any():
-            for b in np.flatnonzero(done):
-                yield int(pos[b]), _uncertified_solution(
-                    probs[pos[b]], x[b], y[b], primal[b], dual[b], it, best[b], tol)
+        # the norms of x, y, gap and t * (y - y_old), every member in one call
+        norms = _fro_norms(np.concatenate((x, y, gap, y - y_old))).reshape(4, -1)
+        norms[3] *= t
+        scale = np.maximum(np.maximum(1.0, norms[0]), norms[1])
+        primal, dual = norms[2:] / scale
+        done = np.maximum(primal, dual) < tol
+        for b in done.nonzero()[0]:
+            yield int(pos[b]), _uncertified_solution(
+                probs[pos[b]], x[b], y[b], primal[b], dual[b], it, best[b], tol)
 
         if every and it % every == 0:
-            for b in np.flatnonzero(~done):
-                prob = probs[pos[b]]
-                cand, labels = _candidate_from_iterate(prob, evecs[b], evals[b])
-                if cand is not None:
-                    best[b] = cand
-                    if _certify_candidate(prob, labels):
+            for b in (~done).nonzero()[0]:
+                i = int(pos[b])
+                labels = _candidate_from_iterate(probs[i], evecs[b], evals[b])
+                if labels is not None:
+                    best[b] = labels
+                    if certifies(i, labels):
                         done[b] = True
-                        yield int(pos[b]), _certified_solution(prob, cand, labels, it)
+                        yield i, _certified_solution(probs[i], labels, it)
 
         if it >= 200 and it % 100 == 0:
             up = (primal > 10 * dual) & (t < t_hi)
             down = ~up & (dual > 10 * primal) & (t > t_lo)
-            t = np.where(up, t * 2.0, np.where(down, t / 2.0, t))
-            u[up] /= 2.0
-            u[down] *= 2.0
+            if up.any() or down.any():
+                t = np.where(up, t * 2.0, np.where(down, t / 2.0, t))
+                data = a / t[:, None, None]
+                u[up] /= 2.0
+                u[down] *= 2.0
 
-        if done.any():
-            if done.all():
+        leaving = np.count_nonzero(done)
+        if leaving:
+            if leaving == done.size:
                 return
             live = ~done
-            pos, a, targets, t, t_lo, t_hi, x, y, u, primal, dual, best = (
-                v[live] for v in (pos, a, targets, t, t_lo, t_hi, x, y, u,
+            pos, a, data, targets, t, t_lo, t_hi, x, y, u, primal, dual, best = (
+                v[live] for v in (pos, a, data, targets, t, t_lo, t_hi, x, y, u,
                                   primal, dual, best))
 
     for b, i in enumerate(pos):
@@ -623,8 +641,21 @@ def solve_many(probs: Iterable[SdpProblem], opts: SolveOptions = SolveOptions(),
     alone, whatever else is in the batch. A group is held in memory as
     a few stacks of its size, so callers bound their batches (the distance
     search does, by ``privacy.SEARCH_CHUNK_ENTRIES``).
+
+    :func:`_certify_candidate` is a function of the problem and the labels
+    alone, so each (problem, candidate) pair is tested once per call: an
+    uncertified iterate often rounds to the same candidate checkpoint after
+    checkpoint.
     """
     probs = list(probs)
+    verdicts: dict[tuple[int, bytes], bool] = {}
+
+    def certifies(i: int, labels: np.ndarray) -> bool:
+        key = (i, labels.tobytes())
+        if key not in verdicts:
+            verdicts[key] = _certify_candidate(probs[i], labels)
+        return verdicts[key]
+
     groups: dict[tuple[str, int], list[int]] = {}
     for i, prob in enumerate(probs):
         groups.setdefault((prob.variant, prob.n), []).append(i)
@@ -634,16 +665,16 @@ def solve_many(probs: Iterable[SdpProblem], opts: SolveOptions = SolveOptions(),
             rest = []
             pairs = _spectral_pairs([probs[i] for i in members])
             for i, (vecs, vals) in zip(members, pairs):
-                cand, labels = _spectral_candidate(probs[i], vecs, vals)
-                if cand is not None and _certify_candidate(probs[i], labels):
-                    yield i, _certified_solution(probs[i], cand, labels, 0)
+                labels = _spectral_candidate(probs[i], vecs, vals)
+                if labels is not None and certifies(i, labels):
+                    yield i, _certified_solution(probs[i], labels, 0)
                 else:
                     rest.append(i)
             members = rest
         if members:
             uncertified.append(members)
     for members in uncertified:
-        yield from _admm(probs, members, opts)
+        yield from _admm(probs, members, opts, certifies)
 
 
 def solve(prob: SdpProblem, opts: SolveOptions = SolveOptions()) -> SdpSolution:

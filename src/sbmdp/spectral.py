@@ -102,7 +102,9 @@ def psd_project(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     evecs, evals = eig_sorted(m)
     n = evals.shape[-1]
-    k = int((evals > 0).sum(axis=-1).max(initial=0))
+    # the columns where some matrix has a positive eigenvalue: as each
+    # matrix's eigenvalues ascend, they are the trailing k
+    k = np.count_nonzero((evals > 0).any(axis=tuple(range(evals.ndim - 1))))
     cols = evecs[..., n - k:]
     weighted = cols * np.maximum(evals[..., None, n - k:], 0.0)
     return weighted @ cols.swapaxes(-1, -2), evecs, evals

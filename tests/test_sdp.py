@@ -25,6 +25,7 @@ from sbmdp.models import (
 from sbmdp import sdp
 from sbmdp.sdp import (
     KRYLOV_MIN_N,
+    KRYLOV_MIN_N_GENERAL,
     SdpSolution,
     SolveOptions,
     basbm_problem,
@@ -172,6 +173,34 @@ def test_round_binary_tie_break_and_degenerate():
         round_binary(make_solution(prob, np.eye(6)), rho=0.5)
 
 
+def lexsort_binary_candidates(v, k):
+    """Reference rounding: each sign quantized on its own, ranked by lexsort."""
+    n = v.size
+    scale = max(float(np.abs(v).max()), 1e-300)
+    out = []
+    for vec in (v, -v):
+        quantized = np.round(vec / scale * 1e9)
+        if k is None:
+            sig = np.where(quantized >= 0, 1.0, -1.0)
+        else:
+            sig = -np.ones(n)
+            sig[np.lexsort((np.arange(n), -quantized))[:k]] = 1.0
+        out.append(sig)
+    return out
+
+
+@given(n=st.integers(1, 40), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_binary_candidates_match_the_lexsort_ranking(n, data):
+    # ties, signed zeros and sub-quantum entries all rank as in the reference
+    v = np.array(data.draw(st.lists(st.sampled_from(
+        [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-12, -1e-12, 0.3, 1 / 3]),
+        min_size=n, max_size=n)))
+    k = data.draw(st.integers(0, n) | st.none())
+    for got, want in zip(sdp._binary_candidates(v, k), lexsort_binary_candidates(v, k)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_round_binary_sign_invariance():
     params = BasbmParams(n=20, a=4, b=1, rho=0.5)
     g, gt = generate(params, 6)
@@ -309,10 +338,9 @@ def test_krylov_and_full_spectra_give_the_same_candidate(params, seeds):
         full = sdp._spectral_candidate(prob, *eig_sorted(m))
         krylov = sdp._spectral_candidate(
             prob, *top_eigenpairs(m, sdp._spectral_rank(prob)))
-        for got, want in zip(krylov, full):
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert got.tobytes() == want.tobytes()
+        assert (krylov is None) == (full is None)
+        if full is not None:
+            assert krylov.tobytes() == full.tobytes()
 
 
 def test_spectral_stage_switches_to_krylov_at_the_cutover(monkeypatch):
@@ -328,9 +356,12 @@ def test_spectral_stage_switches_to_krylov_at_the_cutover(monkeypatch):
         params = BasbmParams(n=n, a=20, b=2, rho=0.5)
         sol = solve(problem_from_graph(generate(params, 0)[0], params))
         assert sol.certified and sol.iterations == 0
-    params = GssbmParams(n=KRYLOV_MIN_N, a=20, b=2, rhos=(0.3, 0.3))
-    solve(problem_from_graph(generate(params, 0)[0], params))
-    assert calls == [(KRYLOV_MIN_N, 1), (KRYLOV_MIN_N, 2)]
+    # gssbm has its own, later cut-over
+    for n in (KRYLOV_MIN_N, KRYLOV_MIN_N_GENERAL - 1, KRYLOV_MIN_N_GENERAL):
+        params = GssbmParams(n=n, a=20, b=2, rhos=(0.3, 0.3))
+        solve(problem_from_graph(generate(params, 0)[0], params),
+              SolveOptions(max_iters=1))
+    assert calls == [(KRYLOV_MIN_N, 1), (KRYLOV_MIN_N_GENERAL, 2)]
 
 
 def test_subthreshold_runs_admm():
@@ -442,8 +473,17 @@ def planted_problem(params, seed):
     return problem_from_graph(generate(params, seed)[0], params)
 
 
+# both change their step size at iteration 200; seed 9 then converges at
+# iteration 209 while seed 79 iterates on to 264 (found by a seed scan)
+LATE_LEAVER = BasbmParams(n=7, a=2.5, b=1.0, rho=0.5)
+
+
 def anchor_problems():
-    """Problems that leave the stack in every way there is, under BATCH_OPTS."""
+    """Problems that leave the stack in every way there is, under BATCH_OPTS.
+
+    The last two leave one after the other, after a step-size change, so the
+    stack drops a member whose cached data term a / t was recomputed.
+    """
     return [
         planted_problem(BasbmParams(n=5, a=2.5, b=1.0, rho=0.5), 0),  # spectral
         cbsbm_problem(CHECKPOINT_CERTIFIED),                           # checkpoint
@@ -451,6 +491,8 @@ def anchor_problems():
         planted_problem(CbsbmParams(n=5, a=2.0, xi=0.2), 2),           # converged
         planted_problem(GssbmParams(n=5, a=3.0, b=1.0, rhos=(0.3, 0.3)), 0),
         planted_problem(BasbmParams(n=6, a=2.5, b=1.0, rho=0.5), 0),  # max_iters
+        planted_problem(LATE_LEAVER, 9),                               # converged
+        planted_problem(LATE_LEAVER, 79),                              # converged
     ]
 
 
@@ -479,6 +521,7 @@ def test_solve_many_matches_each_solve_alone(extra, data):
     alone = [solve(p, BATCH_OPTS) for p in probs]
     assert {finish(sol) for sol in alone[:6]} == {
         "spectral", "checkpoint", "converged", "max_iters"}
+    assert 200 < alone[6].iterations < alone[7].iterations < 300
 
     order = data.draw(st.permutations(range(len(probs))))
     cut = data.draw(st.integers(0, len(probs)))
@@ -494,3 +537,31 @@ def test_solve_many_matches_each_solve_alone(extra, data):
     # certified spectral candidates come out before any ADMM member
     kinds = [finish(sol) == "spectral" for _, sol in batched]
     assert kinds == sorted(kinds, reverse=True)
+
+
+def test_each_candidate_is_certified_once(monkeypatch):
+    # sub-threshold: rounds to a candidate at every checkpoint and never certifies
+    opts = SolveOptions(tol=1e-5, max_iters=300, certify_every=25)
+    prob = planted_problem(BasbmParams(n=6, a=2.5, b=1.0, rho=0.5), 0)
+    want = solve(prob, opts)
+    rounded, tested = [], []
+    real_round, real_certify = sdp._candidate_from_iterate, sdp._certify_candidate
+
+    def rounding(*args):
+        labels = real_round(*args)
+        if labels is not None:
+            rounded.append(labels.tobytes())
+        return labels
+
+    def certifying(p, labels):
+        tested.append(labels.tobytes())
+        return real_certify(p, labels)
+
+    monkeypatch.setattr(sdp, "_candidate_from_iterate", rounding)
+    monkeypatch.setattr(sdp, "_certify_candidate", certifying)
+    assert_same_solution(solve(prob, opts), want)
+    assert not want.certified and want.iterations == 300
+    # the spectral candidate and 12 checkpoints, then the untested polish
+    assert len(rounded) == 14
+    assert sorted(tested) == sorted(set(rounded[:-1]))
+    assert len(tested) < 13
