@@ -79,6 +79,7 @@ from .spectral import (
     DEFAULT_TOLS,
     as_symmetric,
     eig_sorted,
+    norm_estimate,
     psd_project,
     spectral_norm,
     top_eigenpairs,
@@ -95,7 +96,11 @@ MAX_ITERS = "max_iters"
 # Krylov 1.4-1.9 ms; at n = 300 12-14 ms against 3.2-4.5 ms. gssbm grows
 # blocks of r + 1 columns and so breaks even later: at r = 3 and n = 128,
 # 144, 152, 160 the eigh took 2.7, 3.7, 4.4, 4.6 ms and Krylov 3.8, 4.6,
-# 4.7, 3.6 ms; r = 2 crossed near n = 150.
+# 4.7, 3.6 ms; r = 2 crossed near n = 150. From KRYLOV_MIN_N_GENERAL on,
+# the gssbm gate also takes its eta from spectral.norm_estimate instead of
+# spectral_norm: on the gate matrices of gssbm rhos 0.3x3, Lanczos against
+# eigvalsh took 0.86 against 1.22 ms at n = 160, 1.24 against 2.05 ms at
+# n = 200 and 2.28 against 4.70 ms at n = 300 (same measure).
 KRYLOV_MIN_N = 128
 KRYLOV_MIN_N_GENERAL = 160
 
@@ -305,10 +310,16 @@ def _general_multipliers(
     """(lambda, eta) from a general candidate's own rates; None if undefined.
 
     eta is the spectral deviation of A from the expectation under the
-    candidate's empirical rates. lambda may be any value in the exact
-    interval that keeps the diagonal corrections positive and the
-    cross-cluster prices nonnegative; both endpoints are closed-form in
-    the candidate's edge counts, and the midpoint is taken.
+    candidate's empirical rates: exact below ``KRYLOV_MIN_N_GENERAL``
+    vertices, and from there on the Lanczos estimate
+    ``spectral.norm_estimate``, which is at most the norm up to rounding
+    and within 1e-10 of it on the gate matrices tested. Either way eta is
+    only a multiplier: ``verify_general`` checks the whole certificate
+    built with it, so a certification never rests on the estimate.
+    lambda may be any value in the exact interval that keeps the diagonal
+    corrections positive and the cross-cluster prices nonnegative; both
+    endpoints are closed-form in the candidate's edge counts, and the
+    midpoint is taken.
     """
     same = same_cluster(assign)
     rates = _empirical_rates(a_dense, same)
@@ -316,7 +327,11 @@ def _general_multipliers(
         return None
     expected = np.where(same, *rates)
     np.fill_diagonal(expected, 0.0)
-    eta = spectral_norm(a_dense - expected)
+    deviation = a_dense - expected
+    if a_dense.shape[0] < KRYLOV_MIN_N_GENERAL:
+        eta = spectral_norm(deviation)
+    else:
+        eta = norm_estimate(deviation)
 
     e_counts, pair_counts = cluster_edge_counts(a_dense, assign)
     ksz = sizes.astype(np.float64)

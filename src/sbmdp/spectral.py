@@ -6,14 +6,19 @@ and asymmetry above ``Tolerances.symmetry``. :func:`eig_sorted` and
 they symmetrise their input and run on every iteration. Both take one
 matrix or a stack of same-size matrices, so that the solver has a single
 eigen/PSD step however many problems it runs in lockstep, and both run a
-full dense eigendecomposition. :func:`top_eigenpairs` computes only the
-few algebraically largest eigenpairs of one matrix by block Krylov
-iteration, and falls back to :func:`eig_sorted` when it cannot vouch for
-them; the solver's spectral candidate at large n reads nothing else.
+full dense eigendecomposition. :func:`spectral_norm` is the exact norm,
+from one full ``eigvalsh``. Two Krylov routines read only part of a
+spectrum and fall back to those full decompositions when they cannot vouch
+for the part: :func:`top_eigenpairs` computes the few algebraically
+largest eigenpairs of one matrix by block Krylov iteration, and the
+solver's spectral candidate at large n reads nothing else;
+:func:`norm_estimate` estimates the norm by Lanczos, for the multiplier eta
+of the solver's general certificate gate at large n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +36,14 @@ class Tolerances:
     z_threshold: float = 0.5         # same-cluster threshold for 0/1 matrices
     krylov_residual: float = 1e-10   # top_eigenpairs: ||Mv - theta v|| / max(|theta|, 1)
     krylov_angle: float = 1e-8       # top_eigenpairs: residual / Ritz gap
+    krylov_norm: float = 1e-10       # norm_estimate: change between checks, relative
 
 
 DEFAULT_TOLS = Tolerances()
 
-# top_eigenpairs: the most basis columns before it falls back to
-# eig_sorted, and the seed of its start block, which therefore depends on
-# the shape alone and never on another matrix
+# top_eigenpairs and norm_estimate: the most basis columns before they fall
+# back to the full decomposition, and the seed of their start, which
+# therefore depends on the shape alone and never on another matrix
 KRYLOV_MAX_BASIS = 96
 _KRYLOV_SEED = 0x5B3D
 
@@ -71,8 +77,10 @@ def spectral_norm(m: np.ndarray) -> float:
 
     Skips :func:`as_symmetric`'s validation, as the solver's eigen steps
     do: every caller passes the difference of two validated, exactly
-    symmetric matrices, once per concentration check and general
-    certificate.
+    symmetric matrices. It is the exact norm of the concentration check
+    and the diagnostics' general certificate, and the solver's gate eta
+    below ``sdp.KRYLOV_MIN_N_GENERAL`` vertices (:func:`norm_estimate`
+    from there on).
     """
     if m.shape[0] == 0:
         return 0.0
@@ -168,3 +176,57 @@ def top_eigenpairs(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
             break  # Q spans an invariant subspace and cannot grow
     evecs, evals = eig_sorted(m)
     return evecs[:, -r:], evals[-r:]
+
+
+def norm_estimate(m: np.ndarray) -> float:
+    """Largest absolute eigenvalue of one exactly symmetric matrix, by Lanczos.
+
+    Single-vector Lanczos with full reorthogonalisation (every new vector
+    is orthogonalised twice against the whole basis), from a unit start
+    vector drawn from a fixed seed, so each call is a deterministic
+    function of ``m``. The Ritz values are the eigenvalues of the
+    tridiagonal projection T; from 24 basis vectors on, and then after
+    every 8th, the estimate is the larger of |theta_min| and |theta_max|,
+    as the most negative eigenvalue is often the larger in magnitude. It is
+    returned once it changed by at most ``Tolerances.krylov_norm``
+    relative since the previous check. Ritz values lie between the extreme
+    eigenvalues, so the estimate never exceeds the norm (up to rounding);
+    Lanczos from a random start finds the extreme eigenvalues fast
+    (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 1992).
+
+    When that has not happened within ``KRYLOV_MAX_BASIS`` basis vectors,
+    or the basis stops growing (a new vector shorter than
+    ``Tolerances.krylov_residual`` times the image it came from: the basis
+    spans an invariant subspace, which may miss the extreme eigenvalue),
+    the result is :func:`spectral_norm`'s, bit for bit.
+    """
+    tols = DEFAULT_TOLS
+    n = m.shape[0]
+    cap = min(KRYLOV_MAX_BASIS, n)
+    basis = np.empty((cap, n))
+    t = np.zeros((cap, cap))  # T, lower triangle
+    q = np.random.default_rng(_KRYLOV_SEED).standard_normal(n)
+    q /= math.sqrt(q @ q)
+    previous = -1.0
+    for k in range(1, cap + 1):
+        basis[k - 1] = q
+        w = m @ q
+        image = math.sqrt(w @ w)
+        qk = basis[:k]
+        c = qk @ w
+        w -= c @ qk
+        c2 = qk @ w
+        w -= c2 @ qk
+        t[k - 1, k - 1] = c[-1] + c2[-1]
+        if k >= 24 and k % 8 == 0:
+            theta = np.linalg.eigvalsh(t[:k, :k], UPLO="L")
+            estimate = float(max(-theta[0], theta[-1]))
+            if abs(estimate - previous) <= tols.krylov_norm * estimate:
+                return estimate
+            previous = estimate
+        beta = math.sqrt(w @ w)
+        if k == cap or not beta > tols.krylov_residual * image:
+            break
+        t[k, k - 1] = beta
+        q = w / beta
+    return spectral_norm(m)

@@ -364,6 +364,41 @@ def test_spectral_stage_switches_to_krylov_at_the_cutover(monkeypatch):
     assert calls == [(KRYLOV_MIN_N, 1), (KRYLOV_MIN_N_GENERAL, 2)]
 
 
+def record_calls(monkeypatch, owner, names, log):
+    """Wrap each ``owner.name`` so that it appends (name, first argument's
+    shape) to ``log`` before running."""
+    for name in names:
+        real = getattr(owner, name)
+
+        def recorded(m, *args, name=name, real=real, **kwargs):
+            log.append((name, m.shape))
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recorded)
+
+
+def test_gate_estimates_eta_from_the_cutover(monkeypatch):
+    calls = []
+    record_calls(monkeypatch, sdp, ("spectral_norm", "norm_estimate"), calls)
+    for n in (KRYLOV_MIN_N_GENERAL - 1, KRYLOV_MIN_N_GENERAL):
+        params = GssbmParams(n=n, a=30, b=2, rhos=(0.3, 0.3, 0.3))
+        sol = solve(problem_from_graph(generate(params, 0)[0], params))
+        assert sol.certified and sol.iterations == 0
+    m, m1 = KRYLOV_MIN_N_GENERAL, KRYLOV_MIN_N_GENERAL - 1
+    assert calls == [("spectral_norm", (m1, m1)), ("norm_estimate", (m, m))]
+
+
+def test_certified_gssbm_recover_runs_no_full_eigendecomposition(monkeypatch):
+    # the sweep setting: the candidate comes from block Krylov, eta from
+    # Lanczos and the certificate verdict from a Cholesky factorisation
+    calls = []
+    record_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh"), calls)
+    params = GssbmParams(n=300, a=40, b=2, rhos=(0.3, 0.3, 0.3))
+    res = recover(generate(params, 11)[0], params)
+    assert res.solution.certified and res.solution.iterations == 0
+    assert calls and all(shape[-1] < params.n for _, shape in calls)
+
+
 def test_subthreshold_runs_admm():
     params = BasbmParams(n=100, a=3, b=2, rho=0.5)
     g, _ = generate(params, 0)

@@ -4,10 +4,18 @@ import pytest
 from sbmdp import spectral
 from sbmdp.errors import NonFinite, NotSymmetric, ShapeMismatch
 from sbmdp.models import BasbmParams, CbsbmParams, GssbmParams, generate
-from sbmdp.sdp import KRYLOV_MIN_N, _spectral_matrix, _spectral_rank, problem_from_graph
+from sbmdp.models import same_cluster
+from sbmdp.sdp import (
+    KRYLOV_MIN_N,
+    _empirical_rates,
+    _spectral_matrix,
+    _spectral_rank,
+    problem_from_graph,
+)
 from sbmdp.spectral import (
     as_symmetric,
     eig_sorted,
+    norm_estimate,
     psd_project,
     spectral_norm,
     top_eigenpairs,
@@ -199,3 +207,103 @@ def test_top_eigenpairs_are_bit_deterministic():
     again = top_eigenpairs(m.copy(), r)
     for a, b in zip(first, again):
         assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# norm_estimate
+
+
+def gate_matrix(params, seed):
+    """A - E_hat of the solver's gssbm gate, E_hat from the planted
+    clustering's empirical rates."""
+    g, gt = generate(params, seed)
+    a = problem_from_graph(g, params).a_dense
+    same = same_cluster(gt.assignment)
+    expected = np.where(same, *_empirical_rates(a, same))
+    np.fill_diagonal(expected, 0.0)
+    return a - expected
+
+
+def count_fallbacks(monkeypatch):
+    """Record every spectral_norm call that norm_estimate falls back to."""
+    calls = []
+    real = spectral.spectral_norm
+
+    def counted(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(spectral, "spectral_norm", counted)
+    return calls
+
+
+def assert_estimates_norm(m, monkeypatch):
+    want = spectral_norm(m)
+    fallbacks = count_fallbacks(monkeypatch)
+    got = norm_estimate(m)
+    assert fallbacks == []
+    assert abs(got - want) <= 1e-10 * want
+    # Ritz values lie between the extreme eigenvalues
+    assert got <= want * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("params", [
+    GssbmParams(n=160, a=30, b=2, rhos=(0.3, 0.3, 0.3)),
+    GssbmParams(n=200, a=30, b=2, rhos=(0.3, 0.3, 0.3)),
+    GssbmParams(n=300, a=40, b=2, rhos=(0.3, 0.3, 0.3)),
+], ids=["gssbm-160", "gssbm-200", "gssbm-300"])
+def test_norm_estimate_matches_the_exact_norm_on_gate_matrices(params, monkeypatch):
+    for seed in range(3):
+        with monkeypatch.context() as patch:
+            assert_estimates_norm(gate_matrix(params, seed), patch)
+
+
+@pytest.mark.parametrize("m", [
+    with_spectrum([-60.0, 20.0, 30.0]),
+    sample_symmetric(200, 0) - 5.0 * np.eye(200),
+    sample_symmetric(200, 1) - 20.0 * np.eye(200),
+    -gate_matrix(GssbmParams(n=200, a=30, b=2, rhos=(0.3, 0.3, 0.3)), 2),
+], ids=["planted", "wigner-shift-5", "wigner-shift-20", "negated-gate"])
+def test_norm_estimate_reads_a_larger_negative_end(m, monkeypatch):
+    w = np.linalg.eigvalsh(m)
+    assert -w[0] > w[-1]
+    assert_estimates_norm(m, monkeypatch)
+
+
+@pytest.mark.parametrize("extremes", [
+    [-30.0, 30.0 - 1e-9], [-30.0 + 1e-9, 30.0], [-30.0, 30.0],
+], ids=["top-lower", "bottom-lower", "equal"])
+def test_norm_estimate_with_nearly_equal_ends(extremes, monkeypatch):
+    assert_estimates_norm(with_spectrum(extremes), monkeypatch)
+
+
+def rank_one(n):
+    u = np.random.default_rng(3).standard_normal(n)
+    return np.outer(u, u)
+
+
+@pytest.mark.parametrize("m", [
+    np.zeros((200, 200)), np.eye(200), rank_one(200),
+], ids=["zero", "identity", "rank-1"])
+def test_norm_estimate_falls_back_on_breakdown(m, monkeypatch):
+    want = spectral_norm(m)
+    fallbacks = count_fallbacks(monkeypatch)
+    assert norm_estimate(m).hex() == want.hex()
+    assert fallbacks == [m.shape]
+
+
+@pytest.mark.parametrize("cap", [16, 32])
+def test_norm_estimate_falls_back_at_the_basis_cap(cap, monkeypatch):
+    # at n = 300 the gate matrix needs more than 32 basis vectors
+    m = gate_matrix(GssbmParams(n=300, a=40, b=2, rhos=(0.3, 0.3, 0.3)), 0)
+    monkeypatch.setattr(spectral, "KRYLOV_MAX_BASIS", cap)
+    fallbacks = count_fallbacks(monkeypatch)
+    assert norm_estimate(m).hex() == spectral_norm(m).hex()
+    assert fallbacks == [m.shape]
+
+
+def test_norm_estimate_is_bit_deterministic():
+    m = gate_matrix(GssbmParams(n=300, a=40, b=2, rhos=(0.3, 0.3, 0.3)), 1)
+    first = norm_estimate(m)
+    norm_estimate(sample_symmetric(300, 4))
+    assert norm_estimate(m.copy()).hex() == first.hex()
