@@ -21,6 +21,16 @@ result with :func:`verify_binary` / :func:`verify_general`. A certificate
 carries the clustering it was built for, so it is always verified against
 those labels and no others.
 
+The general price matrix is one product of rank 2r+1 factors. With M the
+n x r member indicator (empty clusters dropped), F = E/K, Cbar =
+C/(K K^T) and G = (lam + M Cbar) - F, B = G M^T + lam*m o^T - M F^T, m
+and o marking members and outliers; the entries of G and F that would
+reach a pair within one part are zeroed. Each entry of the product adds
+at most two nonzero exact terms, so B is, bit for bit, the four cases
+((lam + Cbar) - F_i) - F_j, lam - F_i and lam - F_j taken in that order.
+S is lam - (B + A) in one buffer with diagonal ((d - A_ii) + eta) + lam:
+the bits of diag(d) - B - A + eta*I + lam*J, left to right, for lam != -0.0.
+
 The verdict is the eigenvalue rule: with tol = ``Tolerances.certificate``,
 w = eigvalsh(S), scale = max(|w_1|, |w_n|, 1) and r cluster vectors, S is
 valid when n > r, the kernel and slackness residuals are at most
@@ -77,7 +87,6 @@ from .models import (
     GroundTruth,
     GssbmParams,
     cluster_indicator,
-    same_cluster,
 )
 from .spectral import DEFAULT_TOLS
 
@@ -171,13 +180,15 @@ def _spectral_verdict(s: np.ndarray, basis: np.ndarray, residual: float,
     n, r = basis.shape
     tol = DEFAULT_TOLS.certificate
     if n >= CHOLESKY_MIN_N:
-        u = max(1.0, float(np.linalg.norm(s, np.inf)))
+        # |S| and then M share one buffer; U is np.linalg.norm(s, np.inf)
+        m = np.abs(s)
+        u = max(1.0, float(np.add.reduce(m, axis=1).max(initial=0)))
         if (max(residual, slackness) > 2.0 * tol * u
                 or s.diagonal().min(initial=0.0) < -2.0 * tol * u):
             return False
         if (n > r and residual <= tol / (4.0 * math.sqrt(n * max(r, 1)))
                 and slackness <= tol):
-            m = (basis * (u + 1.0)) @ basis.T
+            np.matmul(basis * (u + 1.0), basis.T, out=m)
             m += s
             m.flat[::n + 1] -= 2.0 * tol * u
             try:
@@ -248,10 +259,9 @@ def general_certificate(
     """
     n = assign.size
     sizes = np.asarray(sizes, dtype=np.float64)
-    r = sizes.size
     e_counts, pair_counts = cluster_edge_counts(a_dense, assign)
     member = assign > 0
-    if r:
+    if sizes.size:
         d = np.where(member,
                      own_cluster_counts(e_counts, assign) - eta
                      - lam * sizes[np.maximum(assign - 1, 0)],
@@ -259,33 +269,22 @@ def general_certificate(
     else:
         d = np.zeros(n)
 
-    b_mat = np.zeros((n, n))
-    for k in range(0, r + 1):
-        mi = assign == k
-        if not mi.any():
-            continue
-        for kp in range(0, r + 1):
-            if k == kp:
-                continue
-            mj = assign == kp
-            if not mj.any():
-                continue
-            if k == 0:
-                blk = np.broadcast_to(
-                    lam - (e_counts[mi, kp - 1] / sizes[kp - 1])[:, None],
-                    (mi.sum(), mj.sum()))
-            elif kp == 0:
-                blk = np.broadcast_to(
-                    lam - (e_counts[mj, k - 1] / sizes[k - 1])[None, :],
-                    (mi.sum(), mj.sum()))
-            else:
-                blk = (lam
-                       + pair_counts[k - 1, kp - 1] / (sizes[k - 1] * sizes[kp - 1])
-                       - (e_counts[mi, kp - 1] / sizes[kp - 1])[:, None]
-                       - (e_counts[mj, k - 1] / sizes[k - 1])[None, :])
-            b_mat[np.ix_(mi, mj)] = blk
+    # B as one product of rank-(2r+1) factors, see the module docstring
+    m = cluster_indicator(assign)[:, :sizes.size]
+    kept = np.flatnonzero(m.any(axis=0))
+    m = m[:, kept]
+    k = sizes[kept]
+    f = e_counts[:, kept] / k
+    g = (lam + m @ (pair_counts[np.ix_(kept, kept)] / np.multiply.outer(k, k))) - f
+    own = m > 0
+    g[own] = 0.0
+    f[own] = 0.0
+    b_mat = (np.hstack([g, np.where(member, lam, 0.0)[:, None], -m])
+             @ np.hstack([m, (~member)[:, None], f]).T)
 
-    s = np.diag(d) - b_mat - a_dense + eta * np.eye(n) + lam
+    s = np.add(b_mat, a_dense)
+    np.subtract(lam, s, out=s)
+    s.flat[::n + 1] = d - a_dense.diagonal() + eta + lam
     return GeneralCertificate(assign, d, b_mat, eta, lam, s)
 
 
@@ -331,13 +330,12 @@ def verify_general(cert: GeneralCertificate) -> GeneralReport:
     indicator = cluster_indicator(assign)
     kernel_residual = float(np.abs(s @ indicator).max()) if indicator.shape[1] else 0.0
 
-    z = same_cluster(assign)
-    slackness = float(np.abs(cert.b_matrix[z]).max()) if z.any() else 0.0
-
-    diff = assign[:, None] != assign[None, :]
-    b_min_off = float(cert.b_matrix[diff].min()) if diff.any() else math.inf
-
     member = assign > 0
+    part = assign[:, None] == assign[None, :]
+    b_min_off = float(np.where(part, math.inf, cert.b_matrix).min(initial=math.inf))
+    part &= member[:, None]  # same_cluster(assign)
+    slackness = float(np.abs(cert.b_matrix[part]).max(initial=0.0))
+
     d_min = float(cert.d_star[member].min()) if member.any() else math.inf
 
     basis = indicator / np.sqrt(np.maximum(indicator.sum(axis=0), 1.0))

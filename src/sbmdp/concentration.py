@@ -270,7 +270,8 @@ def spectral_deviation(a_dense: np.ndarray, params: SbmParams, gt: GroundTruth) 
     """
     if a_dense.shape[0] != gt.n or gt.n != params.n:
         raise InvalidParams("graph, ground truth, and params sizes disagree")
-    return spectral_norm(a_dense - expected_adjacency(params, gt))
+    expected = expected_adjacency(params, gt)
+    return spectral_norm(np.subtract(a_dense, expected, out=expected))
 
 
 def check_concentration(

@@ -8,6 +8,7 @@ diagonal is implicitly zero and queries are symmetric.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterator
@@ -31,6 +32,19 @@ ALPHABETS = {SIMPLE: (0, 1), CENSORED: (-1, 0, 1)}
 
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
+
+
+@functools.lru_cache(maxsize=16)
+def upper_triangle(n: int) -> np.ndarray:
+    """Read-only n x n mask of the strict upper triangle.
+
+    Boolean indexing with it visits the pairs i < j in row-major pair
+    order, the order of a graph's values, and it takes n^2 bytes where
+    ``np.triu_indices`` builds two int64 arrays of n(n-1)/2 entries.
+    """
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
 
 
 def pair_rank(i: int, j: int, n: int) -> int:
@@ -70,8 +84,7 @@ class Graph:
     def from_dense(cls, dense: np.ndarray, alphabet: str = SIMPLE) -> "Graph":
         dense = np.asarray(dense)
         n = dense.shape[0]
-        iu = np.triu_indices(n, 1)
-        return cls(n, alphabet, dense[iu].astype(np.int8))
+        return cls(n, alphabet, dense[upper_triangle(n)].astype(np.int8))
 
     @property
     def values(self) -> np.ndarray:
@@ -80,19 +93,15 @@ class Graph:
 
     def to_dense(self, dtype=np.float64) -> np.ndarray:
         """Dense symmetric adjacency matrix with zero diagonal."""
+        upper = upper_triangle(self.n)
         a = np.zeros((self.n, self.n), dtype=dtype)
-        iu = np.triu_indices(self.n, 1)
-        a[iu] = self._values
-        a[(iu[1], iu[0])] = self._values
+        a[upper] = self._values
+        a.T[upper] = self._values
         return a
 
     def degrees(self) -> np.ndarray:
-        """Row sums of the dense adjacency, computed without materializing it."""
-        iu = np.triu_indices(self.n, 1)
-        vals = self._values.astype(np.float64)
-        deg = np.bincount(iu[0], weights=vals, minlength=self.n)
-        deg += np.bincount(iu[1], weights=vals, minlength=self.n)
-        return deg.astype(np.int64)
+        """Row sums of the dense adjacency, summed exactly in int64."""
+        return self.to_dense(np.int8).sum(axis=1, dtype=np.int64)
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield (i, j, value) for nonzero entries, i < j, in row-major order."""

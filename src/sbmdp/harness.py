@@ -6,7 +6,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -249,6 +248,8 @@ def sweep(config: ExperimentConfig, timestamp: str | None = None) -> Path:
                           config.permute, config.max_evals))
 
     if config.workers > 1:
+        # imported here: the process pool loads multiprocessing and logging
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             indexed = list(pool.map(_run_indexed, tasks))
     else:

@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidParams, ShapeMismatch
-from .graph import CENSORED, SIMPLE, Graph
+from .graph import CENSORED, SIMPLE, Graph, upper_triangle
 
 BASBM = "basbm"
 CBSBM = "cbsbm"
@@ -216,7 +216,7 @@ def generate(params: SbmParams, seed: int) -> tuple[Graph, GroundTruth]:
         k1 = params.first_cluster_size
         gt = GroundTruth(params.variant, np.repeat([1, -1], [k1, n - k1]))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    same = same_cluster(gt.assignment)[np.triu_indices(n, 1)]
+    same = same_cluster(gt.assignment)[upper_triangle(n)]
 
     if params.variant == CBSBM:
         # one stream for presence, one for label flips

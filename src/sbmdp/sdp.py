@@ -73,6 +73,7 @@ from .models import (
     GSSBM,
     SbmParams,
     assignment_to_cluster_matrix,
+    cluster_indicator,
     same_cluster,
 )
 from .spectral import (
@@ -327,7 +328,7 @@ def _general_multipliers(
         return None
     expected = np.where(same, *rates)
     np.fill_diagonal(expected, 0.0)
-    deviation = a_dense - expected
+    deviation = np.subtract(a_dense, expected, out=expected)
     if a_dense.shape[0] < KRYLOV_MIN_N_GENERAL:
         eta = spectral_norm(deviation)
     else:
@@ -511,8 +512,14 @@ def _spectral_candidate(
 
 
 def _certified_solution(prob: SdpProblem, labels: np.ndarray, it: int) -> SdpSolution:
+    # the cluster matrix is V V^T for the cluster vectors V, and <A, V V^T>
+    # adds integers, exactly in any order: the bits of prob.objective(cand),
+    # whose sum is never -0.0
+    vecs = (cluster_indicator(labels) if prob.variant == GSSBM
+            else labels[:, None].astype(np.float64))
+    objective = float(((prob.a_dense @ vecs) * vecs).sum()) + 0.0
     cand = assignment_to_cluster_matrix(prob.variant, labels)
-    return SdpSolution(problem=prob, matrix=cand, objective=prob.objective(cand),
+    return SdpSolution(problem=prob, matrix=cand, objective=objective,
                        primal_residual=0.0, dual_residual=0.0,
                        iterations=it, status=CONVERGED, certified=True,
                        labels=labels.astype(np.int64))

@@ -2,8 +2,9 @@
 
 Reference oracles the tests compare the library against: the brute-force
 maximum-likelihood clustering for n <= 16, the binomial-difference tail
-exponent, the persistence map of the concentration constants and the
-eigenvalue rule for dual certificates by one full ``eigvalsh``. Fixtures:
+exponent, the persistence map of the concentration constants, the
+eigenvalue rule for dual certificates by one full ``eigvalsh`` and the
+block-by-block build of the general certificate. Fixtures:
 the empty graph and single-entry reads, random flip sets and entry writes
 (:class:`GraphDelta`), the radius-bounded neighbour enumeration, and a
 caching SDP estimator for the mechanism audits. The oracles raise plain
@@ -24,6 +25,8 @@ from sbmdp.concentration import (
     CbsbmConstants,
     ConcentrationConstants,
     GssbmConstants,
+    cluster_edge_counts,
+    own_cluster_counts,
 )
 from sbmdp.errors import AlphabetViolation, DuplicateEdge, IndexOutOfRange, InvalidShift
 from sbmdp.graph import (
@@ -269,7 +272,60 @@ def shift_constants(
 
 
 # ---------------------------------------------------------------------------
-# certificate rule by a full eigendecomposition
+# certificate rule by a full eigendecomposition, and the four-case build
+
+
+def four_case_general_certificate(
+    a_dense: np.ndarray, assign: np.ndarray, sizes: np.ndarray, lam: float,
+    eta: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, B, S) of the general certificate, B written block by block.
+
+    The reference for ``certificates.general_certificate``: each ordered
+    pair of distinct non-empty parts gets its case of the price (outlier
+    rows, outlier columns, two clusters) by one ``np.ix_`` write.
+    """
+    n = assign.size
+    sizes = np.asarray(sizes, dtype=np.float64)
+    r = sizes.size
+    e_counts, pair_counts = cluster_edge_counts(a_dense, assign)
+    member = assign > 0
+    if r:
+        d = np.where(member,
+                     own_cluster_counts(e_counts, assign) - eta
+                     - lam * sizes[np.maximum(assign - 1, 0)],
+                     0.0)
+    else:
+        d = np.zeros(n)
+
+    b_mat = np.zeros((n, n))
+    for k in range(0, r + 1):
+        mi = assign == k
+        if not mi.any():
+            continue
+        for kp in range(0, r + 1):
+            if k == kp:
+                continue
+            mj = assign == kp
+            if not mj.any():
+                continue
+            if k == 0:
+                blk = np.broadcast_to(
+                    lam - (e_counts[mi, kp - 1] / sizes[kp - 1])[:, None],
+                    (mi.sum(), mj.sum()))
+            elif kp == 0:
+                blk = np.broadcast_to(
+                    lam - (e_counts[mj, k - 1] / sizes[k - 1])[None, :],
+                    (mi.sum(), mj.sum()))
+            else:
+                blk = (lam
+                       + pair_counts[k - 1, kp - 1] / (sizes[k - 1] * sizes[kp - 1])
+                       - (e_counts[mi, kp - 1] / sizes[kp - 1])[:, None]
+                       - (e_counts[mj, k - 1] / sizes[k - 1])[None, :])
+            b_mat[np.ix_(mi, mj)] = blk
+
+    s = np.diag(d) - b_mat - a_dense + eta * np.eye(n) + lam
+    return d, b_mat, s
 
 
 def eigvalsh_binary_report(cert) -> dict:

@@ -37,7 +37,12 @@ from sbmdp.models import (
 from sbmdp.sdp import _general_multipliers
 from sbmdp.spectral import DEFAULT_TOLS, spectral_norm
 
-from oracles import empty_graph, eigvalsh_binary_report, eigvalsh_general_report
+from oracles import (
+    eigvalsh_binary_report,
+    eigvalsh_general_report,
+    empty_graph,
+    four_case_general_certificate,
+)
 
 TOL = DEFAULT_TOLS.certificate
 
@@ -137,6 +142,41 @@ def test_verify_binary_two_vertices_unique_feasible_point():
     report = verify_binary(build_binary(g, gt, params))
     assert report.valid
     assert report.lambda2 > 0
+
+
+@st.composite
+def general_certificate_inputs(draw):
+    """An adjacency, an assignment, sizes and multipliers for the general build.
+
+    Covers assignments with and without outliers, an empty middle or last
+    cluster (size 0 unless raised), sizes above the member counts, lam = 0
+    and eta <= 0.
+    """
+    n = draw(st.integers(1, 40) | st.sampled_from([97, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = draw(st.integers(1, 4))
+    labels = rng.integers(0 if draw(st.booleans()) else 1, r + 1, size=n)
+    labels[0] = 1  # the reference needs one member once sizes is non-empty
+    empty = draw(st.sampled_from([None, "middle", "last"]))
+    if empty == "last" or (empty == "middle" and r >= 3):
+        labels[labels == (r if empty == "last" else 2)] = 1
+    sizes = np.bincount(labels, minlength=r + 1)[1:]
+    if draw(st.booleans()):
+        sizes = sizes + rng.integers(0, 3, size=r)
+    upper = np.triu(rng.random((n, n)) < draw(st.floats(0.0, 1.0)), 1)
+    lam = draw(st.just(0.0) | st.floats(-1.0, 2.0).filter(lambda x: x != 0.0))
+    eta = draw(st.sampled_from([0.0, -1.5]) | st.floats(-3.0, 5.0))
+    return (upper | upper.T).astype(np.float64), labels, sizes, lam, eta
+
+
+@settings(max_examples=300, deadline=None)
+@given(general_certificate_inputs())
+def test_general_certificate_matches_the_four_case_build_bit_for_bit(inputs):
+    cert = general_certificate(*inputs)
+    d, b, s = four_case_general_certificate(*inputs)
+    assert cert.d_star.tobytes() == d.tobytes()
+    assert cert.b_matrix.tobytes() == b.tobytes()
+    assert cert.s_matrix.tobytes() == s.tobytes()
 
 
 def test_general_certificate_slackness_structure():

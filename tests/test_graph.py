@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -18,8 +19,10 @@ from sbmdp.graph import (
     pair_count,
     pair_rank,
     read_edge_list,
+    upper_triangle,
     write_edge_list,
 )
+from sbmdp.models import BasbmParams, CbsbmParams, GssbmParams, generate
 
 from oracles import GraphDelta, empty_graph, entry, neighbors_within, random_delta
 
@@ -29,6 +32,55 @@ def random_graph(n, alphabet, seed):
     vals = rng.choice([0, 1] if alphabet == SIMPLE else [-1, 0, 1],
                       size=pair_count(n))
     return Graph(n, alphabet, vals.astype(np.int8))
+
+
+def dense_forms_digest(n: int) -> str:
+    """sha256 of the dense forms, degrees and dense round trip of empty
+    graphs of both alphabets and, from n = 2, of one generated graph per
+    variant (with its planted assignment)."""
+    h = hashlib.sha256()
+    graphs = [Graph(n, alphabet, np.zeros(pair_count(n), np.int8))
+              for alphabet in (SIMPLE, CENSORED)]
+    if n >= 2:
+        for params in (BasbmParams(n=n, a=0.5, b=0.1, rho=0.5),
+                       CbsbmParams(n=n, a=0.5, xi=0.1),
+                       GssbmParams(n=n, a=0.5, b=0.1, rhos=(0.5,))):
+            g, gt = generate(params, 5)
+            h.update(gt.assignment.tobytes())
+            graphs.append(g)
+    for g in graphs:
+        for x in (g.values, g.to_dense(), g.to_dense(np.int8), g.degrees(),
+                  Graph.from_dense(g.to_dense(), g.alphabet).values):
+            h.update(x.tobytes())
+    return h.hexdigest()
+
+
+# recorded from the np.triu_indices forms of to_dense, from_dense, degrees
+# and generate, before they read the cached upper-triangle mask
+@pytest.mark.parametrize("n, digest", [
+    (1, "eb142b0cae0baa72a767ebc0823d1be94e14c5bfc52d8e417fc4302fceb6240c"),
+    (2, "432af86cf2db92e57770cd247fabde6f246b38dab4fd4add8c66b0c692156004"),
+    (6, "62382530988d57883a2dd5b56bae1a64544f694f4a7646955020e6f878800330"),
+    (300, "ef2516003291662b56e2abc3c44558341a8150ee5fe3ccf1385369f1a9804a8c"),
+])
+def test_dense_forms_and_generation_keep_their_bits(n, digest):
+    assert dense_forms_digest(n) == digest
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 300])
+def test_dense_forms_match_the_pair_indices(n):
+    rows, cols = np.triu_indices(n, 1)
+    for alphabet in (SIMPLE, CENSORED):
+        g = random_graph(n, alphabet, n)
+        ref = np.zeros((n, n))
+        ref[rows, cols] = g.values
+        ref[cols, rows] = g.values
+        assert g.to_dense().tobytes() == ref.tobytes()
+        assert g.degrees().tobytes() == ref.sum(axis=1).astype(np.int64).tobytes()
+        assert Graph.from_dense(ref, alphabet) == g
+    mask = upper_triangle(n)
+    assert mask.dtype == bool and mask.nbytes == n * n and not mask.flags.writeable
+    assert upper_triangle(n) is mask
 
 
 def test_pair_rank_roundtrip():

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +166,16 @@ def test_capped_stbl_trial_withholds_without_neighbour_solves(monkeypatch):
     result = run_trial(cell, trial_seed(7, 0, 0), mode="stbl", max_evals=40)
     assert len(solves) == 1
     assert result.bottom and not result.recovered
+
+
+def test_importing_the_harness_leaves_the_process_pool_unloaded():
+    # sweep imports the pool only when it runs more than one worker
+    src = str(Path(harness.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, %r); import sbmdp.harness; "
+            "print('concurrent.futures.process' in sys.modules)" % src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_parallel_sweep_matches_serial(tmp_path):
