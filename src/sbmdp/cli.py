@@ -37,7 +37,7 @@ from .models import (
     same_clustering,
 )
 from .privacy import PrivacyParams, param_estimate, sdp_estimator, stbl, stbl_fast
-from .sdp import _extract_general, recover
+from .sdp import recover, round_general
 
 
 def _params_from_args(args, n: int):
@@ -152,7 +152,7 @@ def _released_labels(z: np.ndarray, params) -> list[int]:
     when both readings fit.
     """
     if params.variant == GSSBM:
-        return _extract_general(z, np.array(params.sizes)).tolist()
+        return round_general(z, params.sizes).tolist()
     sig = np.sign(z[0]).astype(np.int64)
     if (params.variant == BASBM
             and np.count_nonzero(sig > 0) != params.first_cluster_size):

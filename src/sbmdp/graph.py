@@ -80,12 +80,6 @@ class Graph:
         self._values = arr
         self._hash = None
 
-    @classmethod
-    def from_dense(cls, dense: np.ndarray, alphabet: str = SIMPLE) -> "Graph":
-        dense = np.asarray(dense)
-        n = dense.shape[0]
-        return cls(n, alphabet, dense[upper_triangle(n)].astype(np.int8))
-
     @property
     def values(self) -> np.ndarray:
         """Read-only upper-triangle entries in row-major pair order."""
@@ -102,13 +96,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """Row sums of the dense adjacency, summed exactly in int64."""
         return self.to_dense(np.int8).sum(axis=1, dtype=np.int64)
-
-    def edges(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (i, j, value) for nonzero entries, i < j, in row-major order."""
-        nz = np.nonzero(self._values)[0]
-        for rank in nz:
-            i, j = _unrank(int(rank), self.n)
-            yield i, j, int(self._values[rank])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -134,17 +121,6 @@ def dense_matrix(graph_or_matrix) -> np.ndarray:
     if isinstance(graph_or_matrix, Graph):
         return graph_or_matrix.to_dense()
     return as_symmetric(graph_or_matrix)
-
-
-def _unrank(rank: int, n: int) -> tuple[int, int]:
-    # invert pair_rank by walking rows; rows shrink so this is O(n) worst case
-    i = 0
-    row = n - 1
-    while rank >= row:
-        rank -= row
-        i += 1
-        row -= 1
-    return i, i + 1 + rank
 
 
 def neighbors_at_distance(g: Graph, k: int) -> Iterator[Graph]:
@@ -189,12 +165,11 @@ def write_edge_list(g: Graph) -> str:
     for simple graphs and ``i j <label>`` for censored ones. ASCII,
     newline-separated, space-delimited, no trailing whitespace.
     """
+    rows, cols = np.nonzero(upper_triangle(g.n))
+    nz = np.flatnonzero(g.values)
     lines = [f"n {g.n} {g.alphabet}"]
-    for i, j, v in g.edges():
-        if g.alphabet == SIMPLE:
-            lines.append(f"{i} {j}")
-        else:
-            lines.append(f"{i} {j} {v}")
+    for i, j, v in zip(rows[nz].tolist(), cols[nz].tolist(), g.values[nz].tolist()):
+        lines.append(f"{i} {j}" if g.alphabet == SIMPLE else f"{i} {j} {v}")
     return "\n".join(lines) + "\n"
 
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,6 @@ from .models import (
     cluster_matrix,
     generate,
     params_from_dict,
-    permute_instance,
     same_clustering,
 )
 from .privacy import PrivacyParams, sdp_estimator, stbl, stbl_fast
@@ -32,6 +32,11 @@ MODES = ("nonprivate", "stbl", "fast")
 CSV_COLUMNS = ("variant", "n", "a", "b", "rho", "xi", "eps", "delta_exp",
                "mode", "seed", "recovered", "bottom", "conc_pass",
                "cert_valid", "error", "ms")
+
+# (aggregate, TrialResult field it averages over a cell's trials)
+_AGGREGATES = (("recovery_rate", "recovered"), ("bottom_rate", "bottom"),
+               ("error_rate", "error"), ("conc_rate", "conc_pass"),
+               ("cert_rate", "cert_valid"), ("mean_ms", "ms"))
 
 
 @dataclass(frozen=True)
@@ -44,11 +49,13 @@ class ExperimentConfig:
     output: str
     c_stab: float | None = None
     workers: int = 1
-    permute: bool = False
     max_evals: int = 2000
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidParams(f"unknown config keys {unknown}")
         try:
             cfg = cls(
                 variant=d["variant"],
@@ -59,7 +66,6 @@ class ExperimentConfig:
                 output=d["output"],
                 c_stab=d.get("c_stab"),
                 workers=int(d.get("workers", 1)),
-                permute=bool(d.get("permute", False)),
                 max_evals=int(d.get("max_evals", 2000)),
             )
         except KeyError as exc:
@@ -104,7 +110,7 @@ class TrialResult:
         rho = cell.get("rho")
         if cell.get("rhos") is not None:
             rho = ";".join(str(x) for x in cell["rhos"])
-        fields = {
+        values = {
             "variant": cell["variant"],
             "n": cell["n"],
             "a": cell["a"],
@@ -122,7 +128,7 @@ class TrialResult:
             "error": int(self.error),
             "ms": f"{self.ms:.3f}",
         }
-        return [str(fields[c]) for c in CSV_COLUMNS]
+        return [str(values[c]) for c in CSV_COLUMNS]
 
 
 def _cell_params(cell: dict) -> SbmParams:
@@ -145,7 +151,6 @@ def run_trial(
     seed: int,
     mode: str = "nonprivate",
     c_stab: float | None = None,
-    permute: bool = False,
     max_evals: int = 2000,
 ) -> TrialResult:
     """Generate one instance, recover per mode, and score against the truth.
@@ -156,10 +161,6 @@ def run_trial(
     params = _cell_params(cell)
     t0 = time.perf_counter()
     g, gt = generate(params, seed)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-        entropy=seed, spawn_key=(1,))))
-    if permute:
-        g, gt = permute_instance(g, gt, rng)
     target = cluster_matrix(gt)
 
     eps = float(cell.get("eps", math.inf))
@@ -174,14 +175,14 @@ def run_trial(
         res = recover(a_dense, params)
         recovered = res.matrix is not None and same_clustering(res.matrix, target)
         bottom = False
-    elif mode == "fast":
-        priv = PrivacyParams.from_exponent(eps, delta_exp, params.n)
-        outcome = stbl_fast(g, params, priv, c_stab, rng, max_evals=max_evals)
-        bottom = outcome.bottom
-        recovered = (not bottom) and same_clustering(outcome.result, target)
     else:
         priv = PrivacyParams.from_exponent(eps, delta_exp, params.n)
-        outcome = stbl(g, sdp_estimator(params), priv, rng, max_evals=max_evals)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            entropy=seed, spawn_key=(1,))))
+        if mode == "fast":
+            outcome = stbl_fast(g, params, priv, c_stab, rng, max_evals=max_evals)
+        else:
+            outcome = stbl(g, sdp_estimator(params), priv, rng, max_evals=max_evals)
         bottom = outcome.bottom
         recovered = (not bottom) and same_clustering(outcome.result, target)
 
@@ -218,16 +219,15 @@ def _diagnostics(a_dense: np.ndarray, gt: GroundTruth, params: SbmParams,
     return conc_pass, cert_valid
 
 
-def _run_indexed(args) -> tuple[int, list[str]]:
-    index, cell, seed, mode, c_stab, permute, max_evals = args
+def _run_task(config: ExperimentConfig, trial: tuple[dict, int]) -> TrialResult:
+    cell, seed = trial
     try:
-        result = run_trial(cell, seed, mode=mode, c_stab=c_stab,
-                           permute=permute, max_evals=max_evals)
-        return index, result.row(mode)
+        # run_trial is looked up at call time, so a rebound name is the one run
+        return run_trial(cell, seed, mode=config.mode, c_stab=config.c_stab,
+                         max_evals=config.max_evals)
     except SbmdpError:
-        # error row, not a withheld release: trial errors never abort the sweep
-        failed = TrialResult(cell, seed, False, False, False, False, error=True)
-        return index, failed.row(mode)
+        # an error row, not a withheld release: trial errors never abort the sweep
+        return TrialResult(cell, seed, False, False, False, False, error=True)
 
 
 def sweep(config: ExperimentConfig, timestamp: str | None = None) -> Path:
@@ -240,43 +240,27 @@ def sweep(config: ExperimentConfig, timestamp: str | None = None) -> Path:
     timestamp header.
     """
     cells = config.cells()
-    tasks = []
-    for ci, cell in enumerate(cells):
-        for ti in range(config.trials):
-            seed = trial_seed(config.seed_base, ci, ti)
-            tasks.append((len(tasks), cell, seed, config.mode, config.c_stab,
-                          config.permute, config.max_evals))
-
+    trials = [(cell, trial_seed(config.seed_base, ci, ti))
+              for ci, cell in enumerate(cells) for ti in range(config.trials)]
+    task = functools.partial(_run_task, config)
     if config.workers > 1:
         # imported here: the process pool loads multiprocessing and logging
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            indexed = list(pool.map(_run_indexed, tasks))
+            results = list(pool.map(task, trials))
     else:
-        indexed = [_run_indexed(t) for t in tasks]
-    rows = [row for _, row in sorted(indexed, key=lambda pair: pair[0])]
+        results = list(map(task, trials))
 
     if timestamp is None:
         timestamp = time.strftime("%Y-%m-%dT%H:%M:%S")
     lines = [f"# sbmdp sweep {timestamp}", ",".join(CSV_COLUMNS)]
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(",".join(r.row(config.mode)) for r in results)
     lines.append("# aggregates")
-    per_cell = len(rows) // len(cells) if cells else 0
-    col = {name: i for i, name in enumerate(CSV_COLUMNS)}
     for ci, cell in enumerate(cells):
-        block = rows[ci * per_cell:(ci + 1) * per_cell]
-        if not block:
-            continue
-        agg = {
-            "recovery_rate": np.mean([int(r[col["recovered"]]) for r in block]),
-            "bottom_rate": np.mean([int(r[col["bottom"]]) for r in block]),
-            "error_rate": np.mean([int(r[col["error"]]) for r in block]),
-            "conc_rate": np.mean([int(r[col["conc_pass"]]) for r in block]),
-            "cert_rate": np.mean([int(r[col["cert_valid"]]) for r in block]),
-            "mean_ms": np.mean([float(r[col["ms"]]) for r in block]),
-        }
+        block = results[ci * config.trials:(ci + 1) * config.trials]
         desc = ";".join(f"{k}={cell[k]}" for k in sorted(cell))
-        stats = ",".join(f"{k}={v:.6f}" for k, v in agg.items())
+        stats = ",".join(f"{name}={np.mean([getattr(r, attr) for r in block]):.6f}"
+                         for name, attr in _AGGREGATES)
         lines.append(f"# cell {ci} {desc} {stats}")
 
     out = Path(config.output)

@@ -268,18 +268,3 @@ def assignment_to_cluster_matrix(variant: str, assignment: np.ndarray) -> np.nda
     """1 on same-cluster pairs; -1 (binary) or 0 (gssbm) everywhere else."""
     return np.where(same_cluster(assignment), 1.0, 0.0 if variant == GSSBM else -1.0)
 
-
-def permute_instance(
-    g: Graph, gt: GroundTruth, rng: np.random.Generator
-) -> tuple[Graph, GroundTruth]:
-    """Apply one random vertex relabeling to a generated instance.
-
-    Guards tests and the harness against accidental dependence on the
-    contiguous-block vertex order used by :func:`generate`.
-    """
-    perm = rng.permutation(g.n)
-    dense = g.to_dense(dtype=np.int8)
-    dense = dense[np.ix_(perm, perm)]
-    return Graph.from_dense(dense, g.alphabet), GroundTruth(
-        gt.variant, gt.assignment[perm]
-    )

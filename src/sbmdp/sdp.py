@@ -732,9 +732,8 @@ def round_binary(sol: SdpSolution, rho: float | None = None) -> np.ndarray:
     """
     if sol.problem.variant == GSSBM:
         raise InvalidParams("round_binary expects a binary-variant solution")
-    m = as_symmetric(sol.matrix)
-    n = m.shape[0]
-    evals, evecs = np.linalg.eigh(m)
+    evecs, evals = eig_sorted(as_symmetric(sol.matrix))
+    n = evals.shape[0]
     scale = max(abs(float(evals[0])), abs(float(evals[-1])), 1.0)
     if n > 1 and (evals[-1] - evals[-2]) <= DEFAULT_TOLS.eigen_gap * scale:
         raise DegenerateSpectrum(
@@ -744,8 +743,8 @@ def round_binary(sol: SdpSolution, rho: float | None = None) -> np.ndarray:
     return _best_binary_candidate(sol.problem.a_dense, evecs[:, -1], k)
 
 
-def round_general(sol: SdpSolution, sizes) -> np.ndarray:
-    """Assignment labels (0 = outlier) from a general-variant solution.
+def round_general(matrix: np.ndarray, sizes) -> np.ndarray:
+    """Assignment labels (0 = outlier) from a general-variant solution matrix.
 
     Thresholds entries at 1/2: the diagonal picks non-outliers and the
     off-diagonal induces a same-cluster relation whose connected components
@@ -753,7 +752,7 @@ def round_general(sol: SdpSolution, sizes) -> np.ndarray:
     does not encode a valid clustering and InconsistentRelation is raised.
     """
     sizes = np.array([int(s) for s in sizes])
-    assign = _extract_general(as_symmetric(sol.matrix), sizes)
+    assign = _extract_general(as_symmetric(matrix), sizes)
     if assign is None:
         raise InconsistentRelation(
             "thresholded relation is not a clique partition with the "
@@ -780,7 +779,7 @@ def _rounded(sol: SdpSolution, params: SbmParams) -> RecoveryResult:
         return RecoveryResult(sol.matrix, sol.labels, sol)
     try:
         if params.variant == GSSBM:
-            labels = round_general(sol, params.sizes)
+            labels = round_general(sol.matrix, params.sizes)
         else:
             rho = params.rho if params.variant == BASBM else None
             labels = round_binary(sol, rho).astype(np.int64)

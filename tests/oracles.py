@@ -4,10 +4,11 @@ Reference oracles the tests compare the library against: the brute-force
 maximum-likelihood clustering for n <= 16, the binomial-difference tail
 exponent, the persistence map of the concentration constants, the
 eigenvalue rule for dual certificates by one full ``eigvalsh`` and the
-block-by-block build of the general certificate. Fixtures:
-the empty graph and single-entry reads, random flip sets and entry writes
-(:class:`GraphDelta`), the radius-bounded neighbour enumeration, and a
-caching SDP estimator for the mechanism audits. The oracles raise plain
+block-by-block build of the general certificate. Fixtures: a graph
+from a dense matrix, the empty graph and single-entry reads, random flip
+sets and entry writes (:class:`GraphDelta`), a random vertex relabelling
+of an instance, the radius-bounded neighbour enumeration, and a caching
+SDP estimator for the mechanism audits. The oracles raise plain
 ``ValueError`` on arguments outside their domain.
 """
 
@@ -33,14 +34,15 @@ from sbmdp.graph import (
     ALPHABETS,
     SIMPLE,
     Graph,
-    _unrank,
     neighbors_at_distance,
     pair_count,
     pair_rank,
+    upper_triangle,
 )
 from sbmdp.models import (
     BASBM,
     GSSBM,
+    GroundTruth,
     SbmParams,
     assignment_to_cluster_matrix,
     cluster_indicator,
@@ -48,6 +50,13 @@ from sbmdp.models import (
 )
 from sbmdp.sdp import recover_many
 from sbmdp.spectral import DEFAULT_TOLS
+
+
+def graph_from_dense(dense: np.ndarray, alphabet: str = SIMPLE) -> Graph:
+    """The graph whose strict upper triangle is that of ``dense``."""
+    dense = np.asarray(dense)
+    n = dense.shape[0]
+    return Graph(n, alphabet, dense[upper_triangle(n)].astype(np.int8))
 
 
 def empty_graph(n: int, alphabet: str = SIMPLE) -> Graph:
@@ -121,13 +130,30 @@ def random_delta(
     positions = rng.choice(m, size=flips, replace=False)
     out = []
     alphabet = ALPHABETS[g.alphabet]
+    rows, cols = np.nonzero(upper_triangle(g.n))
     for pos in sorted(int(p) for p in positions):
-        i, j = _unrank(pos, g.n)
+        i, j = int(rows[pos]), int(cols[pos])
         current = int(g.values[pos])
         choices = [v for v in alphabet if v != current]
         v = choices[int(rng.integers(len(choices)))]
         out.append((i, j, v))
     return GraphDelta(tuple(out))
+
+
+def permute_instance(
+    g: Graph, gt: GroundTruth, rng: np.random.Generator
+) -> tuple[Graph, GroundTruth]:
+    """Apply one random vertex relabeling to a generated instance.
+
+    Guards the tests against accidental dependence on the contiguous-block
+    vertex order used by :func:`sbmdp.models.generate`.
+    """
+    perm = rng.permutation(g.n)
+    dense = g.to_dense(dtype=np.int8)
+    dense = dense[np.ix_(perm, perm)]
+    return graph_from_dense(dense, g.alphabet), GroundTruth(
+        gt.variant, gt.assignment[perm]
+    )
 
 
 def cached_estimator(params, opts, cache: dict):

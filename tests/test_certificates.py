@@ -42,6 +42,7 @@ from oracles import (
     eigvalsh_general_report,
     empty_graph,
     four_case_general_certificate,
+    graph_from_dense,
 )
 
 TOL = DEFAULT_TOLS.certificate
@@ -92,7 +93,7 @@ def test_kernel_identity_holds_for_arbitrary_inputs():
 def test_cbsbm_complete_noiseless_hand_example():
     params = CbsbmParams(n=4, a=1.0, xi=0.0)
     _, gt = generate(params, 0)
-    g = Graph.from_dense(np.outer(gt.sigma, gt.sigma), CENSORED)
+    g = graph_from_dense(np.outer(gt.sigma, gt.sigma), CENSORED)
     cert = build_binary(g, gt, params)
     assert cert.d_star.tolist() == [3.0, 3.0, 3.0, 3.0]
     assert np.abs(cert.s_matrix @ gt.sigma).max() == 0.0

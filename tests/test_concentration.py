@@ -31,7 +31,7 @@ from sbmdp.models import (
     generate,
 )
 
-from oracles import binom_diff_exponent, random_delta, shift_constants
+from oracles import binom_diff_exponent, graph_from_dense, random_delta, shift_constants
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def test_check_cbsbm_complete_noiseless():
     n = 40
     params = CbsbmParams(n=n, a=3.0, xi=0.0)
     _, gt = generate(params, 4)
-    g = Graph.from_dense(np.outer(gt.sigma, gt.sigma), CENSORED)
+    g = graph_from_dense(np.outer(gt.sigma, gt.sigma), CENSORED)
     constants = CbsbmConstants(c1=2 * math.sqrt(3) + 1, c2=1.0)
     report = check_concentration(g, gt, params, constants)
     margin = [c for c in report.conditions if c.name == "degree_margin"][0]

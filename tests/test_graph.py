@@ -24,7 +24,14 @@ from sbmdp.graph import (
 )
 from sbmdp.models import BasbmParams, CbsbmParams, GssbmParams, generate
 
-from oracles import GraphDelta, empty_graph, entry, neighbors_within, random_delta
+from oracles import (
+    GraphDelta,
+    empty_graph,
+    entry,
+    graph_from_dense,
+    neighbors_within,
+    random_delta,
+)
 
 
 def random_graph(n, alphabet, seed):
@@ -50,7 +57,7 @@ def dense_forms_digest(n: int) -> str:
             graphs.append(g)
     for g in graphs:
         for x in (g.values, g.to_dense(), g.to_dense(np.int8), g.degrees(),
-                  Graph.from_dense(g.to_dense(), g.alphabet).values):
+                  graph_from_dense(g.to_dense(), g.alphabet).values):
             h.update(x.tobytes())
     return h.hexdigest()
 
@@ -77,7 +84,7 @@ def test_dense_forms_match_the_pair_indices(n):
         ref[cols, rows] = g.values
         assert g.to_dense().tobytes() == ref.tobytes()
         assert g.degrees().tobytes() == ref.sum(axis=1).astype(np.int64).tobytes()
-        assert Graph.from_dense(ref, alphabet) == g
+        assert graph_from_dense(ref, alphabet) == g
     mask = upper_triangle(n)
     assert mask.dtype == bool and mask.nbytes == n * n and not mask.flags.writeable
     assert upper_triangle(n) is mask
@@ -187,6 +194,17 @@ def test_edge_list_censored_label():
     g = read_edge_list("n 3 censored\n0 2 -1")
     assert entry(g, 0, 2) == -1
     assert entry(g, 2, 0) == -1
+
+
+def test_edge_list_text_of_labelled_censored_graphs():
+    # pairs of n = 5 in row-major order: 01 02 03 04 12 13 14 23 24 34
+    g = Graph(5, CENSORED, np.array([1, 0, -1, 0, 0, 1, -1, 0, 0, 1], np.int8))
+    assert write_edge_list(g) == "n 5 censored\n0 1 1\n0 3 -1\n1 3 1\n1 4 -1\n3 4 1\n"
+    # recorded from the writer that unranked one pair per edge
+    text = write_edge_list(generate(CbsbmParams(n=300, a=8, xi=0.1), 3)[0])
+    assert text.count("\n") == 6870
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "c37ce4925bc8a23164270415e03e685a9e64d2fd726116088812768e65e874b3"
 
 
 @pytest.mark.parametrize("alphabet", [SIMPLE, CENSORED])

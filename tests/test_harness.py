@@ -20,6 +20,8 @@ from sbmdp.harness import (
 )
 from sbmdp.models import BasbmParams, GssbmParams, generate
 
+from oracles import graph_from_dense
+
 
 def small_config(tmp_path, **overrides):
     base = {
@@ -47,6 +49,12 @@ def test_config_validation():
         ExperimentConfig.from_dict({"variant": "basbm", "grid": {"n": [10]},
                                     "trials": 1, "mode": "wat",
                                     "output": "x.csv"})
+    # a misspelt or retired key is an error, not a silent default
+    for key in ("max_eval", "permute"):
+        with pytest.raises(InvalidParams, match=key):
+            ExperimentConfig.from_dict({"variant": "basbm", "grid": {"n": [10]},
+                                        "trials": 1, "output": "x.csv",
+                                        key: 5})
 
 
 def test_single_cell_single_trial(tmp_path):
@@ -92,14 +100,25 @@ def test_sweep_reruns_identical_except_timing(tmp_path):
 
 
 def test_aggregates_match_recomputation(tmp_path):
-    config = small_config(tmp_path, trials=4)
+    # a = 1 <= b makes the first cell's trials raise
+    config = small_config(tmp_path, trials=4,
+                          grid={"n": [60], "a": [1.0, 12.0], "b": [1.0],
+                                "rho": [0.5]})
     out = sweep(config, timestamp="fixed")
     rows = read_rows(out)
-    recovery = np.mean([int(r["recovered"]) for r in rows])
-    agg_line = [l for l in out.read_text().splitlines()
-                if l.startswith("# cell 0")][0]
-    stated = float(agg_line.split("recovery_rate=")[1].split(",")[0])
-    assert stated == pytest.approx(recovery)
+    lines = [l for l in out.read_text().splitlines() if l.startswith("# cell")]
+    assert len(rows) == 8 and len(lines) == 2
+    rates = {"recovery_rate": "recovered", "bottom_rate": "bottom",
+             "error_rate": "error", "conc_rate": "conc_pass",
+             "cert_rate": "cert_valid"}
+    for ci, line in enumerate(lines):
+        stated = dict(kv.split("=") for kv in line.rsplit(" ", 1)[1].split(","))
+        block = rows[ci * 4:(ci + 1) * 4]
+        assert {r["a"] for r in block} == {str(config.cells()[ci]["a"])}
+        for rate, column in rates.items():
+            want = np.mean([int(r[column]) for r in block])
+            assert float(stated[rate]) == pytest.approx(want), (ci, rate)
+    assert [float(l.split("error_rate=")[1].split(",")[0]) for l in lines] == [1.0, 0.0]
 
 
 def test_run_trial_deterministic():
@@ -309,7 +328,7 @@ def test_cli_recover_and_private_recover_label_alike(
     g, _ = generate(params, 1)
     dense = g.to_dense()[::-1, ::-1]
     graph_file = tmp_path / "g.txt"
-    graph_file.write_text(write_edge_list(Graph.from_dense(dense)))
+    graph_file.write_text(write_edge_list(graph_from_dense(dense)))
     common = ["--variant", variant, *model_args, "--graph", str(graph_file)]
     assert main(["recover", *common]) == 0
     recovered = json.loads(capsys.readouterr().out)

@@ -15,9 +15,10 @@ from sbmdp.models import (
     expected_adjacency,
     generate,
     params_from_dict,
-    permute_instance,
     same_clustering,
 )
+
+from oracles import permute_instance
 
 
 def test_validation():

@@ -40,7 +40,13 @@ from sbmdp.sdp import (
 )
 from sbmdp.spectral import eig_sorted, top_eigenpairs
 
-from oracles import GraphDelta, empty_graph, mle_bruteforce
+from oracles import (
+    GraphDelta,
+    empty_graph,
+    graph_from_dense,
+    mle_bruteforce,
+    permute_instance,
+)
 
 FAST = SolveOptions(max_iters=1500)
 
@@ -82,7 +88,7 @@ def test_cbsbm_complete_noiseless_graph():
     n = 10
     params = CbsbmParams(n=n, a=2.0, xi=0.0)
     _, gt = generate(params, 0)
-    g = Graph.from_dense(np.outer(gt.sigma, gt.sigma), CENSORED)
+    g = graph_from_dense(np.outer(gt.sigma, gt.sigma), CENSORED)
     sol = solve(cbsbm_problem(g))
     assert sol.objective == pytest.approx(n * (n - 1), abs=1e-3)
     assert same_clustering(np.sign(sol.matrix), cluster_matrix(gt))
@@ -216,21 +222,16 @@ def test_round_general_cases():
     z = np.zeros((5, 5))
     z[:2, :2] = 1.0
     z[2:4, 2:4] = 1.0
-    params = GssbmParams(n=5, a=2, b=1, rhos=(0.4, 0.4))
-    g, _ = generate(params, 7)
-    prob = problem_from_graph(g, params)
-    sol = make_solution(prob, z)
-    assert round_general(sol, sizes).tolist() == [1, 1, 2, 2, 0]
+    assert round_general(z, sizes).tolist() == [1, 1, 2, 2, 0]
 
     perturbed = z.copy()
     perturbed[0, 2] = perturbed[2, 0] = 0.4  # below threshold margin
-    assert round_general(make_solution(prob, perturbed), sizes).tolist() == \
-        [1, 1, 2, 2, 0]
+    assert round_general(perturbed, sizes).tolist() == [1, 1, 2, 2, 0]
 
     merged = z.copy()
     merged[0, 2] = merged[2, 0] = 0.6
     with pytest.raises(InconsistentRelation):
-        round_general(make_solution(prob, merged), sizes)
+        round_general(merged, sizes)
 
 
 def test_round_general_requires_clique_blocks():
@@ -240,11 +241,8 @@ def test_round_general_requires_clique_blocks():
     z[0, 1] = z[1, 0] = 0.9
     z[1, 2] = z[2, 1] = 0.9
     z[0, 2] = z[2, 0] = 0.3
-    params = GssbmParams(n=4, a=2, b=1, rhos=(0.75,))
-    g, _ = generate(params, 8)
-    prob = problem_from_graph(g, params)
     with pytest.raises(InconsistentRelation):
-        round_general(make_solution(prob, z), (3,))
+        round_general(z, (3,))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +266,7 @@ def test_mle_empty_graph_tie_break():
 def test_mle_cbsbm_complete_noiseless():
     params = CbsbmParams(n=6, a=1.5, xi=0.0)
     _, gt = generate(params, 0)
-    g = Graph.from_dense(np.outer(gt.sigma, gt.sigma), CENSORED)
+    g = graph_from_dense(np.outer(gt.sigma, gt.sigma), CENSORED)
     assert same_clustering(mle_bruteforce(g, params), cluster_matrix(gt))
 
 
@@ -463,7 +461,7 @@ def assert_labels_are_the_rounding(g, params, opts=SolveOptions()):
         assert sol.labels is None
         return False
     if params.variant == "gssbm":
-        rounded = round_general(sol, params.sizes)
+        rounded = round_general(sol.matrix, params.sizes)
     else:
         rounded = round_binary(sol, params.rho if params.variant == "basbm" else None)
     assert np.array_equal(sol.labels, rounded)
@@ -490,6 +488,24 @@ def test_certified_labels_match_rounding(instance):
 def test_certified_labels_match_rounding_at_scale(params):
     g, _ = generate(params, 3)
     assert assert_labels_are_the_rounding(g, params)
+
+
+@pytest.mark.parametrize("params", [
+    BasbmParams(n=150, a=20, b=2, rho=0.3),
+    CbsbmParams(n=100, a=8, xi=0.05),
+    GssbmParams(n=200, a=30, b=2, rhos=(0.3, 0.3, 0.3)),
+], ids=["basbm", "cbsbm", "gssbm"])
+def test_recover_is_equivariant_under_vertex_relabelling(params):
+    # the generator puts clusters in contiguous vertex blocks; relabelling
+    # the vertices must relabel the recovered cluster matrix the same way
+    g, gt = generate(params, 1)
+    perm = np.random.default_rng(0).permutation(params.n)
+    g2, gt2 = permute_instance(g, gt, np.random.default_rng(0))
+    assert np.array_equal(gt2.assignment, gt.assignment[perm])
+    res, res2 = recover(g, params), recover(g2, params)
+    assert res.solution.certified and res2.solution.certified
+    assert np.array_equal(res2.matrix, res.matrix[np.ix_(perm, perm)])
+    assert same_clustering(res2.matrix, cluster_matrix(gt2))
 
 
 # ---------------------------------------------------------------------------
