@@ -79,7 +79,7 @@ from .concentration import (
     own_cluster_counts,
 )
 from .errors import InvalidParams, ShapeMismatch
-from .graph import dense_matrix
+from .graph import Graph
 from .models import (
     GSSBM,
     BasbmParams,
@@ -220,14 +220,14 @@ def binary_certificate(
     return BinaryCertificate(sigma, d, lam, np.diag(d) - a_dense + lam)
 
 
-def build_binary(graph, gt: GroundTruth, params) -> BinaryCertificate:
+def build_binary(g: Graph, gt: GroundTruth, params) -> BinaryCertificate:
     """Certificate for the two binary variants at the true rates.
 
     basbm: lambda = log_mean(a, b)*log(n)/n; cbsbm: lambda = 0.
     """
     if not isinstance(params, (BasbmParams, CbsbmParams)):
         raise InvalidParams("binary certificate needs basbm or cbsbm params")
-    a_dense = dense_matrix(graph)
+    a_dense = g.to_dense()
     if a_dense.shape[0] != gt.n:
         raise ShapeMismatch("adjacency and ground truth sizes disagree")
     return binary_certificate(a_dense, gt.sigma, lambda_star(params))
@@ -289,7 +289,7 @@ def general_certificate(
 
 
 def build_general(
-    graph,
+    g: Graph,
     gt: GroundTruth,
     params: GssbmParams,
     constants: GssbmConstants | None = None,
@@ -306,7 +306,7 @@ def build_general(
     """
     if params.variant != GSSBM:
         raise InvalidParams("general certificate needs gssbm params")
-    a_dense = dense_matrix(graph)
+    a_dense = g.to_dense()
     if a_dense.shape[0] != gt.n:
         raise ShapeMismatch("adjacency and ground truth sizes disagree")
     if constants is None:

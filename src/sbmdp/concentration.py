@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InfeasibleRegime, InvalidParams, InvalidShift
-from .graph import dense_matrix
+from .graph import Graph
 from .models import (
     BASBM,
     CBSBM,
@@ -275,7 +275,7 @@ def spectral_deviation(a_dense: np.ndarray, params: SbmParams, gt: GroundTruth) 
 
 
 def check_concentration(
-    graph, gt: GroundTruth, params: SbmParams, constants: ConcentrationConstants
+    g: Graph, gt: GroundTruth, params: SbmParams, constants: ConcentrationConstants
 ) -> ConcentrationReport:
     """Evaluate the variant's concentration conditions, in a fixed order.
 
@@ -285,7 +285,7 @@ def check_concentration(
     (c2); gssbm the four edge-count conditions of
     :func:`_general_conditions` (c2..c5).
     """
-    a_dense = dense_matrix(graph)
+    a_dense = g.to_dense()
     lhs1 = spectral_deviation(a_dense, params, gt)
     logn = params.log_n
     sqlogn = math.sqrt(logn)

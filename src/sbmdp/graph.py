@@ -22,7 +22,6 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .spectral import as_symmetric
 
 SIMPLE = "simple"
 CENSORED = "censored"
@@ -114,13 +113,6 @@ class Graph:
     def __repr__(self) -> str:
         nnz = int(np.count_nonzero(self._values))
         return f"Graph(n={self.n}, alphabet={self.alphabet!r}, edges={nnz})"
-
-
-def dense_matrix(graph_or_matrix) -> np.ndarray:
-    """Dense float64 adjacency of a Graph, or a validated symmetric matrix."""
-    if isinstance(graph_or_matrix, Graph):
-        return graph_or_matrix.to_dense()
-    return as_symmetric(graph_or_matrix)
 
 
 def neighbors_at_distance(g: Graph, k: int) -> Iterator[Graph]:

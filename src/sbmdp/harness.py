@@ -15,6 +15,7 @@ import numpy as np
 from .certificates import build_binary, build_general, verify_binary, verify_general
 from .concentration import check_concentration, default_constants, spectral_deviation
 from .errors import InvalidParams, SbmdpError
+from .graph import Graph
 from .models import (
     GSSBM,
     GroundTruth,
@@ -53,9 +54,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise InvalidParams(f"config must be an object, got {type(d).__name__}")
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise InvalidParams(f"unknown config keys {unknown}")
+        if not isinstance(d.get("grid", {}), dict):
+            raise InvalidParams("grid must be an object")
         try:
             cfg = cls(
                 variant=d["variant"],
@@ -70,10 +75,14 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise InvalidParams(f"config missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise InvalidParams(f"bad config value: {exc}") from None
         if cfg.mode not in MODES:
             raise InvalidParams(f"mode must be one of {MODES}, got {cfg.mode!r}")
         if cfg.trials < 1:
             raise InvalidParams("trials must be at least 1")
+        if cfg.max_evals < 0:
+            raise InvalidParams(f"max_evals must be nonnegative, got {cfg.max_evals}")
         if not cfg.grid or any(len(v) == 0 for v in cfg.grid.values()):
             raise InvalidParams("grid must be nonempty in every dimension")
         return cfg
@@ -155,8 +164,8 @@ def run_trial(
 ) -> TrialResult:
     """Generate one instance, recover per mode, and score against the truth.
 
-    The graph is densified once; the diagnostics and the non-private
-    recovery read that matrix.
+    The diagnostics and the recovery each take the generated graph and
+    densify it themselves.
     """
     params = _cell_params(cell)
     t0 = time.perf_counter()
@@ -168,11 +177,10 @@ def run_trial(
     if c_stab is None:
         c_stab = delta_exp + 2.0 if mode != "nonprivate" else 0.0
 
-    a_dense = g.to_dense()
-    conc_pass, cert_valid = _diagnostics(a_dense, gt, params, eps, c_stab)
+    conc_pass, cert_valid = _diagnostics(g, gt, params, eps, c_stab)
 
     if mode == "nonprivate":
-        res = recover(a_dense, params)
+        res = recover(g, params)
         recovered = res.matrix is not None and same_clustering(res.matrix, target)
         bottom = False
     else:
@@ -190,30 +198,30 @@ def run_trial(
     return TrialResult(cell, seed, recovered, bottom, conc_pass, cert_valid, ms=ms)
 
 
-def _diagnostics(a_dense: np.ndarray, gt: GroundTruth, params: SbmParams,
+def _diagnostics(g: Graph, gt: GroundTruth, params: SbmParams,
                  eps: float, c_stab: float) -> tuple[bool, bool]:
-    """Concentration and certificate validity against the true labels.
+    """Concentration and certificate validity of a graph against the true
+    labels.
 
-    ``a_dense`` is the graph's dense adjacency. The general certificate's
-    eta is the concentration report's spectral deviation, computed afresh
-    only when the check raised.
+    The general certificate's eta is the concentration report's spectral
+    deviation, computed afresh only when the check raised.
     """
     constants = None
     report = None
     try:
         constants = default_constants(params, eps if eps > 0 else math.inf, c_stab)
-        report = check_concentration(a_dense, gt, params, constants)
+        report = check_concentration(g, gt, params, constants)
     except SbmdpError:
         pass
     conc_pass = report is not None and report.passed
     try:
         if params.variant == GSSBM:
             deviation = (report.conditions[0].lhs if report is not None
-                         else spectral_deviation(a_dense, params, gt))
+                         else spectral_deviation(g.to_dense(), params, gt))
             cert_valid = verify_general(build_general(
-                a_dense, gt, params, constants, deviation=deviation)).valid
+                g, gt, params, constants, deviation=deviation)).valid
         else:
-            cert_valid = verify_binary(build_binary(a_dense, gt, params)).valid
+            cert_valid = verify_binary(build_binary(g, gt, params)).valid
     except SbmdpError:
         cert_valid = False
     return conc_pass, cert_valid

@@ -163,6 +163,8 @@ def distance_to_instability(
     if cap < 0:
         raise InvalidParams(f"cap must be nonnegative, got {cap}")
     if max_evals is not None:
+        if max_evals < 0:
+            raise InvalidParams(f"max_evals must be nonnegative, got {max_evals}")
         cap = next((k for k in range(cap)
                     if ball_size(g.n, g.alphabet, k + 1) > max_evals), cap)
     chunk = max(1, SEARCH_CHUNK_ENTRIES // max(1, g.n * g.n))
@@ -322,6 +324,8 @@ def stbl_fast(
     """
     if c_stab < 0:
         raise InvalidParams(f"c_stab must be nonnegative, got {c_stab}")
+    if max_evals is not None and max_evals < 0:
+        raise InvalidParams(f"max_evals must be nonnegative, got {max_evals}")
     if f is None:
         f = sdp_estimator(params, solve_opts)
 

@@ -66,7 +66,7 @@ from .errors import (
     InfeasibleProblem,
     InvalidParams,
 )
-from .graph import CENSORED, SIMPLE, Graph, dense_matrix
+from .graph import CENSORED, SIMPLE, Graph
 from .models import (
     BASBM,
     CBSBM,
@@ -145,49 +145,30 @@ class SdpSolution:
     labels: Optional[np.ndarray] = field(default=None, repr=False)
 
 
-def _data_matrix(graph_or_matrix, censored: bool) -> np.ndarray:
-    want = CENSORED if censored else SIMPLE
-    if isinstance(graph_or_matrix, Graph) and graph_or_matrix.alphabet != want:
-        raise InvalidParams(f"expected a {want} graph, got {graph_or_matrix.alphabet}")
-    a_dense = dense_matrix(graph_or_matrix)
-    if float(np.abs(np.diag(a_dense)).max(initial=0.0)) > 0:
-        raise InvalidParams("data matrix must have zero diagonal")
-    if censored and not np.isin(a_dense, (-1.0, 0.0, 1.0)).all():
-        raise InvalidParams("censored data entries must lie in {-1, 0, 1}")
-    return a_dense
+def problem_from_graph(g: Graph, params: SbmParams) -> SdpProblem:
+    """The variant's relaxation of a graph.
 
-
-def basbm_problem(graph_or_matrix, rho: float) -> SdpProblem:
-    a_dense = _data_matrix(graph_or_matrix, censored=False)
-    n = a_dense.shape[0]
-    k = int(math.floor(rho * n))
-    if not 0 < k <= n // 2 + n % 2:
-        raise InfeasibleProblem(f"first cluster size {k} invalid for n={n}")
-    return SdpProblem(BASBM, a_dense, mass=float((2 * k - n) ** 2),
-                      first_cluster_size=k)
-
-
-def cbsbm_problem(graph_or_matrix) -> SdpProblem:
-    a_dense = _data_matrix(graph_or_matrix, censored=True)
-    return SdpProblem(CBSBM, a_dense)
-
-
-def gssbm_problem(graph_or_matrix, sizes) -> SdpProblem:
-    a_dense = _data_matrix(graph_or_matrix, censored=False)
-    n = a_dense.shape[0]
-    sizes = tuple(int(s) for s in sizes)
+    Raises InvalidParams unless ``g`` is a :class:`~sbmdp.graph.Graph`
+    over the variant's alphabet (censored for cbsbm, simple otherwise),
+    and InfeasibleProblem when the graph cannot hold the cluster sizes.
+    """
+    want = CENSORED if params.variant == CBSBM else SIMPLE
+    if not isinstance(g, Graph) or g.alphabet != want:
+        got = g.alphabet if isinstance(g, Graph) else type(g).__name__
+        raise InvalidParams(f"expected a {want} graph, got {got}")
+    n = g.n
+    if params.variant == CBSBM:
+        return SdpProblem(CBSBM, g.to_dense())
+    if params.variant == BASBM:
+        k = int(math.floor(params.rho * n))
+        if not 0 < k <= n // 2 + n % 2:
+            raise InfeasibleProblem(f"first cluster size {k} invalid for n={n}")
+        return SdpProblem(BASBM, g.to_dense(), mass=float((2 * k - n) ** 2),
+                          first_cluster_size=k)
+    sizes = params.sizes
     if not sizes or min(sizes) < 1 or sum(sizes) > n:
         raise InfeasibleProblem(f"cluster sizes {sizes} infeasible for n={n}")
-    return SdpProblem(GSSBM, a_dense, sizes=sizes)
-
-
-def problem_from_graph(g: Graph | np.ndarray, params: SbmParams) -> SdpProblem:
-    """The variant's relaxation of a graph, or of its dense adjacency."""
-    if params.variant == BASBM:
-        return basbm_problem(g, params.rho)
-    if params.variant == CBSBM:
-        return cbsbm_problem(g)
-    return gssbm_problem(g, params.sizes)
+    return SdpProblem(GSSBM, g.to_dense(), sizes=sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -720,12 +701,12 @@ def solve(prob: SdpProblem, opts: SolveOptions = SolveOptions()) -> SdpSolution:
 # rounding
 
 
-def round_binary(sol: SdpSolution, rho: float | None = None) -> np.ndarray:
+def round_binary(sol: SdpSolution) -> np.ndarray:
     """Discrete +-1 labels from a binary-variant solution matrix.
 
-    With ``rho`` given, exactly floor(rho*n) coordinates with the largest
-    top-eigenvector entries become +1 (ties broken by lowest index);
-    without it the sign pattern is used. Of the two antipodal readings of
+    For basbm, exactly ``first_cluster_size`` coordinates with the largest
+    top-eigenvector entries become +1 (ties broken by lowest index); for
+    cbsbm the sign pattern is used. Of the two antipodal readings of
     the eigenvector, the one with the larger data objective wins. Raises
     DegenerateSpectrum when the top eigenvalue is not simple within the
     eigen-gap tolerance.
@@ -739,8 +720,8 @@ def round_binary(sol: SdpSolution, rho: float | None = None) -> np.ndarray:
         raise DegenerateSpectrum(
             f"top eigenvalue gap {float(evals[-1] - evals[-2]):.3e} below "
             f"tolerance; rounding is ambiguous")
-    k = int(math.floor(rho * n)) if rho is not None else None
-    return _best_binary_candidate(sol.problem.a_dense, evecs[:, -1], k)
+    return _best_binary_candidate(sol.problem.a_dense, evecs[:, -1],
+                                  sol.problem.first_cluster_size)
 
 
 def round_general(matrix: np.ndarray, sizes) -> np.ndarray:
@@ -773,36 +754,34 @@ class RecoveryResult:
         return self.matrix is None
 
 
-def _rounded(sol: SdpSolution, params: SbmParams) -> RecoveryResult:
+def _rounded(sol: SdpSolution) -> RecoveryResult:
     """A certified solution's own labels, or the rounding of the solution."""
     if sol.certified:
         return RecoveryResult(sol.matrix, sol.labels, sol)
+    variant = sol.problem.variant
     try:
-        if params.variant == GSSBM:
-            labels = round_general(sol.matrix, params.sizes)
+        if variant == GSSBM:
+            labels = round_general(sol.matrix, sol.problem.sizes)
         else:
-            rho = params.rho if params.variant == BASBM else None
-            labels = round_binary(sol, rho).astype(np.int64)
+            labels = round_binary(sol).astype(np.int64)
     except (DegenerateSpectrum, InconsistentRelation):
         return RecoveryResult(None, None, sol)
     return RecoveryResult(
-        assignment_to_cluster_matrix(params.variant, labels), labels, sol)
+        assignment_to_cluster_matrix(variant, labels), labels, sol)
 
 
-def recover(g: Graph | np.ndarray, params: SbmParams,
+def recover(g: Graph, params: SbmParams,
             opts: SolveOptions = SolveOptions()) -> RecoveryResult:
-    """Solve the variant's SDP and round to a discrete clustering.
+    """Solve the variant's SDP of a graph and round to a discrete clustering.
 
-    ``g`` is a graph or its dense adjacency (validated as
-    ``graph.dense_matrix`` does).
-
-    A certified solution carries its labels, so only an uncertified one is
-    rounded. A rounding failure (degenerate spectrum or inconsistent
-    relation) is reported through ``failed`` rather than an exception:
+    ``g`` must be a :class:`~sbmdp.graph.Graph` over the variant's
+    alphabet (see :func:`problem_from_graph`). A certified solution carries
+    its labels, so only an uncertified one is rounded. A rounding failure
+    (degenerate spectrum or inconsistent relation) is reported through ``failed`` rather than an exception:
     callers treat it as a distinguished recovery-failure outcome. This is
     :func:`recover_many` on one graph.
     """
-    return _rounded(solve(problem_from_graph(g, params), opts), params)
+    return _rounded(solve(problem_from_graph(g, params), opts))
 
 
 def recover_many(graphs: Iterable[Graph], params: SbmParams,
@@ -812,4 +791,4 @@ def recover_many(graphs: Iterable[Graph], params: SbmParams,
     finish (see :func:`solve_many`)."""
     probs = [problem_from_graph(g, params) for g in graphs]
     for i, sol in solve_many(probs, opts):
-        yield i, _rounded(sol, params)
+        yield i, _rounded(sol)

@@ -1,7 +1,9 @@
 """Dense symmetric linear algebra: tolerances, validation, norm, PSD cone.
 
-:func:`as_symmetric` validates outside input, rejecting non-finite entries
-and asymmetry above ``Tolerances.symmetry``. :func:`eig_sorted` and
+:func:`as_symmetric` validates the solution matrices that rounding
+receives, rejecting non-finite entries and asymmetry above
+``Tolerances.symmetry``; adjacency matrices need no such check, as
+``Graph.to_dense`` forms them exactly symmetric. :func:`eig_sorted` and
 :func:`psd_project` are the solver's eigen steps and skip that validation:
 they symmetrise their input and run on every iteration. Both take one
 matrix or a stack of same-size matrices, so that the solver has a single
@@ -76,8 +78,8 @@ def spectral_norm(m: np.ndarray) -> float:
     """Largest absolute eigenvalue of a symmetric matrix.
 
     Skips :func:`as_symmetric`'s validation, as the solver's eigen steps
-    do: every caller passes the difference of two validated, exactly
-    symmetric matrices. It is the exact norm of the concentration check
+    do: every caller passes the difference of two exactly symmetric
+    matrices. It is the exact norm of the concentration check
     and the diagnostics' general certificate, and the solver's gate eta
     below ``sdp.KRYLOV_MIN_N_GENERAL`` vertices (:func:`norm_estimate`
     from there on).

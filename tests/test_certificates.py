@@ -22,7 +22,7 @@ from sbmdp.certificates import (
 from sbmdp.cli import main
 from sbmdp.concentration import log_mean, spectral_deviation
 from sbmdp.errors import InvalidParams
-from sbmdp.graph import CENSORED, SIMPLE, Graph, dense_matrix, pair_count
+from sbmdp.graph import CENSORED, SIMPLE, Graph, pair_count
 from sbmdp.models import (
     BasbmParams,
     CbsbmParams,
@@ -48,8 +48,8 @@ from oracles import (
 TOL = DEFAULT_TOLS.certificate
 
 
-def _deviation(graph_or_dense, params, gt) -> float:
-    return spectral_deviation(dense_matrix(graph_or_dense), params, gt)
+def _deviation(g, params, gt) -> float:
+    return spectral_deviation(g.to_dense(), params, gt)
 
 
 def test_kernel_identity_holds_for_arbitrary_inputs():
@@ -237,8 +237,9 @@ def test_verify_general_outlier_hub_invalid():
     members = np.where(gt.assignment == 3)[0]
     dense[hub, members] = 1.0
     dense[members, hub] = 1.0
+    hubbed = graph_from_dense(dense)
     report = verify_general(build_general(
-        dense, gt, params, deviation=_deviation(dense, params, gt)))
+        hubbed, gt, params, deviation=_deviation(hubbed, params, gt)))
     assert report.b_min_off <= 0
     assert not report.valid
 

@@ -18,6 +18,7 @@ from sbmdp.concentration import (
     log_mean,
     margin_exponent,
     poisson_tail_rate,
+    spectral_deviation,
     tighten_constants,
 )
 from sbmdp.errors import InfeasibleRegime, InvalidParams, InvalidShift
@@ -153,14 +154,14 @@ def test_balanced_direction_maximizes_ones_form():
 
 def test_check_basbm_expected_adjacency_hook():
     params = BasbmParams(n=60, a=8, b=1, rho=0.5)
-    _, gt = generate(params, 1)
-    constants = BasbmConstants(1e-6, 0.1, 10.0, 0.1)
-    report = check_concentration(expected_adjacency(params, gt), gt, params,
-                                 constants)
+    g, gt = generate(params, 1)
+    assert spectral_deviation(expected_adjacency(params, gt), params, gt) == \
+        pytest.approx(0.0, abs=1e-9)
+    # the report's first condition is that deviation, read on the graph
+    report = check_concentration(g, gt, params, BasbmConstants(1e-6, 0.1, 10.0, 0.1))
     cond1 = report.conditions[0]
     assert cond1.name == "spectral_deviation"
-    assert cond1.lhs == pytest.approx(0.0, abs=1e-9)
-    assert cond1.passed
+    assert cond1.lhs == spectral_deviation(g.to_dense(), params, gt)
 
 
 def test_check_basbm_generated_instance_passes():
@@ -182,7 +183,7 @@ def test_check_basbm_isolated_vertex_fails_margin():
     dense[victim, :] = 0.0
     dense[:, victim] = 0.0
     constants = default_constants(params, 2.0, 2.0)
-    report = check_concentration(dense, gt, params, constants)
+    report = check_concentration(graph_from_dense(dense), gt, params, constants)
     margin = [c for c in report.conditions if c.name == "degree_margin"][0]
     assert not margin.passed
 
@@ -216,7 +217,8 @@ def test_check_cbsbm_flipped_vertex_fails():
     dense[0, :] *= -1
     dense[:, 0] *= -1
     constants = default_constants(params, 1.0, 2.0)
-    report = check_concentration(dense, gt, params, constants)
+    report = check_concentration(graph_from_dense(dense, CENSORED), gt, params,
+                                 constants)
     margin = [c for c in report.conditions if c.name == "degree_margin"][0]
     assert margin.lhs < 0
     assert not margin.passed
@@ -252,7 +254,7 @@ def test_check_gssbm_outlier_hub_fails():
     dense[hub, last_cluster] = 1.0
     dense[last_cluster, hub] = 1.0
     constants = default_constants(params, math.inf, 0.0)
-    report = check_concentration(dense, gt, params, constants)
+    report = check_concentration(graph_from_dense(dense), gt, params, constants)
     outlier = [c for c in report.conditions if c.name == "outlier_degree"][0]
     assert not outlier.passed
 

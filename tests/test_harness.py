@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sbmdp import harness, privacy
+from sbmdp import harness, privacy, sdp
 from sbmdp.cli import main
 from sbmdp.errors import InvalidParams
 from sbmdp.graph import Graph, write_edge_list
@@ -49,6 +49,18 @@ def test_config_validation():
         ExperimentConfig.from_dict({"variant": "basbm", "grid": {"n": [10]},
                                     "trials": 1, "mode": "wat",
                                     "output": "x.csv"})
+    with pytest.raises(InvalidParams):
+        ExperimentConfig.from_dict({"variant": "basbm", "grid": {"n": [10]},
+                                    "trials": 1, "output": "x.csv",
+                                    "max_evals": -1})
+    # a JSON document that is not an object, a grid that is not one, and a
+    # grid dimension that is not a list
+    with pytest.raises(InvalidParams):
+        ExperimentConfig.from_dict([])
+    for grid in ([1], {"n": 10}):
+        with pytest.raises(InvalidParams):
+            ExperimentConfig.from_dict({"variant": "basbm", "grid": grid,
+                                        "trials": 1, "output": "x.csv"})
     # a misspelt or retired key is an error, not a silent default
     for key in ("max_eval", "permute"):
         with pytest.raises(InvalidParams, match=key):
@@ -130,7 +142,10 @@ def test_run_trial_deterministic():
     assert r1.recovered and not r1.bottom
 
 
-def test_run_trial_densifies_once(monkeypatch):
+def test_run_trial_densifies_once_per_consumer(monkeypatch):
+    # the concentration check, the certificate and the recovery each take
+    # the graph and densify it once; no adjacency goes through the
+    # validated copy of spectral.as_symmetric
     calls = []
     real = Graph.to_dense
 
@@ -138,11 +153,15 @@ def test_run_trial_densifies_once(monkeypatch):
         calls.append(self.n)
         return real(self, *args, **kwargs)
 
+    def unexpected(m):
+        raise AssertionError("as_symmetric called on a certified trial")
+
     monkeypatch.setattr(Graph, "to_dense", counted)
+    monkeypatch.setattr(sdp, "as_symmetric", unexpected)
     cell = {"variant": "gssbm", "n": 200, "a": 30.0, "b": 2.0,
             "rhos": [0.3, 0.3, 0.3]}
     result = run_trial(cell, trial_seed(1, 0, 0))
-    assert calls == [200]
+    assert calls == [200, 200, 200]
     assert result.recovered and result.conc_pass and result.cert_valid
 
 
@@ -260,6 +279,14 @@ def test_cli_private_recover_output(tmp_path, capsys):
     assert not {"d_hat", "concentration_pass", "fast_path"} & payload.keys()
     assert payload["bottom"] is False
     assert len(payload["assignment"]) == 150
+    # a negative search budget is a config error in both modes, even where
+    # the fast path would release without searching
+    for mode in ("fast", "stbl"):
+        assert main(["private-recover", "--variant", "basbm", "--graph",
+                     str(graph_file), "--eps", "2", "--delta-exp", "2",
+                     "--params-known", "20,2", "--rho", "0.5", "--mode", mode,
+                     "--max-evals", "-1"]) == 1
+    assert "max_evals" in capsys.readouterr().err
 
 
 def test_cli_sweep_and_exit_codes(tmp_path):
@@ -280,6 +307,9 @@ def test_cli_sweep_and_exit_codes(tmp_path):
     bad.write_text("{}")
     assert main(["sweep", "--config", str(bad)]) == 1
     assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 1
+    for bad_config in ([], {**config, "grid": [1]}, {**config, "max_evals": -1}):
+        bad.write_text(json.dumps(bad_config))
+        assert main(["sweep", "--config", str(bad)]) == 1
     assert main(["recover", "--variant", "basbm", "--a", "2"]) == 1  # no graph
 
 

@@ -154,6 +154,10 @@ def test_distance_budget_guard():
     # radius 1 is the cap itself, so no neighbour is solved
     assert distance_to_instability(g, lifted(one), one(g), 4, max_evals=15) == 1
     assert len(calls) == 2
+    # a negative budget is an error, not a silent distance 0
+    with pytest.raises(InvalidParams, match="max_evals"):
+        distance_to_instability(g, lifted(one), np.ones((1, 1)), 4, max_evals=-1)
+    assert len(calls) == 2
 
 
 def test_search_rejects_missing_outputs():

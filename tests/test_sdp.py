@@ -28,9 +28,6 @@ from sbmdp.sdp import (
     KRYLOV_MIN_N_GENERAL,
     SdpSolution,
     SolveOptions,
-    basbm_problem,
-    cbsbm_problem,
-    gssbm_problem,
     problem_from_graph,
     recover,
     round_binary,
@@ -60,26 +57,28 @@ def make_solution(prob, matrix):
 
 def test_two_vertex_problem_forced_off_diagonal():
     # mass constraint <J, Y> = 0 pins Y01 = -1, objective -2
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    prob = basbm_problem(a, rho=0.5)
+    g = graph_from_dense(np.array([[0, 1], [1, 0]]))
+    prob = problem_from_graph(g, BasbmParams(n=2, a=1.0, b=0.5, rho=0.5))
     sol = solve(prob, SolveOptions(certify_every=0, max_iters=500))
     assert sol.matrix[0, 1] == pytest.approx(-1.0, abs=1e-5)
     assert sol.objective == pytest.approx(-2.0, abs=1e-4)
 
 
 def test_cluster_matrix_as_data_recovers_itself():
+    # the data is the two-clique adjacency of the planted clustering
     n = 8
     sigma = np.array([1.0] * 4 + [-1.0] * 4)
-    a = np.outer(sigma, sigma)
+    a = (np.outer(sigma, sigma) + 1) / 2
     np.fill_diagonal(a, 0.0)
-    prob = basbm_problem(a, rho=0.5)
+    prob = problem_from_graph(graph_from_dense(a),
+                              BasbmParams(n=n, a=3.0, b=1.0, rho=0.5))
     sol = solve(prob)
     # independent oracle: enumerate all balanced sign vectors
     best = max(
         float(np.array(s) @ a @ np.array(s))
         for s in itertools.product((-1.0, 1.0), repeat=n)
         if sum(s) == 0)
-    assert best == n * n - n
+    assert best == n * n / 2 - n
     assert sol.objective == pytest.approx(best, abs=1e-3)
     assert same_clustering(np.sign(sol.matrix), np.outer(sigma, sigma))
 
@@ -89,20 +88,26 @@ def test_cbsbm_complete_noiseless_graph():
     params = CbsbmParams(n=n, a=2.0, xi=0.0)
     _, gt = generate(params, 0)
     g = graph_from_dense(np.outer(gt.sigma, gt.sigma), CENSORED)
-    sol = solve(cbsbm_problem(g))
+    sol = solve(problem_from_graph(g, params))
     assert sol.objective == pytest.approx(n * (n - 1), abs=1e-3)
     assert same_clustering(np.sign(sol.matrix), cluster_matrix(gt))
 
 
 def test_problem_validation():
+    basbm = BasbmParams(n=4, a=2.0, b=1.0, rho=0.5)
+    cbsbm = CbsbmParams(n=4, a=2.0, xi=0.1)
     with pytest.raises(InvalidParams):
-        basbm_problem(np.array([[1.0, 0.0], [0.0, 0.0]]), rho=0.5)  # diagonal
+        problem_from_graph(empty_graph(4, CENSORED), basbm)  # wrong alphabet
     with pytest.raises(InvalidParams):
-        cbsbm_problem(np.array([[0.0, 2.0], [2.0, 0.0]]))  # outside alphabet
-    with pytest.raises(InfeasibleProblem):
-        gssbm_problem(np.zeros((4, 4)), sizes=(3, 3))
-    with pytest.raises(InfeasibleProblem):
-        basbm_problem(np.zeros((4, 4)), rho=0.01)  # empty first cluster
+        problem_from_graph(empty_graph(4), cbsbm)  # wrong alphabet
+    with pytest.raises(InfeasibleProblem):  # sizes (3, 3) on 4 vertices
+        problem_from_graph(empty_graph(4),
+                           GssbmParams(n=8, a=3.0, b=1.0, rhos=(0.4, 0.4)))
+    with pytest.raises(InfeasibleProblem):  # empty first cluster
+        problem_from_graph(empty_graph(4), BasbmParams(n=4, a=2.0, b=1.0, rho=0.01))
+    # the adjacency input is a Graph, never its dense matrix
+    with pytest.raises(InvalidParams):
+        recover(empty_graph(4).to_dense(), basbm)
 
 
 def test_ground_truth_feasible_for_every_problem():
@@ -150,7 +155,7 @@ def test_round_binary_exact_rank_one():
     prob = problem_from_graph(g, params)
     sigma = gt.sigma
     sol = make_solution(prob, np.outer(sigma, sigma))
-    out = round_binary(sol, rho=0.4)
+    out = round_binary(sol)
     assert same_clustering(np.outer(out, out), np.outer(sigma, sigma))
     assert np.count_nonzero(out > 0) == gt.first_cluster_size
 
@@ -164,7 +169,7 @@ def test_round_binary_perturbed():
     noise = rng.standard_normal((50, 50))
     noise = (noise + noise.T) / 2
     sol = make_solution(prob, np.outer(sigma, sigma) + 0.01 * noise)
-    out = round_binary(sol, rho=0.5)
+    out = round_binary(sol)
     assert same_clustering(np.outer(out, out), np.outer(sigma, sigma))
 
 
@@ -173,10 +178,10 @@ def test_round_binary_tie_break_and_degenerate():
     g, _ = generate(params, 5)
     prob = problem_from_graph(g, params)
     # all-equal top eigenvector: deterministic lowest-index split
-    out = round_binary(make_solution(prob, np.ones((6, 6))), rho=0.5)
+    out = round_binary(make_solution(prob, np.ones((6, 6))))
     assert out.tolist() == [1, 1, 1, -1, -1, -1]
     with pytest.raises(DegenerateSpectrum):
-        round_binary(make_solution(prob, np.eye(6)), rho=0.5)
+        round_binary(make_solution(prob, np.eye(6)))
 
 
 def lexsort_binary_candidates(v, k):
@@ -212,8 +217,8 @@ def test_round_binary_sign_invariance():
     g, gt = generate(params, 6)
     prob = problem_from_graph(g, params)
     sigma = gt.sigma
-    up = round_binary(make_solution(prob, np.outer(sigma, sigma)), rho=0.5)
-    down = round_binary(make_solution(prob, np.outer(-sigma, -sigma)), rho=0.5)
+    up = round_binary(make_solution(prob, np.outer(sigma, sigma)))
+    down = round_binary(make_solution(prob, np.outer(-sigma, -sigma)))
     assert np.array_equal(up, down)
 
 
@@ -463,7 +468,7 @@ def assert_labels_are_the_rounding(g, params, opts=SolveOptions()):
     if params.variant == "gssbm":
         rounded = round_general(sol.matrix, params.sizes)
     else:
-        rounded = round_binary(sol, params.rho if params.variant == "basbm" else None)
+        rounded = round_binary(sol)
     assert np.array_equal(sol.labels, rounded)
     assert res.labels is sol.labels and res.matrix is sol.matrix
     assert np.array_equal(res.matrix,
@@ -518,6 +523,7 @@ BATCH_OPTS = SolveOptions(tol=1e-4, max_iters=300, certify_every=5)
 CHECKPOINT_CERTIFIED = Graph(9, "censored", np.array(
     [0, 0, 1, -1, 0, 1, 1, 1, 1, 1, 0, 0, -1, 1, 1, 0, 1, 0, 1, 1, 1, 0, -1, 1,
      1, 1, 1, 1, 0, 1, 1, 1, 1, -1, -1, 1], dtype=np.int8))
+CHECKPOINT_PARAMS = CbsbmParams(n=9, a=2.0, xi=0.1)
 
 
 def planted_problem(params, seed):
@@ -537,7 +543,7 @@ def anchor_problems():
     """
     return [
         planted_problem(BasbmParams(n=5, a=2.5, b=1.0, rho=0.5), 0),  # spectral
-        cbsbm_problem(CHECKPOINT_CERTIFIED),                           # checkpoint
+        problem_from_graph(CHECKPOINT_CERTIFIED, CHECKPOINT_PARAMS),  # checkpoint
         planted_problem(BasbmParams(n=5, a=2.5, b=1.0, rho=0.5), 1),  # converged
         planted_problem(CbsbmParams(n=5, a=2.0, xi=0.2), 2),           # converged
         planted_problem(GssbmParams(n=5, a=3.0, b=1.0, rhos=(0.3, 0.3)), 0),
