@@ -12,14 +12,13 @@ reproduce the clustering exactly.
 
 This module is the only place a certificate is built and tested. The
 kernels :func:`binary_certificate` and :func:`general_certificate` take
-plain arrays and the multipliers; each caller decides where the
-multipliers come from. :func:`build_binary` and :func:`build_general`
-derive them from the true model rates, for diagnostics on a planted
-clustering. The solver's early stop (``sdp._certify_candidate``) derives
-them from the empirical rates of its rounded candidate. Both judge the
-result with :func:`verify_binary` / :func:`verify_general`. A certificate
-carries the clustering it was built for, so it is always verified against
-those labels and no others.
+plain arrays and the multipliers, and both sources of multipliers live
+here. :func:`build_binary` and :func:`build_general` take the true model
+rates, for diagnostics on a planted clustering; :func:`candidate_report`,
+the solver's gate, takes the empirical rates of its rounded candidate and
+returns the report only when valid. All judge with :func:`verify_binary`
+/ :func:`verify_general`. A certificate carries its clustering as
+``labels``, so it is always verified against those labels and no others.
 
 The general price matrix is one product of rank 2r+1 factors. With M the
 n x r member indicator (empty clusters dropped), F = E/K, Cbar =
@@ -76,19 +75,22 @@ from .concentration import (
     default_constants,
     degree_margins,
     lambda_star,
+    log_mean,
     own_cluster_counts,
 )
 from .errors import InvalidParams, ShapeMismatch
 from .graph import Graph
 from .models import (
+    BASBM,
     GSSBM,
     BasbmParams,
     CbsbmParams,
     GroundTruth,
     GssbmParams,
     cluster_indicator,
+    same_cluster,
 )
-from .spectral import DEFAULT_TOLS
+from .spectral import DEFAULT_TOLS, KRYLOV_MIN_N_GENERAL, norm_estimate, spectral_norm
 
 # Smallest n whose verdict tries steps 1 and 2 of the module docstring. On
 # one core, steps 1 and 2 on a valid certificate cost about one eigvalsh of
@@ -100,7 +102,7 @@ CHOLESKY_MIN_N = 32
 
 @dataclass(frozen=True)
 class BinaryCertificate:
-    sigma: np.ndarray = field(repr=False)
+    labels: np.ndarray = field(repr=False)  # +-1
     d_star: np.ndarray = field(repr=False)
     lam: float
     s_matrix: np.ndarray = field(repr=False)
@@ -108,7 +110,7 @@ class BinaryCertificate:
 
 @dataclass(frozen=True)
 class GeneralCertificate:
-    assign: np.ndarray = field(repr=False)
+    labels: np.ndarray = field(repr=False)  # 1..r, 0 for outliers
     d_star: np.ndarray = field(repr=False)
     b_matrix: np.ndarray = field(repr=False)
     eta: float
@@ -156,7 +158,7 @@ class GeneralReport(_ReadSpectrum):
     @property
     def lambda_after_kernel(self) -> float:
         w = self._spectrum
-        r = cluster_indicator(self.certificate.assign).shape[1]
+        r = cluster_indicator(self.certificate.labels).shape[1]
         return float(w[r]) if w.size > r else float("nan")
 
     def to_dict(self) -> dict:
@@ -235,8 +237,7 @@ def build_binary(g: Graph, gt: GroundTruth, params) -> BinaryCertificate:
 
 def verify_binary(cert: BinaryCertificate) -> BinaryReport:
     """Numerical validity of a binary certificate, tolerances relative to ||S||."""
-    s = cert.s_matrix
-    sigma = cert.sigma
+    s, sigma = cert.s_matrix, cert.labels
     residual = float(np.abs(s @ sigma).max())
     basis = (sigma / np.linalg.norm(sigma))[:, None]
     return BinaryReport(_spectral_verdict(s, basis, residual), residual, cert)
@@ -325,8 +326,7 @@ def verify_general(cert: GeneralCertificate) -> GeneralReport:
     (r+1)-st smallest eigenvalue strictly positive with no eigenvalue below
     -tol*||S||.
     """
-    s = cert.s_matrix
-    assign = cert.assign
+    s, assign = cert.s_matrix, cert.labels
     indicator = cluster_indicator(assign)
     kernel_residual = float(np.abs(s @ indicator).max()) if indicator.shape[1] else 0.0
 
@@ -343,3 +343,99 @@ def verify_general(cert: GeneralCertificate) -> GeneralReport:
              and _spectral_verdict(s, basis, kernel_residual, slackness))
     return GeneralReport(bool(valid), kernel_residual, b_min_off, d_min,
                          slackness, cert)
+
+
+# ---------------------------------------------------------------------------
+# the solver's gate: multipliers from a candidate's empirical rates
+
+
+def _empirical_rates(
+    a_dense: np.ndarray, same: np.ndarray
+) -> tuple[float, float] | None:
+    """Edge densities within and across parts; None without pairs of both kinds.
+
+    ``same`` marks the pairs inside one part; its diagonal is ignored.
+    """
+    n = a_dense.shape[0]
+    intra_pairs = (np.count_nonzero(same) - np.count_nonzero(np.diag(same))) / 2
+    inter_pairs = n * (n - 1) / 2 - intra_pairs
+    if intra_pairs <= 0 or inter_pairs <= 0:
+        return None
+    intra_edges = a_dense[same].sum() / 2
+    return (intra_edges / intra_pairs,
+            (a_dense.sum() / 2 - intra_edges) / inter_pairs)
+
+
+def _general_multipliers(
+    a_dense: np.ndarray, assign: np.ndarray, sizes: np.ndarray
+) -> tuple[float, float] | None:
+    """(lambda, eta) from a general candidate's own rates; None if undefined.
+
+    eta is the spectral deviation of A from the expectation under the
+    candidate's empirical rates: exact below ``KRYLOV_MIN_N_GENERAL``
+    vertices, and from there on the Lanczos estimate
+    ``spectral.norm_estimate``, which is at most the norm up to rounding
+    and within 1e-10 of it on the gate matrices tested. Either way eta is
+    only a multiplier: ``verify_general`` checks the whole certificate
+    built with it, so a certification never rests on the estimate.
+    lambda may be any value in the exact interval that keeps the diagonal
+    corrections positive and the cross-cluster prices nonnegative; both
+    endpoints are closed-form in the candidate's edge counts, and the
+    midpoint is taken.
+    """
+    same = same_cluster(assign)
+    rates = _empirical_rates(a_dense, same)
+    if rates is None or not rates[0] > rates[1] >= 0:
+        return None
+    expected = np.where(same, *rates)
+    np.fill_diagonal(expected, 0.0)
+    deviation = np.subtract(a_dense, expected, out=expected)
+    if a_dense.shape[0] < KRYLOV_MIN_N_GENERAL:
+        eta = spectral_norm(deviation)
+    else:
+        eta = norm_estimate(deviation)
+
+    e_counts, pair_counts = cluster_edge_counts(a_dense, assign)
+    ksz = sizes.astype(np.float64)
+    # each cluster's members' edge counts into every cluster
+    rows = [e_counts[assign == k + 1] for k in range(ksz.size)]
+    lam_hi = min((float(e[:, k].min()) - eta) / ksz[k] for k, e in enumerate(rows))
+    # peak[k, j]: the most edges a member of cluster k has into cluster j, over K_j
+    peak = np.array([e.max(axis=0) for e in rows]) / ksz
+    terms = (peak + peak.T) - pair_counts / np.multiply.outer(ksz, ksz)
+    lam_lo = max(0.0, float(terms[~np.eye(ksz.size, dtype=bool)].max(initial=0.0)))
+    outliers = assign == 0
+    if outliers.any():
+        lam_lo = max(lam_lo, float((e_counts[outliers] / ksz[None, :]).max()))
+    if not lam_lo < lam_hi:
+        return None
+    return 0.5 * (lam_lo + lam_hi), eta
+
+
+def candidate_report(
+    variant: str, a_dense: np.ndarray, labels: np.ndarray, sizes: tuple | None
+) -> BinaryReport | GeneralReport | None:
+    """The verified report of a candidate clustering, or None unless valid.
+
+    The solver's gate. The multipliers come from the candidate's empirical
+    rates (basbm: lambda = log_mean(p_hat, q_hat); cbsbm: none; gssbm: see
+    :func:`_general_multipliers`, with ``sizes`` the cluster sizes, which
+    the binary variants ignore). A candidate that leaves them undefined is
+    rejected before its certificate is built or its spectrum computed.
+    """
+    if variant == GSSBM:
+        sizes = np.array(sizes)
+        multipliers = _general_multipliers(a_dense, labels, sizes)
+        if multipliers is None:
+            return None
+        report = verify_general(
+            general_certificate(a_dense, labels, sizes, *multipliers))
+    else:
+        lam = 0.0
+        if variant == BASBM:
+            rates = _empirical_rates(a_dense, same_cluster(labels))
+            if rates is None or not rates[0] > rates[1] > 0:
+                return None
+            lam = log_mean(*rates)
+        report = verify_binary(binary_certificate(a_dense, labels, lam))
+    return report if report.valid else None

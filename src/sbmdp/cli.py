@@ -16,16 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import build_binary, build_general, verify_binary, verify_general
-from .concentration import (
-    check_concentration,
-    default_constants,
-    spectral_deviation,
-    tighten_constants,
-)
+from .concentration import check_concentration, default_constants, tighten_constants
 from .errors import InvalidParams, ParseError, SbmdpError
 from .graph import read_edge_list, write_edge_list
-from .harness import ExperimentConfig, sweep
+from .harness import ExperimentConfig, planted_report, sweep
 from .models import (
     BASBM,
     CBSBM,
@@ -184,12 +178,7 @@ def cmd_certify(args) -> int:
     g = _load_graph(args.graph)
     gt = _load_gt(args.gt)
     params = _params_from_args(args, g.n)
-    if params.variant == GSSBM:
-        deviation = spectral_deviation(g.to_dense(), params, gt)
-        report = verify_general(build_general(g, gt, params, deviation=deviation))
-    else:
-        report = verify_binary(build_binary(g, gt, params))
-    _emit(report.to_dict())
+    _emit(planted_report(g, gt, params, None, None).to_dict())
     return 0
 
 

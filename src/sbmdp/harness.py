@@ -12,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import build_binary, build_general, verify_binary, verify_general
-from .concentration import check_concentration, default_constants, spectral_deviation
+from .certificates import (BinaryReport, GeneralReport, build_binary, build_general,
+                           verify_binary, verify_general)
+from .concentration import (GssbmConstants, check_concentration, default_constants,
+                            spectral_deviation)
 from .errors import InvalidParams, SbmdpError
 from .graph import Graph
 from .models import (
@@ -69,7 +71,7 @@ class ExperimentConfig:
                 seed_base=int(d.get("seed_base", 0)),
                 mode=d.get("mode", "nonprivate"),
                 output=d["output"],
-                c_stab=d.get("c_stab"),
+                c_stab=None if d.get("c_stab") is None else float(d["c_stab"]),
                 workers=int(d.get("workers", 1)),
                 max_evals=int(d.get("max_evals", 2000)),
             )
@@ -81,6 +83,8 @@ class ExperimentConfig:
             raise InvalidParams(f"mode must be one of {MODES}, got {cfg.mode!r}")
         if cfg.trials < 1:
             raise InvalidParams("trials must be at least 1")
+        if cfg.c_stab is not None and not 0 <= cfg.c_stab < math.inf:
+            raise InvalidParams(f"c_stab must be finite and >= 0, got {cfg.c_stab}")
         if cfg.max_evals < 0:
             raise InvalidParams(f"max_evals must be nonnegative, got {cfg.max_evals}")
         if not cfg.grid or any(len(v) == 0 for v in cfg.grid.values()):
@@ -206,25 +210,34 @@ def _diagnostics(g: Graph, gt: GroundTruth, params: SbmParams,
     The general certificate's eta is the concentration report's spectral
     deviation, computed afresh only when the check raised.
     """
-    constants = None
-    report = None
+    constants = report = None
     try:
         constants = default_constants(params, eps if eps > 0 else math.inf, c_stab)
         report = check_concentration(g, gt, params, constants)
     except SbmdpError:
         pass
-    conc_pass = report is not None and report.passed
+    deviation = None if report is None else report.conditions[0].lhs
     try:
-        if params.variant == GSSBM:
-            deviation = (report.conditions[0].lhs if report is not None
-                         else spectral_deviation(g.to_dense(), params, gt))
-            cert_valid = verify_general(build_general(
-                g, gt, params, constants, deviation=deviation)).valid
-        else:
-            cert_valid = verify_binary(build_binary(g, gt, params)).valid
+        cert_valid = planted_report(g, gt, params, constants, deviation).valid
     except SbmdpError:
         cert_valid = False
-    return conc_pass, cert_valid
+    return report is not None and report.passed, cert_valid
+
+
+def planted_report(g: Graph, gt: GroundTruth, params: SbmParams,
+                   constants: GssbmConstants | None, deviation: float | None,
+                   ) -> BinaryReport | GeneralReport:
+    """The verified true-rate certificate of the planted clustering.
+
+    Only gssbm reads ``constants`` (None: non-private defaults) and
+    ``deviation``, its eta (None: the spectral deviation, computed here).
+    """
+    if params.variant != GSSBM:
+        return verify_binary(build_binary(g, gt, params))
+    if deviation is None:
+        deviation = spectral_deviation(g.to_dense(), params, gt)
+    return verify_general(build_general(g, gt, params, constants,
+                                        deviation=deviation))
 
 
 def _run_task(config: ExperimentConfig, trial: tuple[dict, int]) -> TrialResult:

@@ -8,19 +8,18 @@ needed.
 
 Exactness is never claimed from residuals alone. Solving is certificate
 first: before any ADMM iteration, a spectral estimate of the data matrix is
-rounded to a candidate clustering and tested with the dual certificate of
-:mod:`sbmdp.certificates`, the same kernel and verifier that the public
-diagnostics use. Here the dual multipliers come from the candidate's own
-empirical rates rather than the true model rates, which the solver does
-not know. When the certificate verifies, the candidate's cluster matrix is
-the unique optimum and the solver returns it without iterating; above the
-recovery threshold this is the usual outcome, since the rounded spectral
-estimate is already the planted clustering. Otherwise ADMM runs, and the
-same test is repeated on the rounded iterate at regular checkpoints,
-reusing the eigenpairs of the iteration's PSD step. Sub-threshold inputs
-never certify and fall back to plain ADMM convergence. A certified
-solution carries the candidate's labels, so recovery rounds only
-uncertified ones.
+rounded to a candidate clustering and tested by the gate
+:func:`~sbmdp.certificates.candidate_report`, the dual certificate that the
+public diagnostics use with multipliers from the candidate's own empirical
+rates, as the solver does not know the true model rates. When the
+certificate verifies, the candidate's cluster matrix is the unique optimum
+and the solver returns it without iterating; above the recovery threshold
+this is the usual outcome, since the rounded spectral estimate is already
+the planted clustering. Otherwise ADMM runs, and the same test is repeated
+on the rounded iterate at regular checkpoints, reusing the eigenpairs of
+the iteration's PSD step. Sub-threshold inputs never certify and fall back
+to plain ADMM convergence. A certified solution carries the gate's report,
+whose certificate holds the labels, so recovery rounds only uncertified ones.
 
 The spectral estimate reads only the top one (binary) or r (general)
 eigenpairs. From ``KRYLOV_MIN_N`` vertices on (``KRYLOV_MIN_N_GENERAL`` for
@@ -41,7 +40,7 @@ step-size changes and checkpoint candidates, every norm and sum is reduced
 per matrix exactly as for one matrix, and a member leaves the stack when
 it finishes. Each result is therefore bit for bit the one-problem solve,
 whatever else is in the batch, which the privacy search relies on. Within
-one call, each candidate's certificate verdict is kept, so an iterate that
+one call, each candidate's gate verdict is kept, so an iterate that
 rounds to the same candidate at a later checkpoint is not tested again.
 """
 
@@ -53,13 +52,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .certificates import (
-    binary_certificate,
-    general_certificate,
-    verify_binary,
-    verify_general,
-)
-from .concentration import cluster_edge_counts, log_mean, own_cluster_counts
+from .certificates import BinaryReport, GeneralReport, candidate_report
 from .errors import (
     DegenerateSpectrum,
     InconsistentRelation,
@@ -74,36 +67,19 @@ from .models import (
     SbmParams,
     assignment_to_cluster_matrix,
     cluster_indicator,
-    same_cluster,
 )
 from .spectral import (
     DEFAULT_TOLS,
+    KRYLOV_MIN_N,
+    KRYLOV_MIN_N_GENERAL,
     as_symmetric,
     eig_sorted,
-    norm_estimate,
     psd_project,
-    spectral_norm,
     top_eigenpairs,
 )
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
-
-# Binary groups of at least KRYLOV_MIN_N vertices, and gssbm groups of at
-# least KRYLOV_MIN_N_GENERAL, get their spectral candidates from
-# spectral.top_eigenpairs, one matrix at a time; smaller ones from one
-# batched eig_sorted. Each is where the two break even on one core (median
-# over 3 seeds). Binary: at n = 128 the full eigh takes 2.0-2.7 ms and block
-# Krylov 1.4-1.9 ms; at n = 300 12-14 ms against 3.2-4.5 ms. gssbm grows
-# blocks of r + 1 columns and so breaks even later: at r = 3 and n = 128,
-# 144, 152, 160 the eigh took 2.7, 3.7, 4.4, 4.6 ms and Krylov 3.8, 4.6,
-# 4.7, 3.6 ms; r = 2 crossed near n = 150. From KRYLOV_MIN_N_GENERAL on,
-# the gssbm gate also takes its eta from spectral.norm_estimate instead of
-# spectral_norm: on the gate matrices of gssbm rhos 0.3x3, Lanczos against
-# eigvalsh took 0.86 against 1.22 ms at n = 160, 1.24 against 2.05 ms at
-# n = 200 and 2.28 against 4.70 ms at n = 300 (same measure).
-KRYLOV_MIN_N = 128
-KRYLOV_MIN_N_GENERAL = 160
 
 
 @dataclass(frozen=True)
@@ -140,9 +116,12 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     status: str
-    certified: bool
-    # the certified clustering's labels (+-1, or 1..r with 0 for outliers)
-    labels: Optional[np.ndarray] = field(default=None, repr=False)
+    # the gate's valid report on the certified clustering, None if uncertified
+    certificate: BinaryReport | GeneralReport | None = None
+
+    @property
+    def certified(self) -> bool:
+        return self.certificate is not None
 
 
 def problem_from_graph(g: Graph, params: SbmParams) -> SdpProblem:
@@ -263,106 +242,6 @@ def _project_gssbm(m: np.ndarray, trace_target: np.ndarray,
         row[off] = _project_box_sum(m_row[off], 0.0, math.inf, float(total - tr))
     out = out.reshape(b, n, n)
     return (out + out.swapaxes(1, 2)) / 2.0
-
-
-# ---------------------------------------------------------------------------
-# empirical dual multipliers for rounded candidates
-
-
-def _empirical_rates(
-    a_dense: np.ndarray, same: np.ndarray
-) -> Optional[tuple[float, float]]:
-    """Edge densities within and across parts; None without pairs of both kinds.
-
-    ``same`` marks the pairs inside one part; its diagonal is ignored.
-    """
-    n = a_dense.shape[0]
-    intra_pairs = (np.count_nonzero(same) - np.count_nonzero(np.diag(same))) / 2
-    inter_pairs = n * (n - 1) / 2 - intra_pairs
-    if intra_pairs <= 0 or inter_pairs <= 0:
-        return None
-    intra_edges = a_dense[same].sum() / 2
-    return (intra_edges / intra_pairs,
-            (a_dense.sum() / 2 - intra_edges) / inter_pairs)
-
-
-def _general_multipliers(
-    a_dense: np.ndarray, assign: np.ndarray, sizes: np.ndarray
-) -> Optional[tuple[float, float]]:
-    """(lambda, eta) from a general candidate's own rates; None if undefined.
-
-    eta is the spectral deviation of A from the expectation under the
-    candidate's empirical rates: exact below ``KRYLOV_MIN_N_GENERAL``
-    vertices, and from there on the Lanczos estimate
-    ``spectral.norm_estimate``, which is at most the norm up to rounding
-    and within 1e-10 of it on the gate matrices tested. Either way eta is
-    only a multiplier: ``verify_general`` checks the whole certificate
-    built with it, so a certification never rests on the estimate.
-    lambda may be any value in the exact interval that keeps the diagonal
-    corrections positive and the cross-cluster prices nonnegative; both
-    endpoints are closed-form in the candidate's edge counts, and the
-    midpoint is taken.
-    """
-    same = same_cluster(assign)
-    rates = _empirical_rates(a_dense, same)
-    if rates is None or not rates[0] > rates[1] >= 0:
-        return None
-    expected = np.where(same, *rates)
-    np.fill_diagonal(expected, 0.0)
-    deviation = np.subtract(a_dense, expected, out=expected)
-    if a_dense.shape[0] < KRYLOV_MIN_N_GENERAL:
-        eta = spectral_norm(deviation)
-    else:
-        eta = norm_estimate(deviation)
-
-    e_counts, pair_counts = cluster_edge_counts(a_dense, assign)
-    ksz = sizes.astype(np.float64)
-    r = ksz.size
-    internal = own_cluster_counts(e_counts, assign)
-    lam_hi = math.inf
-    for k in range(r):
-        lam_hi = min(lam_hi, (float(internal[assign == k + 1].min()) - eta) / ksz[k])
-    lam_lo = 0.0
-    outliers = assign == 0
-    if outliers.any():
-        lam_lo = max(lam_lo, float((e_counts[outliers] / ksz[None, :]).max()))
-    for k in range(r):
-        for kp in range(r):
-            if k == kp:
-                continue
-            ebar = pair_counts[k, kp] / (ksz[k] * ksz[kp])
-            term = (float((e_counts[assign == k + 1, kp]).max()) / ksz[kp]
-                    + float((e_counts[assign == kp + 1, k]).max()) / ksz[k]
-                    - ebar)
-            lam_lo = max(lam_lo, term)
-    if not lam_lo < lam_hi:
-        return None
-    return 0.5 * (lam_lo + lam_hi), eta
-
-
-def _certify_candidate(prob: SdpProblem, labels: np.ndarray) -> bool:
-    """Whether the candidate's dual certificate verifies.
-
-    The multipliers come from the candidate's empirical rates (basbm:
-    lambda = log_mean(p_hat, q_hat); cbsbm: none; gssbm: see
-    :func:`_general_multipliers`). A candidate that leaves them undefined
-    is rejected before its certificate is built or its spectrum computed.
-    """
-    a_dense = prob.a_dense
-    if prob.variant == GSSBM:
-        sizes = np.array(prob.sizes)
-        multipliers = _general_multipliers(a_dense, labels, sizes)
-        if multipliers is None:
-            return False
-        return verify_general(
-            general_certificate(a_dense, labels, sizes, *multipliers)).valid
-    lam = 0.0
-    if prob.variant == BASBM:
-        rates = _empirical_rates(a_dense, same_cluster(labels))
-        if rates is None or not rates[0] > rates[1] > 0:
-            return False
-        lam = log_mean(*rates)
-    return verify_binary(binary_certificate(a_dense, labels, lam)).valid
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +371,9 @@ def _spectral_candidate(
     return _candidate_from_iterate(prob, evecs, evals)
 
 
-def _certified_solution(prob: SdpProblem, labels: np.ndarray, it: int) -> SdpSolution:
+def _certified_solution(prob: SdpProblem, report: BinaryReport | GeneralReport,
+                        it: int) -> SdpSolution:
+    labels = report.certificate.labels
     # the cluster matrix is V V^T for the cluster vectors V, and <A, V V^T>
     # adds integers, exactly in any order: the bits of prob.objective(cand),
     # whose sum is never -0.0
@@ -502,8 +383,7 @@ def _certified_solution(prob: SdpProblem, labels: np.ndarray, it: int) -> SdpSol
     cand = assignment_to_cluster_matrix(prob.variant, labels)
     return SdpSolution(problem=prob, matrix=cand, objective=objective,
                        primal_residual=0.0, dual_residual=0.0,
-                       iterations=it, status=CONVERGED, certified=True,
-                       labels=labels.astype(np.int64))
+                       iterations=it, status=CONVERGED, certificate=report)
 
 
 def _uncertified_solution(prob: SdpProblem, x: np.ndarray, y: np.ndarray,
@@ -526,7 +406,7 @@ def _uncertified_solution(prob: SdpProblem, x: np.ndarray, y: np.ndarray,
             objective = prob.objective(cand)
     return SdpSolution(problem=prob, matrix=matrix, objective=objective,
                        primal_residual=float(primal), dual_residual=float(dual),
-                       iterations=it, status=status, certified=False)
+                       iterations=it, status=status)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +424,7 @@ def _fro_norms(m: np.ndarray) -> np.ndarray:
 
 
 def _admm(probs: list[SdpProblem], members: list[int], opts: SolveOptions,
-          certifies: Callable[[int, np.ndarray], bool],
+          gate: Callable[[int, np.ndarray], BinaryReport | GeneralReport | None],
           ) -> Iterator[tuple[int, SdpSolution]]:
     """Lockstep projection splitting over problems of one variant and size.
 
@@ -553,8 +433,8 @@ def _admm(probs: list[SdpProblem], members: list[int], opts: SolveOptions,
     drops it from the stack. Every member keeps its own step size t and
     bracket, residuals, step-size changes, checkpoint candidate and best
     candidate, and every reduction runs per matrix, so each member's
-    iterates are bit for bit those of its solve alone. ``certifies(i,
-    labels)`` is the verdict of :func:`_certify_candidate` on ``probs[i]``.
+    iterates are bit for bit those of its solve alone. ``gate(i, labels)``
+    is :func:`~sbmdp.certificates.candidate_report` on ``probs[i]``.
     """
     stacked = [probs[i] for i in members]
     variant, n = stacked[0].variant, stacked[0].n
@@ -605,9 +485,10 @@ def _admm(probs: list[SdpProblem], members: list[int], opts: SolveOptions,
                 labels = _candidate_from_iterate(probs[i], evecs[b], evals[b])
                 if labels is not None:
                     best[b] = labels
-                    if certifies(i, labels):
+                    report = gate(i, labels)
+                    if report is not None:
                         done[b] = True
-                        yield i, _certified_solution(probs[i], labels, it)
+                        yield i, _certified_solution(probs[i], report, it)
 
         if it >= 200 and it % 100 == 0:
             up = (primal > 10 * dual) & (t < t_hi)
@@ -645,18 +526,19 @@ def solve_many(probs: Iterable[SdpProblem], opts: SolveOptions = SolveOptions(),
     a few stacks of its size, so callers bound their batches (the distance
     search does, by ``privacy.SEARCH_CHUNK_ENTRIES``).
 
-    :func:`_certify_candidate` is a function of the problem and the labels
-    alone, so each (problem, candidate) pair is tested once per call: an
-    uncertified iterate often rounds to the same candidate checkpoint after
-    checkpoint.
+    :func:`~sbmdp.certificates.candidate_report` is a function of the
+    problem and the labels alone, so each (problem, candidate) pair is
+    tested once per call: an uncertified iterate often rounds to the same
+    candidate checkpoint after checkpoint. A rejected one is kept as None.
     """
     probs = list(probs)
-    verdicts: dict[tuple[int, bytes], bool] = {}
+    verdicts: dict[tuple[int, bytes], BinaryReport | GeneralReport | None] = {}
 
-    def certifies(i: int, labels: np.ndarray) -> bool:
+    def gate(i: int, labels: np.ndarray) -> BinaryReport | GeneralReport | None:
         key = (i, labels.tobytes())
         if key not in verdicts:
-            verdicts[key] = _certify_candidate(probs[i], labels)
+            verdicts[key] = candidate_report(probs[i].variant, probs[i].a_dense,
+                                             labels, probs[i].sizes)
         return verdicts[key]
 
     groups: dict[tuple[str, int], list[int]] = {}
@@ -669,15 +551,16 @@ def solve_many(probs: Iterable[SdpProblem], opts: SolveOptions = SolveOptions(),
             pairs = _spectral_pairs([probs[i] for i in members])
             for i, (vecs, vals) in zip(members, pairs):
                 labels = _spectral_candidate(probs[i], vecs, vals)
-                if labels is not None and certifies(i, labels):
-                    yield i, _certified_solution(probs[i], labels, 0)
+                report = None if labels is None else gate(i, labels)
+                if report is not None:
+                    yield i, _certified_solution(probs[i], report, 0)
                 else:
                     rest.append(i)
             members = rest
         if members:
             uncertified.append(members)
     for members in uncertified:
-        yield from _admm(probs, members, opts, certifies)
+        yield from _admm(probs, members, opts, gate)
 
 
 def solve(prob: SdpProblem, opts: SolveOptions = SolveOptions()) -> SdpSolution:
@@ -757,7 +640,8 @@ class RecoveryResult:
 def _rounded(sol: SdpSolution) -> RecoveryResult:
     """A certified solution's own labels, or the rounding of the solution."""
     if sol.certified:
-        return RecoveryResult(sol.matrix, sol.labels, sol)
+        labels = sol.certificate.certificate.labels.astype(np.int64)
+        return RecoveryResult(sol.matrix, labels, sol)
     variant = sol.problem.variant
     try:
         if variant == GSSBM:

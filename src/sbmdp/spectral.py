@@ -13,9 +13,9 @@ from one full ``eigvalsh``. Two Krylov routines read only part of a
 spectrum and fall back to those full decompositions when they cannot vouch
 for the part: :func:`top_eigenpairs` computes the few algebraically
 largest eigenpairs of one matrix by block Krylov iteration, and the
-solver's spectral candidate at large n reads nothing else;
-:func:`norm_estimate` estimates the norm by Lanczos, for the multiplier eta
-of the solver's general certificate gate at large n.
+solver's spectral candidate reads nothing else from ``KRYLOV_MIN_N`` (or
+``KRYLOV_MIN_N_GENERAL``) vertices on; :func:`norm_estimate` estimates the
+norm by Lanczos, for the eta of the gssbm gate from the latter cut-over on.
 """
 
 from __future__ import annotations
@@ -49,6 +49,21 @@ DEFAULT_TOLS = Tolerances()
 KRYLOV_MAX_BASIS = 96
 _KRYLOV_SEED = 0x5B3D
 
+# Binary groups of at least KRYLOV_MIN_N vertices, and gssbm groups of at
+# least KRYLOV_MIN_N_GENERAL, get the solver's spectral candidates from
+# top_eigenpairs, one matrix at a time; smaller ones from one batched
+# eig_sorted. Each is where the two break even on one core (median over 3
+# seeds). Binary: at n = 128 the full eigh takes 2.0-2.7 ms and block
+# Krylov 1.4-1.9 ms; at n = 300 12-14 ms against 3.2-4.5 ms. gssbm grows
+# blocks of r + 1 columns and so breaks even later: at r = 3 and n = 128,
+# 144, 152, 160 the eigh took 2.7, 3.7, 4.4, 4.6 ms and Krylov 3.8, 4.6,
+# 4.7, 3.6 ms; r = 2 crossed near n = 150. From KRYLOV_MIN_N_GENERAL on,
+# the gssbm gate also takes its eta from norm_estimate, not spectral_norm:
+# on its matrices at rhos 0.3x3, Lanczos against eigvalsh took 0.86 against
+# 1.22 ms at n = 160, 1.24 against 2.05 at n = 200, 2.28 against 4.70 at 300.
+KRYLOV_MIN_N = 128
+KRYLOV_MIN_N_GENERAL = 160
+
 
 def as_symmetric(m: np.ndarray) -> np.ndarray:
     """Validate and return a float64 symmetric copy of ``m``.
@@ -81,8 +96,8 @@ def spectral_norm(m: np.ndarray) -> float:
     do: every caller passes the difference of two exactly symmetric
     matrices. It is the exact norm of the concentration check
     and the diagnostics' general certificate, and the solver's gate eta
-    below ``sdp.KRYLOV_MIN_N_GENERAL`` vertices (:func:`norm_estimate`
-    from there on).
+    below ``KRYLOV_MIN_N_GENERAL`` vertices (:func:`norm_estimate` from
+    there on).
     """
     if m.shape[0] == 0:
         return 0.0

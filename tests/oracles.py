@@ -357,7 +357,7 @@ def four_case_general_certificate(
 def eigvalsh_binary_report(cert) -> dict:
     """A binary certificate's report by one eigvalsh, as verify_binary's to_dict."""
     s = cert.s_matrix
-    sigma = cert.sigma
+    sigma = cert.labels
     tol = DEFAULT_TOLS.certificate
     w = np.linalg.eigvalsh(s)
     scale = max(abs(float(w[0])), abs(float(w[-1])), 1.0)
@@ -377,7 +377,7 @@ def eigvalsh_binary_report(cert) -> dict:
 def eigvalsh_general_report(cert) -> dict:
     """A general certificate's report by one eigvalsh, as verify_general's to_dict."""
     s = cert.s_matrix
-    assign = cert.assign
+    assign = cert.labels
     indicator = cluster_indicator(assign)
     r = indicator.shape[1]
     tol = DEFAULT_TOLS.certificate

@@ -12,6 +12,7 @@ from sbmdp.certificates import (
     CHOLESKY_MIN_N,
     BinaryCertificate,
     GeneralCertificate,
+    _general_multipliers,
     binary_certificate,
     build_binary,
     build_general,
@@ -34,7 +35,6 @@ from sbmdp.models import (
     generate,
     same_cluster,
 )
-from sbmdp.sdp import _general_multipliers
 from sbmdp.spectral import DEFAULT_TOLS, spectral_norm
 
 from oracles import (

@@ -61,6 +61,13 @@ def test_config_validation():
         with pytest.raises(InvalidParams):
             ExperimentConfig.from_dict({"variant": "basbm", "grid": grid,
                                         "trials": 1, "output": "x.csv"})
+    # a stability constant that is not a number, negative or not finite
+    for c_stab in ("x", -1, float("inf"), float("nan")):
+        with pytest.raises(InvalidParams):
+            ExperimentConfig.from_dict({"variant": "basbm", "grid": {"n": [10]},
+                                        "trials": 1, "output": "x.csv",
+                                        "c_stab": c_stab})
+    assert small_config(Path("."), c_stab="4").c_stab == 4.0
     # a misspelt or retired key is an error, not a silent default
     for key in ("max_eval", "permute"):
         with pytest.raises(InvalidParams, match=key):
@@ -307,7 +314,8 @@ def test_cli_sweep_and_exit_codes(tmp_path):
     bad.write_text("{}")
     assert main(["sweep", "--config", str(bad)]) == 1
     assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 1
-    for bad_config in ([], {**config, "grid": [1]}, {**config, "max_evals": -1}):
+    for bad_config in ([], {**config, "grid": [1]}, {**config, "max_evals": -1},
+                       {**config, "c_stab": "x"}):
         bad.write_text(json.dumps(bad_config))
         assert main(["sweep", "--config", str(bad)]) == 1
     assert main(["recover", "--variant", "basbm", "--a", "2"]) == 1  # no graph

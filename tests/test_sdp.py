@@ -22,7 +22,7 @@ from sbmdp.models import (
     generate,
     same_clustering,
 )
-from sbmdp import sdp
+from sbmdp import certificates, sdp
 from sbmdp.sdp import (
     KRYLOV_MIN_N,
     KRYLOV_MIN_N_GENERAL,
@@ -52,7 +52,7 @@ def make_solution(prob, matrix):
     return SdpSolution(problem=prob, matrix=matrix,
                        objective=prob.objective(matrix),
                        primal_residual=0.0, dual_residual=0.0,
-                       iterations=0, status="converged", certified=False)
+                       iterations=0, status="converged")
 
 
 def test_two_vertex_problem_forced_off_diagonal():
@@ -312,9 +312,10 @@ def test_certificate_implies_oracle_agreement():
 ], ids=["basbm", "basbm-unbalanced", "cbsbm", "gssbm"])
 def test_above_threshold_certifies_before_admm(params):
     g, gt = generate(params, 11)
-    sol = solve(problem_from_graph(g, params))
-    assert sol.certified and sol.iterations == 0
-    assert same_clustering(sol.matrix, cluster_matrix(gt))
+    res = recover(g, params)
+    assert res.solution.certified and res.solution.iterations == 0
+    assert_carries_its_certificate(res)
+    assert same_clustering(res.matrix, cluster_matrix(gt))
 
 
 def test_gssbm_rounding_miss_certifies_after_admm():
@@ -323,9 +324,21 @@ def test_gssbm_rounding_miss_certifies_after_admm():
     # through to ADMM, whose rounded iterate certifies at iteration 125
     params = GssbmParams(n=200, a=30, b=2, rhos=(0.3, 0.3, 0.3))
     g, gt = generate(params, 11)
-    sol = solve(problem_from_graph(g, params))
-    assert sol.certified and sol.iterations == 125
-    assert same_clustering(sol.matrix, cluster_matrix(gt))
+    res = recover(g, params)
+    assert res.solution.certified and res.solution.iterations == 125
+    assert_carries_its_certificate(res)
+    assert same_clustering(res.matrix, cluster_matrix(gt))
+
+
+def assert_carries_its_certificate(res):
+    """A certified result carries the gate's valid report, whose certificate
+    holds the result's labels, and its matrix is their cluster matrix."""
+    report = res.solution.certificate
+    assert report.valid
+    assert np.array_equal(report.certificate.labels, res.labels)
+    assert res.labels.dtype == np.int64
+    variant = res.solution.problem.variant
+    assert np.array_equal(res.matrix, cluster_matrix(GroundTruth(variant, res.labels)))
 
 
 @pytest.mark.parametrize("params, seeds", [
@@ -382,7 +395,7 @@ def record_calls(monkeypatch, owner, names, log):
 
 def test_gate_estimates_eta_from_the_cutover(monkeypatch):
     calls = []
-    record_calls(monkeypatch, sdp, ("spectral_norm", "norm_estimate"), calls)
+    record_calls(monkeypatch, certificates, ("spectral_norm", "norm_estimate"), calls)
     for n in (KRYLOV_MIN_N_GENERAL - 1, KRYLOV_MIN_N_GENERAL):
         params = GssbmParams(n=n, a=30, b=2, rhos=(0.3, 0.3, 0.3))
         sol = solve(problem_from_graph(generate(params, 0)[0], params))
@@ -463,16 +476,15 @@ def assert_labels_are_the_rounding(g, params, opts=SolveOptions()):
     res = recover(g, params, opts)
     sol = res.solution
     if not sol.certified:
-        assert sol.labels is None
+        assert sol.certificate is None
         return False
     if params.variant == "gssbm":
         rounded = round_general(sol.matrix, params.sizes)
     else:
         rounded = round_binary(sol)
-    assert np.array_equal(sol.labels, rounded)
-    assert res.labels is sol.labels and res.matrix is sol.matrix
-    assert np.array_equal(res.matrix,
-                          cluster_matrix(GroundTruth(params.variant, rounded)))
+    assert np.array_equal(res.labels, rounded)
+    assert res.matrix is sol.matrix
+    assert_carries_its_certificate(res)
     return True
 
 
@@ -566,9 +578,10 @@ def assert_same_solution(got, want):
             got.status, got.certified) == (want.objective, want.primal_residual,
                                            want.dual_residual, want.iterations,
                                            want.status, want.certified)
-    assert (got.labels is None) == (want.labels is None)
-    if want.labels is not None:
-        assert got.labels.tobytes() == want.labels.tobytes()
+    assert (got.certificate is None) == (want.certificate is None)
+    if want.certificate is not None:
+        assert (got.certificate.certificate.labels.tobytes()
+                == want.certificate.certificate.labels.tobytes())
 
 
 @settings(max_examples=10, deadline=None)
@@ -602,7 +615,7 @@ def test_each_candidate_is_certified_once(monkeypatch):
     prob = planted_problem(BasbmParams(n=6, a=2.5, b=1.0, rho=0.5), 0)
     want = solve(prob, opts)
     rounded, tested = [], []
-    real_round, real_certify = sdp._candidate_from_iterate, sdp._certify_candidate
+    real_round = sdp._candidate_from_iterate
 
     def rounding(*args):
         labels = real_round(*args)
@@ -610,12 +623,12 @@ def test_each_candidate_is_certified_once(monkeypatch):
             rounded.append(labels.tobytes())
         return labels
 
-    def certifying(p, labels):
+    def certifying(variant, a_dense, labels, sizes):
         tested.append(labels.tobytes())
-        return real_certify(p, labels)
+        return certificates.candidate_report(variant, a_dense, labels, sizes)
 
     monkeypatch.setattr(sdp, "_candidate_from_iterate", rounding)
-    monkeypatch.setattr(sdp, "_certify_candidate", certifying)
+    monkeypatch.setattr(sdp, "candidate_report", certifying)
     assert_same_solution(solve(prob, opts), want)
     assert not want.certified and want.iterations == 300
     # the spectral candidate and 12 checkpoints, then the untested polish

@@ -5,9 +5,9 @@ from sbmdp import spectral
 from sbmdp.errors import NonFinite, NotSymmetric, ShapeMismatch
 from sbmdp.models import BasbmParams, CbsbmParams, GssbmParams, generate
 from sbmdp.models import same_cluster
+from sbmdp.certificates import _empirical_rates
 from sbmdp.sdp import (
     KRYLOV_MIN_N,
-    _empirical_rates,
     _spectral_matrix,
     _spectral_rank,
     problem_from_graph,
