@@ -330,11 +330,16 @@ def verify_general(cert: GeneralCertificate) -> GeneralReport:
     indicator = cluster_indicator(assign)
     kernel_residual = float(np.abs(s @ indicator).max()) if indicator.shape[1] else 0.0
 
+    # B's extremes by masked reductions, which copy none of B: the largest
+    # |B_ij| within a cluster is max(hi, -lo), and + 0.0 reads a zero as +0.0
+    b = cert.b_matrix
     member = assign > 0
     part = assign[:, None] == assign[None, :]
-    b_min_off = float(np.where(part, math.inf, cert.b_matrix).min(initial=math.inf))
+    b_min_off = float(np.minimum.reduce(b, axis=None, where=~part, initial=math.inf))
     part &= member[:, None]  # same_cluster(assign)
-    slackness = float(np.abs(cert.b_matrix[part]).max(initial=0.0))
+    hi = np.maximum.reduce(b, axis=None, where=part, initial=0.0)
+    lo = np.minimum.reduce(b, axis=None, where=part, initial=0.0)
+    slackness = float(np.maximum(hi, -lo)) + 0.0
 
     d_min = float(cert.d_star[member].min()) if member.any() else math.inf
 
@@ -354,14 +359,16 @@ def _empirical_rates(
 ) -> tuple[float, float] | None:
     """Edge densities within and across parts; None without pairs of both kinds.
 
-    ``same`` marks the pairs inside one part; its diagonal is ignored.
+    ``same`` marks the pairs inside one part; its diagonal is ignored. The
+    edge counts add integers, exactly in any order, so the masked sum needs
+    no gathered copy.
     """
     n = a_dense.shape[0]
     intra_pairs = (np.count_nonzero(same) - np.count_nonzero(np.diag(same))) / 2
     inter_pairs = n * (n - 1) / 2 - intra_pairs
     if intra_pairs <= 0 or inter_pairs <= 0:
         return None
-    intra_edges = a_dense[same].sum() / 2
+    intra_edges = np.add.reduce(a_dense, axis=None, where=same) / 2
     return (intra_edges / intra_pairs,
             (a_dense.sum() / 2 - intra_edges) / inter_pairs)
 
@@ -387,9 +394,11 @@ def _general_multipliers(
     rates = _empirical_rates(a_dense, same)
     if rates is None or not rates[0] > rates[1] >= 0:
         return None
-    expected = np.where(same, *rates)
-    np.fill_diagonal(expected, 0.0)
-    deviation = np.subtract(a_dense, expected, out=expected)
+    # A - E[A] for E[A] = p_hat on same-part pairs, q_hat elsewhere and 0
+    # on the diagonal, entry by entry the bits of A - that matrix
+    deviation = np.subtract(a_dense, rates[1])
+    np.subtract(a_dense, rates[0], out=deviation, where=same)
+    np.fill_diagonal(deviation, a_dense.diagonal())
     if a_dense.shape[0] < KRYLOV_MIN_N_GENERAL:
         eta = spectral_norm(deviation)
     else:

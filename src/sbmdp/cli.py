@@ -3,7 +3,8 @@
 Subcommands: generate, recover, private-recover, estimate-params,
 check-concentration, certify, sweep. All structured output is JSON on
 stdout; exit code 0 on success, 1 on configuration errors, 2 on runtime
-errors.
+errors, and 3 on any other exception (an internal error), whose traceback
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +27,9 @@ from .models import (
     CBSBM,
     GSSBM,
     GroundTruth,
-    cluster_matrix,
     generate,
     params_from_dict,
-    same_clustering,
+    same_partition,
 )
 from .privacy import PrivacyParams, param_estimate, sdp_estimator, stbl, stbl_fast
 from .sdp import recover, round_general
@@ -99,8 +100,8 @@ def cmd_recover(args) -> int:
     }
     if args.gt:
         gt = _load_gt(args.gt)
-        payload["matches_gt"] = (not res.failed) and same_clustering(
-            res.matrix, cluster_matrix(gt))
+        payload["matches_gt"] = (not res.failed) and same_partition(
+            res.labels, gt.assignment)
     _emit(payload)
     return 0
 
@@ -265,6 +266,9 @@ def main(argv=None) -> int:
     except SbmdpError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

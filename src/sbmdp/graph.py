@@ -46,6 +46,17 @@ def upper_triangle(n: int) -> np.ndarray:
     return mask
 
 
+def _within(values: np.ndarray, allowed: tuple[int, ...]) -> bool:
+    """Whether every entry lies in ``allowed``, a run of consecutive integers.
+
+    Integer input needs only its two ends; any other dtype (floats such as
+    0.5 lie between the ends) is tested entry by entry.
+    """
+    if values.dtype.kind in "iu":
+        return allowed[0] <= values.min() and values.max() <= allowed[-1]
+    return bool(np.isin(values, allowed).all())
+
+
 def pair_rank(i: int, j: int, n: int) -> int:
     """Row-major rank of the unordered pair {i, j} (i < j) in the upper triangle."""
     if i > j:
@@ -60,7 +71,7 @@ class Graph:
     and safe to share between workers.
     """
 
-    __slots__ = ("n", "alphabet", "_values", "_hash")
+    __slots__ = ("n", "alphabet", "_values", "_hash", "_dense")
 
     def __init__(self, n: int, alphabet: str, values: np.ndarray):
         if alphabet not in ALPHABETS:
@@ -70,7 +81,7 @@ class Graph:
                 f"expected {pair_count(n)} upper-triangle values, got {values.shape}"
             )
         allowed = ALPHABETS[alphabet]
-        if values.size and not np.isin(values, allowed).all():
+        if values.size and not _within(values, allowed):
             raise AlphabetViolation(f"values outside alphabet {allowed}")
         self.n = n
         self.alphabet = alphabet
@@ -78,6 +89,7 @@ class Graph:
         arr.flags.writeable = False
         self._values = arr
         self._hash = None
+        self._dense = None
 
     @property
     def values(self) -> np.ndarray:
@@ -85,7 +97,20 @@ class Graph:
         return self._values
 
     def to_dense(self, dtype=np.float64) -> np.ndarray:
-        """Dense symmetric adjacency matrix with zero diagonal."""
+        """Dense symmetric adjacency matrix with zero diagonal.
+
+        The float64 one is built once per graph and returned read-only on
+        every call; any other dtype gets a fresh array.
+        """
+        if np.dtype(dtype) != np.float64:
+            return self._densify(dtype)
+        if self._dense is None:
+            a = self._densify(np.float64)
+            a.flags.writeable = False
+            self._dense = a
+        return self._dense
+
+    def _densify(self, dtype) -> np.ndarray:
         upper = upper_triangle(self.n)
         a = np.zeros((self.n, self.n), dtype=dtype)
         a[upper] = self._values

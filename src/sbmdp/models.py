@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidParams, ShapeMismatch
-from .graph import CENSORED, SIMPLE, Graph, upper_triangle
+from .graph import CENSORED, SIMPLE, Graph
 
 BASBM = "basbm"
 CBSBM = "cbsbm"
@@ -204,6 +204,23 @@ def same_cluster(labels: np.ndarray) -> np.ndarray:
     return (labels[:, None] == labels[None, :]) & (labels[:, None] != 0)
 
 
+def _same_pairs(assign: np.ndarray) -> np.ndarray:
+    """``same_cluster(assign)`` over the pairs i < j in row-major pair order,
+    for an assignment in which each label fills one contiguous run.
+
+    Row i's pairs start with the rest of its run, which shares its label
+    when that is nonzero, so the relation is 2n alternating runs of True
+    and False, built without the n x n matrix.
+    """
+    n = assign.size
+    starts = np.flatnonzero(np.diff(assign, prepend=assign[:1] - 1))
+    ends = np.repeat(np.append(starts[1:], n), np.diff(starts, append=n))
+    row = n - 1 - np.arange(n)
+    inside = np.where(assign != 0, ends - 1 - np.arange(n), 0)
+    return np.repeat(np.tile([True, False], n),
+                     np.column_stack((inside, row - inside)).ravel())
+
+
 def generate(params: SbmParams, seed: int) -> tuple[Graph, GroundTruth]:
     """Sample a graph and its planted assignment, deterministically per seed."""
     params.validate()
@@ -216,7 +233,7 @@ def generate(params: SbmParams, seed: int) -> tuple[Graph, GroundTruth]:
         k1 = params.first_cluster_size
         gt = GroundTruth(params.variant, np.repeat([1, -1], [k1, n - k1]))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    same = same_cluster(gt.assignment)[upper_triangle(n)]
+    same = _same_pairs(gt.assignment)
 
     if params.variant == CBSBM:
         # one stream for presence, one for label flips
@@ -227,8 +244,9 @@ def generate(params: SbmParams, seed: int) -> tuple[Graph, GroundTruth]:
         return Graph(n, CENSORED, values.astype(np.int8)), gt
 
     u = rng.random(same.size)
-    values = (u < np.where(same, params.p, params.q)).astype(np.int8)
-    return Graph(n, SIMPLE, values), gt
+    present = np.less(u, params.q)
+    np.less(u, params.p, out=present, where=same)
+    return Graph(n, SIMPLE, present.view(np.int8)), gt
 
 
 def expected_adjacency(params: SbmParams, gt: GroundTruth) -> np.ndarray:
@@ -262,6 +280,21 @@ def same_clustering(m1: np.ndarray, m2: np.ndarray) -> bool:
     if m1.shape != m2.shape:
         raise ShapeMismatch(f"cluster matrices differ in shape: {m1.shape} vs {m2.shape}")
     return bool(np.array_equal(m1, m2))
+
+
+def same_partition(labels1: np.ndarray, labels2: np.ndarray) -> bool:
+    """True iff two label vectors relate the same pairs (:func:`same_cluster`).
+
+    A cluster matrix is a function of that relation alone, so this is
+    :func:`same_clustering` on the two labellings' cluster matrices,
+    without forming them.
+    """
+    labels1 = np.asarray(labels1)
+    labels2 = np.asarray(labels2)
+    if labels1.shape != labels2.shape:
+        raise ShapeMismatch(
+            f"label vectors differ in shape: {labels1.shape} vs {labels2.shape}")
+    return bool(np.array_equal(same_cluster(labels1), same_cluster(labels2)))
 
 
 def assignment_to_cluster_matrix(variant: str, assignment: np.ndarray) -> np.ndarray:

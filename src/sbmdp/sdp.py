@@ -289,7 +289,7 @@ def _extract_general(x: np.ndarray, sizes: np.ndarray) -> Optional[np.ndarray]:
     idx = np.flatnonzero(np.diag(x) >= thr)
     if idx.size != int(sizes.sum()):
         return None
-    rel = x[np.ix_(idx, idx)] > thr
+    rel = (x > thr)[np.ix_(idx, idx)]
     np.fill_diagonal(rel, True)
     cls = rel.argmax(axis=1) if idx.size else idx
     if not np.array_equal(rel, cls[:, None] == cls[None, :]):

@@ -20,6 +20,7 @@ norm by Lanczos, for the eta of the gssbm gate from the latter cut-over on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,7 +46,8 @@ DEFAULT_TOLS = Tolerances()
 
 # top_eigenpairs and norm_estimate: the most basis columns before they fall
 # back to the full decomposition, and the seed of their start, which
-# therefore depends on the shape alone and never on another matrix
+# therefore depends on the shape alone and never on another matrix (and is
+# drawn once per shape, see _start_block and _start_vector)
 KRYLOV_MAX_BASIS = 96
 _KRYLOV_SEED = 0x5B3D
 
@@ -135,6 +137,23 @@ def psd_project(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return weighted @ cols.swapaxes(-1, -2), evecs, evals
 
 
+@functools.lru_cache(maxsize=8)
+def _start_block(n: int, b: int) -> np.ndarray:
+    """Read-only orthonormal start block of :func:`top_eigenpairs`."""
+    block = np.linalg.qr(np.random.default_rng(_KRYLOV_SEED).standard_normal((n, b)))[0]
+    block.flags.writeable = False
+    return block
+
+
+@functools.lru_cache(maxsize=8)
+def _start_vector(n: int) -> np.ndarray:
+    """Read-only unit start vector of :func:`norm_estimate`."""
+    q = np.random.default_rng(_KRYLOV_SEED).standard_normal(n)
+    q /= math.sqrt(q @ q)
+    q.flags.writeable = False
+    return q
+
+
 def top_eigenpairs(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvectors, ascending eigenvalues) of the ``r`` algebraically
     largest eigenpairs of one exactly symmetric matrix.
@@ -169,7 +188,7 @@ def top_eigenpairs(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     cap = min(KRYLOV_MAX_BASIS, n) // (2 * b) * (2 * b)
     basis = np.empty((n, cap))
     image = np.empty((n, cap))
-    block = np.linalg.qr(np.random.default_rng(_KRYLOV_SEED).standard_normal((n, b)))[0]
+    block = _start_block(n, b)
     for k in range(b, cap + 1, b):
         basis[:, k - b:k] = block
         image[:, k - b:k] = m @ block
@@ -222,8 +241,7 @@ def norm_estimate(m: np.ndarray) -> float:
     cap = min(KRYLOV_MAX_BASIS, n)
     basis = np.empty((cap, n))
     t = np.zeros((cap, cap))  # T, lower triangle
-    q = np.random.default_rng(_KRYLOV_SEED).standard_normal(n)
-    q /= math.sqrt(q @ q)
+    q = _start_vector(n)
     previous = -1.0
     for k in range(1, cap + 1):
         basis[k - 1] = q

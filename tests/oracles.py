@@ -3,8 +3,9 @@
 Reference oracles the tests compare the library against: the brute-force
 maximum-likelihood clustering for n <= 16, the binomial-difference tail
 exponent, the persistence map of the concentration constants, the
-eigenvalue rule for dual certificates by one full ``eigvalsh`` and the
-block-by-block build of the general certificate. Fixtures: a graph
+eigenvalue rule for dual certificates by one full ``eigvalsh``, the
+block-by-block build of the general certificate and its price bounds by
+an n x n copy. Fixtures: a graph
 from a dense matrix, the empty graph and single-entry reads, random flip
 sets and entry writes (:class:`GraphDelta`), a random vertex relabelling
 of an instance, the radius-bounded neighbour enumeration, and a caching
@@ -352,6 +353,19 @@ def four_case_general_certificate(
 
     s = np.diag(d) - b_mat - a_dense + eta * np.eye(n) + lam
     return d, b_mat, s
+
+
+def where_abs_price_bounds(cert) -> tuple[float, float]:
+    """(b_min_off, slackness_residual) of a general certificate, formed as
+    ``verify_general`` once formed them: the least price across parts from
+    an n x n ``np.where`` copy of B, the slackness from an ``np.abs`` of B
+    gathered on the same-cluster pairs."""
+    assign = cert.labels
+    part = assign[:, None] == assign[None, :]
+    b_min_off = float(np.where(part, math.inf, cert.b_matrix).min(initial=math.inf))
+    part &= (assign > 0)[:, None]
+    slackness = float(np.abs(cert.b_matrix[part]).max(initial=0.0))
+    return b_min_off, slackness
 
 
 def eigvalsh_binary_report(cert) -> dict:

@@ -43,6 +43,7 @@ from oracles import (
     empty_graph,
     four_case_general_certificate,
     graph_from_dense,
+    where_abs_price_bounds,
 )
 
 TOL = DEFAULT_TOLS.certificate
@@ -180,6 +181,35 @@ def test_general_certificate_matches_the_four_case_build_bit_for_bit(inputs):
     assert cert.s_matrix.tobytes() == s.tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(general_certificate_inputs())
+def test_verify_general_price_bounds_match_the_where_abs_formulation(inputs):
+    # the masked reductions give the bits of the n x n copy and the gather,
+    # with and without outliers and with emptied clusters
+    report = verify_general(general_certificate(*inputs))
+    b_min_off, slackness = where_abs_price_bounds(report.certificate)
+    assert report.b_min_off.hex() == b_min_off.hex()
+    assert report.slackness_residual.hex() == slackness.hex()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_general_price_bounds_match_on_planted_and_gate_certificates(seed):
+    params = GssbmParams(n=300, a=40, b=2, rhos=(0.3, 0.3, 0.3))
+    g, gt = generate(params, seed)
+    a_dense = g.to_dense()
+    planted = build_general(g, gt, params, deviation=_deviation(g, params, gt))
+    lam, eta = _general_multipliers(a_dense, gt.assignment, np.array(gt.sizes))
+    gate = general_certificate(a_dense, gt.assignment, np.array(gt.sizes), lam, eta)
+    # a cluster emptied into the outliers: its size stays, its members go
+    emptied = np.where(gt.assignment == 2, 0, gt.assignment)
+    dropped = general_certificate(a_dense, emptied, np.array(gt.sizes), lam, eta)
+    for cert in (planted, gate, dropped):
+        report = verify_general(cert)
+        b_min_off, slackness = where_abs_price_bounds(cert)
+        assert report.b_min_off.hex() == b_min_off.hex()
+        assert report.slackness_residual.hex() == slackness.hex()
+
+
 def test_general_certificate_slackness_structure():
     from sbmdp.concentration import GssbmConstants
     params = GssbmParams(n=60, a=10, b=1, rhos=(0.4, 0.3))
@@ -232,7 +262,7 @@ def test_verify_general_on_concentrated_instance():
 def test_verify_general_outlier_hub_invalid():
     params = GssbmParams(n=250, a=40, b=2, rhos=(0.3, 0.3, 0.3))
     g, gt = generate(params, 6)
-    dense = g.to_dense()
+    dense = g.to_dense().copy()
     hub = int(np.where(gt.assignment == 0)[0][0])
     members = np.where(gt.assignment == 3)[0]
     dense[hub, members] = 1.0

@@ -178,7 +178,7 @@ def test_check_basbm_generated_instance_passes():
 def test_check_basbm_isolated_vertex_fails_margin():
     params = BasbmParams(n=200, a=20, b=2, rho=0.5)
     g, gt = generate(params, 2)
-    dense = g.to_dense()
+    dense = g.to_dense().copy()
     victim = int(np.where(gt.assignment == 1)[0][0])
     dense[victim, :] = 0.0
     dense[:, victim] = 0.0
@@ -213,7 +213,7 @@ def test_check_cbsbm_complete_noiseless():
 def test_check_cbsbm_flipped_vertex_fails():
     params = CbsbmParams(n=200, a=8, xi=0.05)
     g, gt = generate(params, 5)
-    dense = g.to_dense()
+    dense = g.to_dense().copy()
     dense[0, :] *= -1
     dense[:, 0] *= -1
     constants = default_constants(params, 1.0, 2.0)
@@ -248,7 +248,7 @@ def test_check_gssbm_generated_passes():
 def test_check_gssbm_outlier_hub_fails():
     params = GssbmParams(n=120, a=20, b=2, rhos=(0.45, 0.45))
     g, gt = generate(params, 8)
-    dense = g.to_dense()
+    dense = g.to_dense().copy()
     hub = int(np.where(gt.assignment == 0)[0][0])
     last_cluster = np.where(gt.assignment == 2)[0]
     dense[hub, last_cluster] = 1.0

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sbmdp import harness, privacy, sdp
+from sbmdp import cli, harness, privacy, sdp
 from sbmdp.cli import main
 from sbmdp.errors import InvalidParams
 from sbmdp.graph import Graph, write_edge_list
@@ -172,6 +172,33 @@ def test_run_trial_densifies_once_per_consumer(monkeypatch):
     assert result.recovered and result.conc_pass and result.cert_valid
 
 
+def test_gssbm_trial_builds_its_float_adjacency_once(monkeypatch):
+    # the concentration check, the certificate and the recovery each call
+    # to_dense, which builds the float64 adjacency on the first call only;
+    # this counts the builds, as the benchmark counts the calls
+    built = []
+    real = Graph._densify
+
+    def counted(self, dtype):
+        built.append((self, np.dtype(dtype)))
+        return real(self, dtype)
+
+    monkeypatch.setattr(Graph, "_densify", counted)
+    cell = {"variant": "gssbm", "n": 300, "a": 40.0, "b": 2.0,
+            "rhos": [0.3, 0.3, 0.3]}
+    result = run_trial(cell, trial_seed(0, 0, 0))
+    assert result.recovered and result.conc_pass and result.cert_valid
+    assert [dtype for _, dtype in built] == [np.float64]
+    g = built[0][0]
+    dense = g.to_dense()
+    assert dense is g.to_dense() and len(built) == 1
+    assert not dense.flags.writeable
+    with pytest.raises(ValueError):
+        dense[0, 1] = 1.0
+    fresh = Graph(g.n, g.alphabet, g.values).to_dense()
+    assert fresh is not dense and fresh.tobytes() == dense.tobytes()
+
+
 def test_run_trial_fast_mode():
     cell = {"variant": "basbm", "n": 150, "a": 20.0, "b": 2.0, "rho": 0.5,
             "eps": 2.0, "delta_exp": 2.0}
@@ -319,6 +346,32 @@ def test_cli_sweep_and_exit_codes(tmp_path):
         bad.write_text(json.dumps(bad_config))
         assert main(["sweep", "--config", str(bad)]) == 1
     assert main(["recover", "--variant", "basbm", "--a", "2"]) == 1  # no graph
+
+
+def test_negative_seed_base_is_a_config_error(tmp_path, capsys):
+    # SeedSequence takes no negative entropy, so the config is refused up
+    # front instead of every trial's seed raising a ValueError
+    with pytest.raises(InvalidParams, match="seed_base"):
+        small_config(tmp_path, seed_base=-1)
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({
+        "variant": "basbm", "grid": {"n": [40], "a": [10.0], "b": [1.0]},
+        "trials": 1, "seed_base": -1, "output": str(tmp_path / "sweep.csv")}))
+    assert main(["sweep", "--config", str(config_file)]) == 1
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_cli_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    # an exception that is neither a config nor a runtime error exits 3
+    # with its traceback, so that exit 1 always means a config error
+    def broken(args):
+        raise TypeError("not a config error")
+
+    monkeypatch.setattr(cli, "cmd_estimate_params", broken)
+    assert main(["estimate-params", "--graph", str(tmp_path / "g.txt")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "TypeError: not a config error" in err
 
 
 def test_cli_runtime_error_exit_code(tmp_path):

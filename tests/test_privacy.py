@@ -375,7 +375,7 @@ def _weakest_vertex_flips(g, gt, params, budget):
     whichever reaches the partner of smallest margin, so that both margins
     drop by one. Yields the flips made so far after each step.
     """
-    dense = g.to_dense()
+    dense = g.to_dense().copy()
     same = np.equal.outer(gt.assignment, gt.assignment)
     flips = []
     for _ in range(budget):
