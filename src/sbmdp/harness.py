@@ -43,6 +43,14 @@ _AGGREGATES = (("recovery_rate", "recovered"), ("bottom_rate", "bottom"),
                ("cert_rate", "cert_valid"), ("mean_ms", "ms"))
 
 
+def _count(key: str, value) -> int:
+    """A config value that must be a whole number, as an int: a boolean or
+    a number with a fractional part is refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InvalidParams(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     variant: str
@@ -68,13 +76,13 @@ class ExperimentConfig:
             cfg = cls(
                 variant=d["variant"],
                 grid={k: list(v) for k, v in d["grid"].items()},
-                trials=int(d["trials"]),
-                seed_base=int(d.get("seed_base", 0)),
+                trials=_count("trials", d["trials"]),
+                seed_base=_count("seed_base", d.get("seed_base", 0)),
                 mode=d.get("mode", "nonprivate"),
                 output=d["output"],
                 c_stab=None if d.get("c_stab") is None else float(d["c_stab"]),
-                workers=int(d.get("workers", 1)),
-                max_evals=int(d.get("max_evals", 2000)),
+                workers=_count("workers", d.get("workers", 1)),
+                max_evals=_count("max_evals", d.get("max_evals", 2000)),
             )
         except KeyError as exc:
             raise InvalidParams(f"config missing field {exc}") from None
@@ -88,6 +96,8 @@ class ExperimentConfig:
             raise InvalidParams(f"seed_base must be nonnegative, got {cfg.seed_base}")
         if cfg.c_stab is not None and not 0 <= cfg.c_stab < math.inf:
             raise InvalidParams(f"c_stab must be finite and >= 0, got {cfg.c_stab}")
+        if cfg.workers < 1:
+            raise InvalidParams(f"workers must be at least 1, got {cfg.workers}")
         if cfg.max_evals < 0:
             raise InvalidParams(f"max_evals must be nonnegative, got {cfg.max_evals}")
         if not cfg.grid or any(len(v) == 0 for v in cfg.grid.values()):

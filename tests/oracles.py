@@ -5,7 +5,8 @@ maximum-likelihood clustering for n <= 16, the binomial-difference tail
 exponent, the persistence map of the concentration constants, the
 eigenvalue rule for dual certificates by one full ``eigvalsh``, the
 block-by-block build of the general certificate and its price bounds by
-an n x n copy. Fixtures: a graph
+an n x n copy, and the box-plus-sum projection by bisection on its shift.
+Fixtures: a graph
 from a dense matrix, the empty graph and single-entry reads, random flip
 sets and entry writes (:class:`GraphDelta`), a random vertex relabelling
 of an instance, the radius-bounded neighbour enumeration, and a caching
@@ -424,3 +425,28 @@ def eigvalsh_general_report(cert) -> dict:
             "lambda_after_kernel": lambda_after,
             "kernel_residual": kernel_residual, "b_min_off": b_min_off,
             "d_min_member": d_min, "slackness_residual": slackness}
+
+
+def bisect_box_sum(v: np.ndarray, lo: float, hi: float, s: float) -> np.ndarray:
+    """Projection onto {lo <= z <= hi, sum(z) = s} by 100 bisection steps
+    on the shift theta of clip(v - theta, lo, hi), as the general-variant
+    ADMM step once projected; for ``size * lo <= s <= size * hi``."""
+    if v.size == 0:
+        return v
+
+    def mass(theta: float) -> float:
+        return float(np.clip(v - theta, lo, hi).sum())
+
+    # for size*lo <= s <= size*hi: mass(theta_hi) <= s <= mass(theta_lo)
+    theta_hi = float(v.max()) - lo + 1.0
+    if math.isfinite(hi):
+        theta_lo = float(v.min()) - hi - 1.0
+    else:
+        theta_lo = float(v.min()) - s / v.size - 1.0
+    for _ in range(100):
+        mid = 0.5 * (theta_lo + theta_hi)
+        if mass(mid) > s:
+            theta_lo = mid
+        else:
+            theta_hi = mid
+    return np.clip(v - 0.5 * (theta_lo + theta_hi), lo, hi)

@@ -362,6 +362,31 @@ def test_negative_seed_base_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_config_counts_are_whole_numbers(tmp_path, capsys, monkeypatch):
+    # a worker count below one, a fractional count and a boolean are
+    # refused, not run serially or truncated; the sweep must never start
+    def no_sweep(config):
+        raise AssertionError("a refused config ran")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    config_file = tmp_path / "config.json"
+    refused = [("workers", 0), ("workers", -3), ("workers", 2.5), ("workers", True),
+               ("trials", 2.7), ("trials", True), ("seed_base", 1.5),
+               ("seed_base", False), ("max_evals", 10.5), ("max_evals", True)]
+    for key, value in refused:
+        with pytest.raises(InvalidParams, match=key):
+            small_config(tmp_path, **{key: value})
+        config_file.write_text(json.dumps({
+            "variant": "basbm", "grid": {"n": [40], "a": [10.0], "b": [1.0]},
+            "trials": 1, key: value, "output": str(tmp_path / "sweep.csv")}))
+        assert main(["sweep", "--config", str(config_file)]) == 1
+        assert capsys.readouterr().err.startswith("config error")
+    # whole numbers written as floats still read as ints
+    cfg = small_config(tmp_path, trials=2.0, seed_base=3.0, workers=1.0, max_evals=0.0)
+    assert (cfg.trials, cfg.seed_base, cfg.workers, cfg.max_evals) == (2, 3, 1, 0)
+    assert all(type(x) is int for x in (cfg.trials, cfg.seed_base, cfg.workers, cfg.max_evals))
+
+
 def test_cli_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     # an exception that is neither a config nor a runtime error exits 3
     # with its traceback, so that exit 1 always means a config error

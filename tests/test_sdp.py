@@ -39,6 +39,7 @@ from sbmdp.spectral import eig_sorted, top_eigenpairs
 
 from oracles import (
     GraphDelta,
+    bisect_box_sum,
     empty_graph,
     graph_from_dense,
     mle_bruteforce,
@@ -124,6 +125,106 @@ def test_ground_truth_feasible_for_every_problem():
     assert np.trace(z) == sum(gssbm.sizes)
     assert z.sum() == sum(k * k for k in gssbm.sizes)
     assert z.min() >= 0 and np.diag(z).max() <= 1
+
+
+@st.composite
+def box_sum_inputs(draw):
+    """A vector v, a box [lo, hi] and a sum s with size*lo <= s <= size*hi.
+
+    Covers vectors of zero and one entries, ties, s at either end of its
+    range, and hi = inf, where s = size*lo is the least sum (0 for lo = 0).
+    """
+    size = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    if draw(st.booleans()):
+        v = rng.normal(size=size) * scale
+    else:  # a few values, each repeated
+        v = rng.choice(np.round(rng.normal(size=3), 1), size=size) * scale
+    lo = draw(st.sampled_from([0.0, -1.0, 0.5]))
+    hi = lo + draw(st.sampled_from([math.inf, 1.0, 0.25]))
+    top = size * hi if math.isfinite(hi) else size * (lo + 3 * scale)
+    end = draw(st.sampled_from(["lo", "hi", "between"]))
+    if end == "lo":
+        s = size * lo
+    elif end == "hi" and math.isfinite(hi):
+        s = size * hi
+    else:
+        s = size * lo + draw(st.floats(0.0, 1.0)) * (top - size * lo)
+    return v, lo, hi, s
+
+
+@settings(max_examples=400, deadline=None)
+@given(box_sum_inputs())
+def test_box_sum_projection_matches_the_bisection(inputs):
+    v, lo, hi, s = inputs
+    z = sdp._project_box_sum(v, lo, hi, s)
+    want = bisect_box_sum(v, lo, hi, s)
+    assert z.shape == v.shape
+    scale = max(1.0, float(np.abs(v).max(initial=0.0)))
+    assert np.abs(z - want).max(initial=0.0) <= 1e-12 * scale
+
+
+@settings(max_examples=400, deadline=None)
+@given(box_sum_inputs())
+def test_box_sum_projection_is_feasible_and_optimal(inputs):
+    v, lo, hi, s = inputs
+    z = sdp._project_box_sum(v, lo, hi, s)
+    scale = max(1.0, float(np.abs(v).max(initial=0.0)))
+    tol = 1e-12 * scale
+    assert np.all((lo <= z) & (z <= hi))
+    assert abs(float(z.sum()) - s) <= 1e-12 * max(1.0, abs(s), v.size * scale)
+    # KKT: one shift theta with z = clip(v - theta, lo, hi), that is free
+    # entries equal to v - theta, entries at lo where v - theta <= lo and
+    # entries at hi where v - theta >= hi
+    at_lo, at_hi = z == lo, z == hi
+    free = ~at_lo & ~at_hi
+    theta_min = float((v[at_lo] - lo).max(initial=-math.inf))
+    theta_max = float((v[at_hi] - hi).min(initial=math.inf))
+    shifts = v[free] - z[free]
+    if shifts.size:
+        assert shifts.max() - shifts.min() <= tol
+        theta_min, theta_max = max(theta_min, shifts.max()), min(theta_max, shifts.min())
+    assert theta_min <= theta_max + tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_gssbm_projection_is_feasible(n, members, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(members, n, n)) * rng.choice([0.1, 1.0, 10.0])
+    traces = rng.integers(1, n + 1, size=members).astype(np.float64)
+    # sum K^2 for cluster sizes K adding up to the trace lies in [tr, tr^2]
+    totals = traces + rng.random(members) * (traces ** 2 - traces)
+    z = sdp._project_gssbm(m, traces, totals)
+    assert z.shape == m.shape
+    assert np.array_equal(z, z.swapaxes(1, 2))
+    diag = np.diagonal(z, axis1=1, axis2=2)
+    assert np.all((diag >= 0) & (diag <= 1)) and np.all(z >= 0)
+    np.testing.assert_allclose(diag.sum(axis=1), traces, rtol=1e-12)
+    np.testing.assert_allclose(z.sum(axis=(1, 2)), totals, rtol=1e-12)
+
+
+def test_gssbm_admm_follows_the_bisection_projection(monkeypatch):
+    # uncertified solves run every ADMM iteration through the projection;
+    # with the former bisection patched in they take the same path. The
+    # first and last converge (at 197 and 278 iterations), the middle one
+    # runs out of iterations, and all three round to labels.
+    opts = SolveOptions(max_iters=300)
+    cases = [(GssbmParams(n=24, a=6, b=1, rhos=(0.4, 0.4)), 0),
+             (GssbmParams(n=32, a=6, b=1, rhos=(0.4, 0.4)), 1),
+             (GssbmParams(n=40, a=7, b=1, rhos=(0.45, 0.45)), 1)]
+    graphs = [(generate(params, seed)[0], params) for params, seed in cases]
+    exact = [recover(g, params, opts) for g, params in graphs]
+    monkeypatch.setattr(sdp, "_project_box_sum", bisect_box_sum)
+    bisected = [recover(g, params, opts) for g, params in graphs]
+    for res, want in zip(exact, bisected):
+        sol, ref = res.solution, want.solution
+        assert not sol.certified and not ref.certified
+        assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+        assert res.labels is not None and np.array_equal(res.labels, want.labels)
+        assert abs(sol.objective - ref.objective) <= 1e-9
+    assert [res.solution.status for res in exact] == ["converged", "max_iters", "converged"]
 
 
 def test_weak_duality_without_certification():
