@@ -14,8 +14,8 @@ Library layout:
   tightened constants, and the concentration checker.
 * :mod:`sbmdp.certificates` -- the dual-certificate kernels and verifiers
   behind the solver's early stop and the certificate diagnostics.
-* :mod:`sbmdp.privacy` -- Laplace noise, distance to instability, and the
-  stability / fast-stability release mechanisms.
+* :mod:`sbmdp.privacy` -- Laplace noise, distance to instability, the
+  stability / fast-stability mechanisms, and ``release``, their one entry.
 * :mod:`sbmdp.harness` -- seeded recovery-rate sweeps with CSV output.
 """
 
@@ -30,7 +30,7 @@ from .models import (
     generate,
     same_clustering,
 )
-from .privacy import MechanismOutcome, PrivacyParams, stbl, stbl_fast
+from .privacy import MechanismOutcome, PrivacyParams, release, stbl, stbl_fast
 from .sdp import SolveOptions, recover, solve
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "same_clustering",
     "MechanismOutcome",
     "PrivacyParams",
+    "release",
     "stbl",
     "stbl_fast",
     "SolveOptions",

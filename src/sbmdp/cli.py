@@ -31,8 +31,8 @@ from .models import (
     params_from_dict,
     same_partition,
 )
-from .privacy import PrivacyParams, param_estimate, sdp_estimator, stbl, stbl_fast
-from .sdp import recover, round_general
+from .privacy import MODES, PrivacyParams, param_estimate, release
+from .sdp import recover
 
 
 def _params_from_args(args, n: int):
@@ -109,23 +109,15 @@ def cmd_recover(args) -> int:
 def cmd_private_recover(args) -> int:
     g = _load_graph(args.graph)
     if args.params_known:
-        a, b = (float(x) for x in args.params_known.split(","))
-        args.a, args.b = a, b
-        estimate_rates = False
-    else:
-        estimate_rates = args.variant == BASBM and args.mode == "fast"
-        if args.a is None:
-            raise InvalidParams("--a is required unless --params-known is given")
+        args.a, args.b = (float(x) for x in args.params_known.split(","))
+    elif args.a is None:
+        raise InvalidParams("--a is required unless --params-known is given")
     params = _params_from_args(args, g.n)
     priv = PrivacyParams.from_exponent(args.eps, args.delta_exp, g.n)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
     c_stab = args.c_stab if args.c_stab is not None else args.delta_exp + 2.0
-    if args.mode == "fast":
-        outcome = stbl_fast(g, params, priv, c_stab, rng,
-                            estimate_rates=estimate_rates,
-                            max_evals=args.max_evals)
-    else:
-        outcome = stbl(g, sdp_estimator(params), priv, rng, max_evals=args.max_evals)
+    outcome = release(args.mode, g, params, priv, args.seed, c_stab=c_stab,
+                      max_evals=args.max_evals,
+                      estimate_rates=not args.params_known and args.variant == BASBM)
     # only what the (eps, delta) guarantee covers: the release decision,
     # the public threshold and the released clustering
     payload = {
@@ -134,25 +126,9 @@ def cmd_private_recover(args) -> int:
         "released": outcome.trace.released,
     }
     if not outcome.bottom:
-        payload["assignment"] = _released_labels(outcome.result, params)
+        payload["assignment"] = outcome.labels.tolist()
     _emit(payload)
     return 0
-
-
-def _released_labels(z: np.ndarray, params) -> list[int]:
-    """Labels of a released cluster matrix, numbered as ``recover`` numbers them.
-
-    gssbm clusters are numbered by the SDP rounding; binary labels put +1
-    on the first cluster (floor(rho*n) vertices for basbm) and on vertex 0
-    when both readings fit.
-    """
-    if params.variant == GSSBM:
-        return round_general(z, params.sizes).tolist()
-    sig = np.sign(z[0]).astype(np.int64)
-    if (params.variant == BASBM
-            and np.count_nonzero(sig > 0) != params.first_cluster_size):
-        sig = -sig
-    return sig.tolist()
 
 
 def cmd_estimate_params(args) -> int:
@@ -218,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="delta = n^(-delta_exp)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--params-known", help="known rates as 'a,b'")
-    p.add_argument("--mode", choices=("stbl", "fast"), default="fast")
+    p.add_argument("--mode", choices=MODES, default="fast")
     p.add_argument("--c-stab", type=float,
                    help="stability constant (default delta_exp + 2)")
     p.add_argument("--max-evals", type=int, default=200_000)

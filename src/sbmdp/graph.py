@@ -46,6 +46,14 @@ def upper_triangle(n: int) -> np.ndarray:
     return mask
 
 
+@functools.lru_cache(maxsize=16)
+def off_diagonal(n: int) -> np.ndarray:
+    """Read-only flat indices of the off-diagonal entries of an n x n matrix."""
+    off = np.flatnonzero(~np.eye(n, dtype=bool))
+    off.flags.writeable = False
+    return off
+
+
 def _within(values: np.ndarray, allowed: tuple[int, ...]) -> bool:
     """Whether every entry lies in ``allowed``, a run of consecutive integers.
 

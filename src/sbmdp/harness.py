@@ -18,20 +18,12 @@ from .concentration import (GssbmConstants, check_concentration, default_constan
                             spectral_deviation)
 from .errors import InvalidParams, SbmdpError
 from .graph import Graph
-from .models import (
-    GSSBM,
-    GroundTruth,
-    SbmParams,
-    cluster_matrix,
-    generate,
-    params_from_dict,
-    same_clustering,
-    same_partition,
-)
-from .privacy import PrivacyParams, sdp_estimator, stbl, stbl_fast
+from .models import (GSSBM, GroundTruth, SbmParams, generate, params_from_dict,
+                     same_partition)
+from .privacy import MODES as PRIVATE_MODES, PrivacyParams, release
 from .sdp import recover
 
-MODES = ("nonprivate", "stbl", "fast")
+MODES = ("nonprivate", *PRIVATE_MODES)
 
 CSV_COLUMNS = ("variant", "n", "a", "b", "rho", "xi", "eps", "delta_exp",
                "mode", "seed", "recovered", "bottom", "conc_pass",
@@ -182,8 +174,8 @@ def run_trial(
     """Generate one instance, recover per mode, and score against the truth.
 
     The diagnostics and the recovery each take the generated graph, which
-    forms its dense adjacency once for all of them. A recovery is scored
-    by its labels, a release by its cluster matrix.
+    forms its dense adjacency once for all of them. A recovery and a
+    release are both scored by their labels.
     """
     params = _cell_params(cell)
     t0 = time.perf_counter()
@@ -198,18 +190,13 @@ def run_trial(
 
     if mode == "nonprivate":
         res = recover(g, params)
-        recovered = res.labels is not None and same_partition(res.labels, gt.assignment)
-        bottom = False
+        labels, bottom = res.labels, False
     else:
         priv = PrivacyParams.from_exponent(eps, delta_exp, params.n)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-            entropy=seed, spawn_key=(1,))))
-        if mode == "fast":
-            outcome = stbl_fast(g, params, priv, c_stab, rng, max_evals=max_evals)
-        else:
-            outcome = stbl(g, sdp_estimator(params), priv, rng, max_evals=max_evals)
-        bottom = outcome.bottom
-        recovered = (not bottom) and same_clustering(outcome.result, cluster_matrix(gt))
+        outcome = release(mode, g, params, priv, seed, c_stab=c_stab,
+                          max_evals=max_evals)
+        labels, bottom = outcome.labels, outcome.bottom
+    recovered = labels is not None and same_partition(labels, gt.assignment)
 
     ms = (time.perf_counter() - t0) * 1e3
     return TrialResult(cell, seed, recovered, bottom, conc_pass, cert_valid, ms=ms)
@@ -305,11 +292,6 @@ def sweep(config: ExperimentConfig, timestamp: str | None = None) -> Path:
 
 def read_rows(path) -> list[dict]:
     """Parse the data rows of a sweep CSV back into dictionaries."""
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#") or line.startswith(CSV_COLUMNS[0] + ","):
-            continue
-        if not line.strip():
-            continue
-        rows.append(dict(zip(CSV_COLUMNS, line.split(","))))
-    return rows
+    return [dict(zip(CSV_COLUMNS, line.split(",")))
+            for line in Path(path).read_text().splitlines()
+            if line.strip() and not line.startswith(("#", CSV_COLUMNS[0] + ","))]

@@ -224,6 +224,8 @@ def _same_pairs(assign: np.ndarray) -> np.ndarray:
 def generate(params: SbmParams, seed: int) -> tuple[Graph, GroundTruth]:
     """Sample a graph and its planted assignment, deterministically per seed."""
     params.validate()
+    if not 0 <= seed < 2**64:
+        raise InvalidParams(f"seed must lie in [0, 2^64), got {seed}")
     n = params.n
     if params.variant == GSSBM:
         sizes = params.sizes

@@ -25,6 +25,10 @@ distance is the smallest level holding *some* differing graph, so which
 differing graph of a level is seen first cannot change it, and the search
 stops at the first one. Each output is a function of its own graph only,
 whatever batch it is solved in, so d stays 1-Lipschitz.
+
+:func:`release` is the one entry point of the harness and the CLI: it maps
+a mode of :data:`MODES` to its mechanism, draws the noise from the seed,
+and publishes the labels of :func:`sbmdp.sdp.recover`'s solve of the graph.
 """
 
 from __future__ import annotations
@@ -82,8 +86,6 @@ def sample_laplace(scale: float, rng: np.random.Generator) -> float:
     that: the mechanisms are (eps, delta + (1 + e^eps) gamma)-DP, an extra
     1.1e-13 at eps = 2, delta = 500^-2.
     """
-    if scale <= 0:
-        raise InvalidParams(f"scale must be positive, got {scale}")
     u = rng.random()
     while u == 0.0:  # open-interval guard; log(0) otherwise
         u = rng.random()
@@ -209,46 +211,41 @@ class MechanismOutcome:
 
     ``result`` is None exactly when the noisy distance missed the threshold
     or the estimator itself failed (a failure can never be released as a
-    clustering).
+    clustering). ``labels`` are the released solve's labels, numbered as
+    :func:`recover` numbers them: None with ``result``, and from bare :func:`stbl`.
     """
 
     result: Optional[np.ndarray]
     trace: MechanismTrace
+    labels: Optional[np.ndarray] = None
 
     @property
     def bottom(self) -> bool:
         return self.result is None
 
 
-def _publish(
-    value: Optional[np.ndarray],
-    d_hat: float,
-    priv: PrivacyParams,
-    rng: np.random.Generator,
-    **trace,
-) -> MechanismOutcome:
-    """Release ``value`` when d_hat plus Laplace(1/eps) noise clears the threshold."""
+def _publish(value: Optional[np.ndarray], d_hat: float, priv: PrivacyParams,
+             rng: np.random.Generator, labels: Optional[np.ndarray] = None,
+             **trace) -> MechanismOutcome:
+    """Release ``value`` and ``labels`` when d_hat plus Laplace(1/eps) noise
+    clears the threshold."""
     noise = sample_laplace(1.0 / priv.eps, rng)
     released = d_hat + noise > priv.threshold
     return MechanismOutcome(
         result=value if released else None,
         trace=MechanismTrace(d_hat=d_hat, noise=noise, threshold=priv.threshold,
                              released=bool(released), **trace),
+        labels=labels if released else None,
     )
 
 
-def stbl(
-    g: Graph,
-    f: Estimator,
-    priv: PrivacyParams,
-    rng: np.random.Generator,
-    *,
-    max_evals: int | None = None,
-) -> MechanismOutcome:
+def stbl(g: Graph, f: Estimator, base: Optional[np.ndarray], priv: PrivacyParams,
+         rng: np.random.Generator, *, max_evals: int | None = None) -> MechanismOutcome:
     """Stability mechanism over an arbitrary clustering estimator.
 
-    ``f`` maps a list of graphs to (position, output) pairs, as
-    :func:`distance_to_instability` takes it; the base graph is one batch.
+    ``base`` is ``f``'s output at ``g``, the one published, and ``f`` maps
+    a list of graphs to (position, output) pairs, as
+    :func:`distance_to_instability` takes both.
 
     The distance search is capped at ceil(threshold) + ceil(20/eps): beyond
     that cap the release decision changes with probability below exp(-20),
@@ -256,7 +253,6 @@ def stbl(
     shrinks the cap further, as :func:`distance_to_instability` describes.
     """
     cap = math.ceil(priv.threshold) + math.ceil(20.0 / priv.eps)
-    ((_, base),) = f([g])
     d = distance_to_instability(g, f, base, cap, max_evals=max_evals)
     return _publish(base, float(d), priv, rng)
 
@@ -369,6 +365,39 @@ def stbl_fast(
         d = distance_to_instability(g, f, matrix, math.ceil(cap_real),
                                     max_evals=max_evals)
         d_hat = min(cap_real, float(d))
-    return _publish(matrix, d_hat, priv, rng,
+    return _publish(matrix, d_hat, priv, rng, labels,
                     solver_status=solver_status, fast_path=conc_pass,
                     estimated_rates=estimated)
+
+
+def _stbl_sdp(g, params, priv, c_stab, rng, *, estimate_rates, max_evals):
+    """:func:`stbl` over :func:`sdp_estimator`, publishing :func:`recover`'s solve."""
+    base = recover(g, params)
+    out = stbl(g, sdp_estimator(params), base.matrix, priv, rng, max_evals=max_evals)
+    return replace(out, labels=None if out.bottom else base.labels)
+
+
+_MECHANISMS = {"stbl": _stbl_sdp, "fast": stbl_fast}
+MODES = tuple(_MECHANISMS)
+
+
+def release(mode: str, g: Graph, params: SbmParams, priv: PrivacyParams, seed: int, *,
+            c_stab: float, max_evals: int | None, estimate_rates: bool = False,
+            ) -> MechanismOutcome:
+    """Release ``g``'s clustering by the mechanism of ``mode``, one of :data:`MODES`.
+
+    The noise stream is ``Philox(SeedSequence(seed, spawn_key=(1,)))``,
+    never the ``Philox(key=seed)`` stream of :func:`sbmdp.models.generate`.
+    Both mechanisms solve ``g`` once through :func:`recover` and publish
+    that solve's cluster matrix and labels. Only ``fast`` reads ``c_stab``
+    and ``estimate_rates``: ``stbl`` searches its distance.
+    """
+    mechanism = _MECHANISMS.get(mode)
+    if mechanism is None:
+        raise InvalidParams(f"mode must be one of {MODES}, got {mode!r}")
+    if seed < 0:
+        raise InvalidParams(f"seed must be nonnegative, got {seed}")
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        seed, spawn_key=(1,))))
+    return mechanism(g, params, priv, c_stab, rng, estimate_rates=estimate_rates,
+                     max_evals=max_evals)

@@ -59,7 +59,7 @@ from .errors import (
     InfeasibleProblem,
     InvalidParams,
 )
-from .graph import CENSORED, SIMPLE, Graph
+from .graph import CENSORED, SIMPLE, Graph, off_diagonal
 from .models import (
     BASBM,
     CBSBM,
@@ -263,7 +263,7 @@ def _project_gssbm(m: np.ndarray, trace_target: np.ndarray,
     """
     b, n = m.shape[0], m.shape[-1]
     flat = m.reshape(b, n * n)
-    off = np.flatnonzero(~np.eye(n, dtype=bool))
+    off = off_diagonal(n)
     out = np.empty_like(flat)
     for row, m_row, tr, total in zip(out, flat, trace_target, total_target):
         row[::n + 1] = _project_box_sum(m_row[::n + 1], 0.0, 1.0, float(tr))

@@ -10,8 +10,9 @@ Fixtures: a graph
 from a dense matrix, the empty graph and single-entry reads, random flip
 sets and entry writes (:class:`GraphDelta`), a random vertex relabelling
 of an instance, the radius-bounded neighbour enumeration, and a caching
-SDP estimator for the mechanism audits. The oracles raise plain
-``ValueError`` on arguments outside their domain.
+SDP estimator for the mechanism audits, and a log of the graphs the
+mechanisms solve. The oracles raise plain ``ValueError`` on arguments
+outside their domain.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
+from sbmdp import privacy
 from sbmdp.concentration import (
     BasbmConstants,
     CbsbmConstants,
@@ -176,6 +178,25 @@ def cached_estimator(params, opts, cache: dict):
             cache[graphs[todo[j]]] = res.matrix
             yield todo[j], res.matrix
     return estimator
+
+
+def log_solves(monkeypatch) -> list[Graph]:
+    """The list of graphs that ``privacy.recover`` and ``privacy.recover_many``
+    are given from now on, in call order, as the mechanisms look them up."""
+    solved = []
+    recover, recover_many = privacy.recover, privacy.recover_many
+
+    def one(g, *args, **kwargs):
+        solved.append(g)
+        return recover(g, *args, **kwargs)
+
+    def many(graphs, *args, **kwargs):
+        solved.extend(graphs)
+        return recover_many(graphs, *args, **kwargs)
+
+    monkeypatch.setattr(privacy, "recover", one)
+    monkeypatch.setattr(privacy, "recover_many", many)
+    return solved
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from sbmdp.graph import (
     Graph,
     ball_size,
     neighbors_at_distance,
+    off_diagonal,
     pair_count,
     pair_rank,
     read_edge_list,
@@ -88,6 +89,9 @@ def test_dense_forms_match_the_pair_indices(n):
     mask = upper_triangle(n)
     assert mask.dtype == bool and mask.nbytes == n * n and not mask.flags.writeable
     assert upper_triangle(n) is mask
+    off = off_diagonal(n)
+    assert off.tolist() == [i * n + j for i in range(n) for j in range(n) if i != j]
+    assert not off.flags.writeable and off_diagonal(n) is off
 
 
 def test_pair_rank_roundtrip():

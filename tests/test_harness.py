@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sbmdp import cli, harness, privacy, sdp
+from sbmdp import cli, harness, sdp
 from sbmdp.cli import main
 from sbmdp.errors import InvalidParams
 from sbmdp.graph import Graph, write_edge_list
@@ -20,7 +20,7 @@ from sbmdp.harness import (
 )
 from sbmdp.models import BasbmParams, GssbmParams, generate
 
-from oracles import graph_from_dense
+from oracles import graph_from_dense, log_solves
 
 
 def small_config(tmp_path, **overrides):
@@ -225,14 +225,7 @@ def test_capped_stbl_trial_withholds_without_neighbour_solves(monkeypatch):
     # 40 evaluations cannot cover the 120 graphs at distance 1 from a
     # 16-vertex graph, so the search radius is 0: only the base graph is
     # solved, and the distance 0 is released only on large noise
-    solves = []
-    real_recover_many = privacy.recover_many
-
-    def counted(graphs, *args, **kwargs):
-        solves.extend(graphs)
-        return real_recover_many(graphs, *args, **kwargs)
-
-    monkeypatch.setattr(privacy, "recover_many", counted)
+    solves = log_solves(monkeypatch)
     cell = {"variant": "basbm", "n": 16, "a": 4.0, "b": 1.0, "rho": 0.5,
             "eps": 1.0, "delta_exp": 1.0}
     result = run_trial(cell, trial_seed(7, 0, 0), mode="stbl", max_evals=40)
@@ -321,6 +314,21 @@ def test_cli_private_recover_output(tmp_path, capsys):
                      "--params-known", "20,2", "--rho", "0.5", "--mode", mode,
                      "--max-evals", "-1"]) == 1
     assert "max_evals" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
+    # numpy refuses a negative seed with OverflowError or ValueError, which
+    # would exit 3; both commands refuse it as a config error first
+    graph_file = tmp_path / "g.txt"
+    model = ["--variant", "basbm", "--a", "3", "--b", "0.5"]
+    assert main(["generate", *model, "--n", "6", "--seed", "-1",
+                 "--out", str(graph_file)]) == 1
+    assert not graph_file.exists()
+    assert main(["generate", *model, "--n", "6", "--out", str(graph_file)]) == 0
+    assert main(["private-recover", *model, "--graph", str(graph_file),
+                 "--eps", "1", "--delta-exp", "1", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("config error: seed") == 2 and "Traceback" not in err
 
 
 def test_cli_sweep_and_exit_codes(tmp_path):
@@ -431,10 +439,16 @@ def test_cli_gssbm_roundtrip(tmp_path):
 @pytest.mark.parametrize("variant, params, model_args, release_args", [
     ("gssbm", GssbmParams(n=200, a=30, b=2, rhos=(0.5, 0.25)),
      ["--a", "30", "--b", "2", "--rhos", "0.5,0.25"],
-     ["--eps", "10", "--delta-exp", "0.5", "--c-stab", "1"]),
+     ["--eps", "10", "--delta-exp", "0.5", "--c-stab", "1", "--mode", "fast",
+      "--max-evals", "10"]),
     ("basbm", BasbmParams(n=150, a=20, b=2, rho=0.3),
      ["--a", "20", "--b", "2", "--rho", "0.3"],
-     ["--eps", "2", "--delta-exp", "2", "--c-stab", "4"]),
+     ["--eps", "2", "--delta-exp", "2", "--c-stab", "4", "--mode", "fast",
+      "--max-evals", "10"]),
+    # the release-search setting, where stbl searches every neighbour
+    ("basbm", BasbmParams(n=6, a=3, b=0.5, rho=0.5),
+     ["--a", "3", "--b", "0.5", "--rho", "0.5"],
+     ["--eps", "1", "--delta-exp", "1", "--mode", "stbl"]),
 ])
 def test_cli_recover_and_private_recover_label_alike(
         tmp_path, capsys, variant, params, model_args, release_args):
@@ -448,8 +462,7 @@ def test_cli_recover_and_private_recover_label_alike(
     common = ["--variant", variant, *model_args, "--graph", str(graph_file)]
     assert main(["recover", *common]) == 0
     recovered = json.loads(capsys.readouterr().out)
-    assert main(["private-recover", *common, *release_args, "--mode", "fast",
-                 "--seed", "1", "--max-evals", "10"]) == 0
+    assert main(["private-recover", *common, *release_args, "--seed", "1"]) == 0
     released = json.loads(capsys.readouterr().out)
     assert recovered["certified"] and not released["bottom"]
     assert released["assignment"] == recovered["assignment"]

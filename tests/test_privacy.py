@@ -26,12 +26,14 @@ from sbmdp.models import (
     same_clustering,
 )
 from sbmdp.privacy import (
+    MODES,
     TIGHTEN_ALPHA,
     PrivacyParams,
     distance_to_instability,
     laplace_quantile,
     outcomes_equal,
     param_estimate,
+    release,
     sample_laplace,
     stbl,
     stbl_fast,
@@ -43,6 +45,7 @@ from oracles import (
     cached_estimator,
     empty_graph,
     entry,
+    log_solves,
     mle_bruteforce,
     shift_constants,
 )
@@ -279,7 +282,7 @@ def test_stbl_releases_stable_input():
     g = empty_graph(5)
     priv = PrivacyParams(1.0, 0.05)
     constant = np.ones((2, 2))
-    out = stbl(g, lifted(lambda h: constant), priv, MEDIAN_DRAW)
+    out = stbl(g, lifted(lambda h: constant), constant, priv, MEDIAN_DRAW)
     assert out.trace.noise == 0.0
     cap = math.ceil(priv.threshold) + 20
     assert out.trace.d_hat == cap
@@ -287,16 +290,54 @@ def test_stbl_releases_stable_input():
     assert np.array_equal(out.result, constant)
 
 
-def test_stbl_solves_the_base_graph_once():
-    g = empty_graph(3)
-    calls = []
+# the release-search setting: the concentration test is infeasible, so
+# both mechanisms search, and c_stab = 0.9 caps stbl_fast's search at 2
+SEARCHED = BasbmParams(n=6, a=3.0, b=0.5, rho=0.5)
+SEARCHED_PRIV = PrivacyParams.from_exponent(1.0, 1.0, SEARCHED.n)
 
-    def f(h):
-        calls.append(h)
-        return np.ones((1, 1))
 
-    stbl(g, lifted(f), PrivacyParams(1.0, 0.05), np.random.default_rng(0))
-    assert calls.count(g) == 1
+@pytest.mark.parametrize("mode", MODES)
+def test_release_solves_the_base_graph_once(monkeypatch, mode):
+    g, _ = generate(SEARCHED, 0)
+    solves = log_solves(monkeypatch)
+    release(mode, g, SEARCHED, SEARCHED_PRIV, 0, c_stab=0.9, max_evals=None)
+    assert solves.count(g) == 1
+    # seed 0 sits at distance 2 or more, so the search solved all of level 1
+    assert len(solves) > pair_count(SEARCHED.n)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("params, priv, c_stab, max_evals, releasing", [
+    # seed 0 releases in both modes, seed 3 withholds in both
+    (SEARCHED, SEARCHED_PRIV, 0.9, None, {0: MODES, 3: ()}),
+    # certified; stbl_fast releases on its fast path, and stbl withholds at
+    # distance 0, as 10 evaluations cover no level
+    (BasbmParams(n=150, a=20, b=2, rho=0.3),
+     PrivacyParams.from_exponent(2.0, 2.0, 150), 4.0, 10, {1: ("fast",)}),
+], ids=["n6", "n150"])
+def test_release_publishes_the_labels_of_recover(mode, params, priv, c_stab,
+                                                 max_evals, releasing):
+    # the seed both generates the graph and seeds the noise
+    for seed, modes in releasing.items():
+        g, _ = generate(params, seed)
+        base = recover(g, params)
+        out = release(mode, g, params, priv, seed, c_stab=c_stab, max_evals=max_evals)
+        assert out.bottom == (mode not in modes)
+        if out.bottom:
+            assert out.labels is None
+        else:
+            assert np.array_equal(out.labels, base.labels)
+            assert np.array_equal(out.result, base.matrix)
+    if params.n == 150:
+        assert base.solution.certified
+
+
+def test_release_refuses_an_unknown_mode_and_a_negative_seed():
+    g, _ = generate(SEARCHED, 0)
+    with pytest.raises(InvalidParams, match="mode"):
+        release("rr", g, SEARCHED, SEARCHED_PRIV, 0, c_stab=0.9, max_evals=None)
+    with pytest.raises(InvalidParams, match="seed"):
+        release("fast", g, SEARCHED, SEARCHED_PRIV, -1, c_stab=0.9, max_evals=None)
 
 
 def test_stbl_withholds_unstable_input():
@@ -304,7 +345,7 @@ def test_stbl_withholds_unstable_input():
     g = empty_graph(5)
     f = lambda h: np.ones((1, 1)) * (1 + entry(h, 0, 1))
     priv = PrivacyParams(1.0, 0.01)
-    out = stbl(g, lifted(f), priv, MEDIAN_DRAW)
+    out = stbl(g, lifted(f), f(g), priv, MEDIAN_DRAW)
     assert out.trace.d_hat == 1
     assert out.bottom
 
@@ -488,7 +529,8 @@ def test_mechanism_distance_is_one_lipschitz(rates, data):
     def d_hat(h):
         if mechanism == "stbl":
             # eps 10: cap = ceil(log(n)/10) + 2 = 3
-            out = stbl(h, f, PrivacyParams.from_exponent(10.0, 1.0, h.n),
+            ((_, base),) = f([h])
+            out = stbl(h, f, base, PrivacyParams.from_exponent(10.0, 1.0, h.n),
                        np.random.default_rng(0), max_evals=max_evals)
         else:
             # cap = ceil(c_stab*log(n)/eps): 1-2 with 0.9, 3-4 with 2.0
