@@ -31,7 +31,7 @@ from .models import (
     params_from_dict,
     same_partition,
 )
-from .privacy import MODES, PrivacyParams, param_estimate, release
+from .privacy import MODES, PrivacyParams, default_c_stab, param_estimate, release
 from .sdp import recover
 
 
@@ -114,7 +114,7 @@ def cmd_private_recover(args) -> int:
         raise InvalidParams("--a is required unless --params-known is given")
     params = _params_from_args(args, g.n)
     priv = PrivacyParams.from_exponent(args.eps, args.delta_exp, g.n)
-    c_stab = args.c_stab if args.c_stab is not None else args.delta_exp + 2.0
+    c_stab = args.c_stab if args.c_stab is not None else default_c_stab(args.delta_exp)
     outcome = release(args.mode, g, params, priv, args.seed, c_stab=c_stab,
                       max_evals=args.max_evals,
                       estimate_rates=not args.params_known and args.variant == BASBM)
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params-known", help="known rates as 'a,b'")
     p.add_argument("--mode", choices=MODES, default="fast")
     p.add_argument("--c-stab", type=float,
-                   help="stability constant (default delta_exp + 2)")
+                   help="stability constant (default privacy.default_c_stab)")
     p.add_argument("--max-evals", type=int, default=200_000)
     p.set_defaults(func=cmd_private_recover)
 

@@ -289,8 +289,7 @@ def check_concentration(
     lhs1 = spectral_deviation(a_dense, params, gt)
     logn = params.log_n
     sqlogn = math.sqrt(logn)
-    conds = [ConditionResult("spectral_deviation", lhs1, constants.c1 * sqlogn,
-                             lhs1 <= constants.c1 * sqlogn)]
+    conds = [_binding("spectral_deviation", lhs1, constants.c1 * sqlogn, "<=")]
     if params.variant == GSSBM:
         conds += _general_conditions(a_dense, gt, params, constants, logn, sqlogn)
         return ConcentrationReport(tuple(conds))
@@ -305,92 +304,62 @@ def check_concentration(
         rhs2 = constants.c2 * logn
         conds.append(ConditionResult("balanced_direction_margin", lhs2, rhs2,
                                      lhs2 > rhs2))
-        lhs3 = float(np.linalg.norm((d - expected_degree_margins(params, gt)) * x))
-        rhs3 = constants.c3 * sqlogn
-        conds.append(ConditionResult("margin_fluctuation", lhs3, rhs3, lhs3 <= rhs3))
+        lhs3 = np.linalg.norm((d - expected_degree_margins(params, gt)) * x)
+        conds.append(_binding("margin_fluctuation", lhs3, constants.c3 * sqlogn, "<="))
         c_margin = constants.c4
-    # + 0.0 reads a zero margin as +0.0 whatever the sign of its zero
-    lhs_margin = float(d.min()) + 0.0
-    conds.append(ConditionResult("degree_margin", lhs_margin, c_margin * logn,
-                                 lhs_margin >= c_margin * logn))
+    conds.append(_binding("degree_margin", d, c_margin * logn, ">="))
     return ConcentrationReport(tuple(conds))
+
+
+def _binding(name: str, lhs, rhs, sense: str) -> ConditionResult:
+    """The binding entry of the inequalities lhs <= rhs (``sense`` "<=") or
+    lhs >= rhs (">="), taken entry by entry after broadcasting.
+
+    That is the first entry of least slack in row-major order, and the
+    condition passes iff it holds. An empty set passes vacuously with empty
+    lhs and rhs. The lhs reads a zero as +0.0 whatever the sign of its zero.
+    """
+    lhs, rhs = np.broadcast_arrays(lhs, rhs)
+    if lhs.size == 0:
+        return ConditionResult(name, None, None, True)
+    slack = (rhs - lhs if sense == "<=" else lhs - rhs).ravel()
+    i = int(slack.argmin())
+    return ConditionResult(name, float(lhs.flat[i]) + 0.0, rhs.flat[i], slack[i] >= 0)
 
 
 def _general_conditions(
     a_dense: np.ndarray, gt: GroundTruth, params: GssbmParams,
     constants: GssbmConstants, logn: float, sqlogn: float,
 ) -> list[ConditionResult]:
-    """internal_degree, foreign_degree, pair_density and outlier_degree.
-
-    Conditions quantified over empty index sets (single cluster, no
-    outliers) pass vacuously with empty lhs/rhs.
-    """
+    """internal_degree, foreign_degree, pair_density and outlier_degree,
+    each reported by its binding entry (:func:`_binding`)."""
     n, b = params.n, params.b
     sizes = np.array(gt.sizes, dtype=np.float64)
-    r = sizes.size
     assign = gt.assignment
     tau_t = constants.tau_tilde(b)
     e_counts, pair_counts = cluster_edge_counts(a_dense, assign)
-    conds = []
-
-    # every member's internal degree clears (b + 2 c2) * rho_k * log n
     members = assign > 0
-    if members.any():
-        s = own_cluster_counts(e_counts, assign)
-        rho_k = sizes[np.maximum(assign - 1, 0)] / n
-        slack = s - tau_t * rho_k * logn
-        i_min = int(np.where(members, slack, np.inf).argmin())
-        conds.append(ConditionResult(
-            "internal_degree", float(s[i_min]),
-            float(tau_t * rho_k[i_min] * logn),
-            bool(slack[members].min() >= 0)))
-    else:
-        conds.append(ConditionResult("internal_degree", None, None, True))
-
-    # edges from any vertex into a foreign cluster stay small
-    worst = (-math.inf, None, None)
-    for k in range(1, r + 1):
-        foreign = assign != k
-        if not foreign.any():
-            continue
-        rhs = (b + constants.c2) * sizes[k - 1] * logn / n - constants.c3 * logn
-        lhs_vals = e_counts[foreign, k - 1]
-        i_rel = int(lhs_vals.argmax())
-        slack = float(lhs_vals[i_rel] - rhs)
-        if slack > worst[0]:
-            worst = (slack, float(lhs_vals[i_rel]), rhs)
-    if worst[1] is None:
-        conds.append(ConditionResult("foreign_degree", None, None, True))
-    else:
-        conds.append(ConditionResult("foreign_degree", worst[1], worst[2],
-                                     worst[0] <= 0))
-
-    # pairwise cluster-to-cluster edge totals are not too sparse
-    if r >= 2:
-        worst4 = (math.inf, None, None)
-        for k in range(r):
-            for kp in range(k + 1, r):
-                cnt = float(pair_counts[k, kp])
-                rhs = (sizes[k] * sizes[kp] * params.q
-                       - 2.0 * math.sqrt(sizes[k] * sizes[kp]) * sqlogn
-                       - constants.c4 * logn)
-                slack = cnt - rhs
-                if slack < worst4[0]:
-                    worst4 = (slack, cnt, rhs)
-        conds.append(ConditionResult("pair_density", worst4[1], worst4[2],
-                                     worst4[0] >= 0))
-    else:
-        conds.append(ConditionResult("pair_density", None, None, True))
-
-    # outliers attach to every cluster well below the dual rate
-    outliers = assign == 0
-    if outliers.any() and r >= 1:
-        rhs = tau_t * sizes[-1] * logn / n - constants.c5 * logn
-        lhs5 = float(e_counts[outliers].max())
-        conds.append(ConditionResult("outlier_degree", lhs5, rhs, lhs5 <= rhs))
-    else:
-        conds.append(ConditionResult("outlier_degree", None, None, True))
-    return conds
+    # vertex i's count into cluster k, for i outside k; cluster by cluster
+    foreign = assign[None, :] != np.arange(1, sizes.size + 1)[:, None]
+    foreign_rhs = (b + constants.c2) * sizes * logn / n - constants.c3 * logn
+    pairs = np.triu_indices(sizes.size, 1)
+    pair_sizes = sizes[pairs[0]] * sizes[pairs[1]]
+    return [
+        # every member's internal degree clears (b + 2 c2) * rho_k * log n
+        _binding("internal_degree", e_counts[members, assign[members] - 1],
+                 tau_t * (sizes[assign[members] - 1] / n) * logn, ">="),
+        # edges from any vertex into a foreign cluster stay small
+        _binding("foreign_degree", e_counts.T[foreign],
+                 np.broadcast_to(foreign_rhs[:, None], foreign.shape)[foreign], "<="),
+        # pairwise cluster-to-cluster edge totals are not too sparse
+        _binding("pair_density", pair_counts[pairs],
+                 pair_sizes * params.q - 2.0 * np.sqrt(pair_sizes) * sqlogn
+                 - constants.c4 * logn, ">="),
+        # outliers attach to every cluster well below the dual rate; the
+        # rhs reads the last cluster, and is empty with no cluster
+        _binding("outlier_degree", e_counts[assign == 0],
+                 tau_t * sizes[-1:] * logn / n - constants.c5 * logn, "<="),
+    ]
 
 
 # ---------------------------------------------------------------------------

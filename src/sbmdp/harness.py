@@ -20,7 +20,7 @@ from .errors import InvalidParams, SbmdpError
 from .graph import Graph
 from .models import (GSSBM, GroundTruth, SbmParams, generate, params_from_dict,
                      same_partition)
-from .privacy import MODES as PRIVATE_MODES, PrivacyParams, release
+from .privacy import MODES as PRIVATE_MODES, PrivacyParams, default_c_stab, release
 from .sdp import recover
 
 MODES = ("nonprivate", *PRIVATE_MODES)
@@ -150,11 +150,8 @@ class TrialResult:
 
 
 def _cell_params(cell: dict) -> SbmParams:
-    d = {k: v for k, v in cell.items()
-         if k in ("variant", "n", "a", "b", "rho", "xi", "rhos")}
-    if d.get("variant") == GSSBM:
-        d["rhos"] = tuple(d["rhos"])
-    return params_from_dict(d)
+    return params_from_dict({k: v for k, v in cell.items()
+                             if k in ("variant", "n", "a", "b", "rho", "xi", "rhos")})
 
 
 def trial_seed(seed_base: int, cell_index: int, trial_index: int) -> int:
@@ -184,7 +181,7 @@ def run_trial(
     eps = float(cell.get("eps", math.inf))
     delta_exp = float(cell.get("delta_exp", 0.0))
     if c_stab is None:
-        c_stab = delta_exp + 2.0 if mode != "nonprivate" else 0.0
+        c_stab = default_c_stab(delta_exp) if mode != "nonprivate" else 0.0
 
     conc_pass, cert_valid = _diagnostics(g, gt, params, eps, c_stab)
 

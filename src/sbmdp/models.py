@@ -142,6 +142,9 @@ def params_from_dict(d: dict) -> SbmParams:
                                rhos=tuple(float(r) for r in d["rhos"]))
     except KeyError as exc:
         raise InvalidParams(f"missing field {exc} for variant {variant!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams(f"a field of variant {variant!r} is not a number: {exc}"
+                            ) from None
     raise InvalidParams(f"unknown variant {variant!r}")
 
 

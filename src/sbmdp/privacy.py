@@ -4,8 +4,9 @@ The release rule is propose-test-release: compute how many entry flips it
 takes to change the estimator's output, add Laplace(1/eps) noise, and
 publish the output only when the noisy distance clears log(1/delta)/eps.
 The slow mechanism measures the distance by neighborhood search; the fast
-one certifies a concentration condition that implies the distance bound,
-and only falls back to searching when the test fails.
+one pins it when the clustering passes the concentration test under
+:func:`fast_path_constants`, and searches only when the test cannot run
+or fails. A caller's error raises InvalidParams, never withholds.
 
 The guarantee needs the distance to be a 1-Lipschitz function of the graph
 alone, so the search is bounded only by a radius computed from n, the
@@ -124,6 +125,19 @@ def sdp_estimator(params: SbmParams, opts: SolveOptions = SolveOptions()) -> Est
 
 # stbl_fast's tightening of its concentration constants (each scaled by 1 +- 2*alpha)
 TIGHTEN_ALPHA = 0.001
+
+
+def default_c_stab(delta_exp: float) -> float:
+    """The private modes' default stability constant at delta = n^(-delta_exp)."""
+    return delta_exp + 2.0
+
+
+def fast_path_constants(params: SbmParams, eps: float, c_stab: float):
+    """:func:`stbl_fast`'s concentration constants: the default tuple
+    (margin 0.1) tightened by :data:`TIGHTEN_ALPHA`. Raises InfeasibleRegime
+    or InvalidShift where none exists."""
+    return tighten_constants(default_constants(params, eps, c_stab),
+                             TIGHTEN_ALPHA, params)
 
 
 def outcomes_equal(o1: Optional[np.ndarray], o2: Optional[np.ndarray]) -> bool:
@@ -287,6 +301,18 @@ def param_estimate(g: Graph) -> tuple[float, float, float]:
     return a_hat, b_hat, rho_hat
 
 
+def _estimated_params(g: Graph, params: SbmParams) -> SbmParams:
+    """``params`` with (a, b) estimated from ``g``'s degree profile; raises
+    DegenerateEstimate when the estimate is degenerate or fails ``validate``."""
+    a_hat, b_hat, _ = param_estimate(g)
+    estimate = replace(params, a=a_hat, b=b_hat)
+    try:
+        estimate.validate()
+    except InvalidParams as exc:
+        raise DegenerateEstimate(f"estimated rates are invalid: {exc}") from None
+    return estimate
+
+
 def stbl_fast(
     g: Graph,
     params: SbmParams,
@@ -301,77 +327,65 @@ def stbl_fast(
 ) -> MechanismOutcome:
     """Fast stability mechanism: concentration test instead of search.
 
-    Solves the SDP once and rounds it; when the rounded clustering makes
-    the concentration check pass, the distance is pinned to
-    c_stab*log(n)/eps without any neighborhood search. The check uses the
-    default constants (margin 0.1) tightened by ``TIGHTEN_ALPHA``. On a
-    failed check the capped distance around the rounded clustering it
-    would release is measured, which is exponentially slower; ``max_evals``
-    bounds that search by a radius, as :func:`distance_to_instability`
-    describes. The search runs ``f``, by default :func:`sdp_estimator`
-    with ``solve_opts``, on the neighbours; the base graph is always solved
-    by :func:`sbmdp.sdp.recover`.
+    Bad arguments raise InvalidParams before any solve: a negative
+    ``c_stab`` or ``max_evals``, ``estimate_rates`` off basbm, and
+    ``params`` that fail ``validate``. :func:`sbmdp.sdp.recover` then
+    solves ``g`` once, and the concentration test checks its clustering
+    under :func:`fast_path_constants`. A pass pins the distance to
+    c_stab*log(n)/eps. The release falls back to measuring the capped
+    distance around that clustering (:func:`distance_to_instability`,
+    exponentially slower, bounded by ``max_evals``) exactly when the solve
+    gave no labels, the rate estimate is unusable (DegenerateEstimate), no
+    constants exist (InfeasibleRegime, InvalidShift) or the check fails;
+    any other error propagates. The search runs ``f``, by default
+    :func:`sdp_estimator` with ``solve_opts``, on the neighbours.
 
-    With ``estimate_rates`` the intra/inter rates (a, b) are re-estimated
-    from the degree profile before checking (asymmetric variant only); a
-    degenerate estimate sends the run down the measured-distance branch.
-    ``c_stab`` plays the stability role and is independent of the delta
-    exponent in ``priv``.
+    ``estimate_rates`` tests under the degree-profile estimate of (a, b),
+    traced as ``estimated_rates`` when usable. ``c_stab`` is independent of
+    the delta exponent in ``priv``.
     """
     if c_stab < 0:
         raise InvalidParams(f"c_stab must be nonnegative, got {c_stab}")
     if max_evals is not None and max_evals < 0:
         raise InvalidParams(f"max_evals must be nonnegative, got {max_evals}")
+    if estimate_rates and params.variant != BASBM:
+        raise InvalidParams("rate estimation is only defined for basbm")
+    params.validate()
     if f is None:
         f = sdp_estimator(params, solve_opts)
 
     result = recover(g, params, solve_opts)
-    matrix, labels = result.matrix, result.labels
-    solver_status = result.solution.status
 
-    estimated = None
-    check_params = params
-    conc_pass = False
-    if labels is not None:
-        usable = True
-        if estimate_rates:
-            if params.variant != BASBM:
-                raise InvalidParams("rate estimation is only defined for basbm")
-            try:
-                a_hat, b_hat, _ = param_estimate(g)
-                if a_hat > b_hat > 0:
-                    estimated = (a_hat, b_hat)
-                    check_params = replace(params, a=a_hat, b=b_hat)
-                else:
-                    usable = False
-            except DegenerateEstimate:
-                usable = False
-        if usable:
-            try:
-                check_params.validate()
-                constants = tighten_constants(
-                    default_constants(check_params, priv.eps, c_stab),
-                    TIGHTEN_ALPHA, check_params)
-                gt_hat = GroundTruth(params.variant, labels)
-                conc_pass = check_concentration(
-                    g, gt_hat, check_params, constants).passed
-            except (InfeasibleRegime, InvalidShift, InvalidParams):
-                conc_pass = False
+    conc_pass, estimated = False, None
+    if result.labels is not None:
+        try:
+            check_params = _estimated_params(g, params) if estimate_rates else params
+            if estimate_rates:
+                estimated = (check_params.a, check_params.b)
+            constants = fast_path_constants(check_params, priv.eps, c_stab)
+        except (DegenerateEstimate, InfeasibleRegime, InvalidShift):
+            pass
+        else:
+            conc_pass = check_concentration(
+                g, GroundTruth(params.variant, result.labels), check_params,
+                constants).passed
 
     cap_real = c_stab * math.log(g.n) / priv.eps
     if conc_pass:
         d_hat = cap_real
     else:
-        d = distance_to_instability(g, f, matrix, math.ceil(cap_real),
+        d = distance_to_instability(g, f, result.matrix, math.ceil(cap_real),
                                     max_evals=max_evals)
         d_hat = min(cap_real, float(d))
-    return _publish(matrix, d_hat, priv, rng, labels,
-                    solver_status=solver_status, fast_path=conc_pass,
+    return _publish(result.matrix, d_hat, priv, rng, result.labels,
+                    solver_status=result.solution.status, fast_path=conc_pass,
                     estimated_rates=estimated)
 
 
 def _stbl_sdp(g, params, priv, c_stab, rng, *, estimate_rates, max_evals):
     """:func:`stbl` over :func:`sdp_estimator`, publishing :func:`recover`'s solve."""
+    if max_evals is not None and max_evals < 0:
+        raise InvalidParams(f"max_evals must be nonnegative, got {max_evals}")
     base = recover(g, params)
     out = stbl(g, sdp_estimator(params), base.matrix, priv, rng, max_evals=max_evals)
     return replace(out, labels=None if out.bottom else base.labels)

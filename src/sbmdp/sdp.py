@@ -18,8 +18,10 @@ this is the usual outcome, since the rounded spectral estimate is already
 the planted clustering. Otherwise ADMM runs, and the same test is repeated
 on the rounded iterate at regular checkpoints, reusing the eigenpairs of
 the iteration's PSD step. Sub-threshold inputs never certify and fall back
-to plain ADMM convergence. A certified solution carries the gate's report,
-whose certificate holds the labels, so recovery rounds only uncertified ones.
+to plain ADMM convergence. A certified solution carries the gate's report
+and its labels; a polished one (an uncertified solve that returns its
+rounded candidate) carries the candidate's labels. So recovery rounds only
+fractional solutions.
 
 The spectral estimate reads only the top one (binary) or r (general)
 eigenpairs. From ``KRYLOV_MIN_N`` vertices on (``KRYLOV_MIN_N_GENERAL`` for
@@ -118,6 +120,8 @@ class SdpSolution:
     status: str
     # the gate's valid report on the certified clustering, None if uncertified
     certificate: BinaryReport | GeneralReport | None = None
+    # the clustering ``matrix`` holds when certified or polished, else None
+    labels: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def certified(self) -> bool:
@@ -128,18 +132,21 @@ def problem_from_graph(g: Graph, params: SbmParams) -> SdpProblem:
     """The variant's relaxation of a graph.
 
     Raises InvalidParams unless ``g`` is a :class:`~sbmdp.graph.Graph`
-    over the variant's alphabet (censored for cbsbm, simple otherwise),
-    and InfeasibleProblem when the graph cannot hold the cluster sizes.
+    over the variant's alphabet (censored for cbsbm, simple otherwise) with
+    ``params.n`` vertices, and InfeasibleProblem when the graph cannot hold
+    the cluster sizes.
     """
     want = CENSORED if params.variant == CBSBM else SIMPLE
     if not isinstance(g, Graph) or g.alphabet != want:
         got = g.alphabet if isinstance(g, Graph) else type(g).__name__
         raise InvalidParams(f"expected a {want} graph, got {got}")
     n = g.n
+    if n != params.n:
+        raise InvalidParams(f"graph has {n} vertices, params n = {params.n}")
     if params.variant == CBSBM:
         return SdpProblem(CBSBM, g.to_dense())
     if params.variant == BASBM:
-        k = int(math.floor(params.rho * n))
+        k = params.first_cluster_size
         if not 0 < k <= n // 2 + n % 2:
             raise InfeasibleProblem(f"first cluster size {k} invalid for n={n}")
         return SdpProblem(BASBM, g.to_dense(), mass=float((2 * k - n) ** 2),
@@ -411,7 +418,8 @@ def _certified_solution(prob: SdpProblem, report: BinaryReport | GeneralReport,
     cand = assignment_to_cluster_matrix(prob.variant, labels)
     return SdpSolution(problem=prob, matrix=cand, objective=objective,
                        primal_residual=0.0, dual_residual=0.0,
-                       iterations=it, status=CONVERGED, certificate=report)
+                       iterations=it, status=CONVERGED, certificate=report,
+                       labels=labels)
 
 
 def _uncertified_solution(prob: SdpProblem, x: np.ndarray, y: np.ndarray,
@@ -419,8 +427,9 @@ def _uncertified_solution(prob: SdpProblem, x: np.ndarray, y: np.ndarray,
                           best_labels: Optional[np.ndarray],
                           tol: float) -> SdpSolution:
     """The final iterate, or an exactly-feasible rounded candidate (vertex
-    polish) when that scores at least as well. The candidate is rounded
-    from ``x``, or else is the last checkpoint's, ``best_labels``."""
+    polish) with its labels when that scores at least as well. The
+    candidate is rounded from ``x``, or else is the last checkpoint's,
+    ``best_labels``."""
     status = CONVERGED if (primal < tol and dual < tol) else MAX_ITERS
     matrix = y.copy()
     objective = prob.objective(y)
@@ -430,11 +439,12 @@ def _uncertified_solution(prob: SdpProblem, x: np.ndarray, y: np.ndarray,
     if labels is not None:
         cand = assignment_to_cluster_matrix(prob.variant, labels)
         if prob.objective(cand) >= objective:
-            matrix = cand
-            objective = prob.objective(cand)
+            matrix, objective = cand, prob.objective(cand)
+        else:
+            labels = None
     return SdpSolution(problem=prob, matrix=matrix, objective=objective,
                        primal_residual=float(primal), dual_residual=float(dual),
-                       iterations=it, status=status)
+                       iterations=it, status=status, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -666,10 +676,10 @@ class RecoveryResult:
 
 
 def _rounded(sol: SdpSolution) -> RecoveryResult:
-    """A certified solution's own labels, or the rounding of the solution."""
-    if sol.certified:
-        labels = sol.certificate.certificate.labels.astype(np.int64)
-        return RecoveryResult(sol.matrix, labels, sol)
+    """The labels a certified or polished solution holds, or the rounding
+    of a fractional one."""
+    if sol.labels is not None:
+        return RecoveryResult(sol.matrix, sol.labels.astype(np.int64), sol)
     variant = sol.problem.variant
     try:
         if variant == GSSBM:
@@ -687,8 +697,9 @@ def recover(g: Graph, params: SbmParams,
     """Solve the variant's SDP of a graph and round to a discrete clustering.
 
     ``g`` must be a :class:`~sbmdp.graph.Graph` over the variant's
-    alphabet (see :func:`problem_from_graph`). A certified solution carries
-    its labels, so only an uncertified one is rounded. A rounding failure
+    alphabet with ``params.n`` vertices (see :func:`problem_from_graph`).
+    A certified or polished solution carries its labels, so only a
+    fractional one is rounded. A rounding failure
     (degenerate spectrum or inconsistent relation) is reported through ``failed`` rather than an exception:
     callers treat it as a distinguished recovery-failure outcome. This is
     :func:`recover_many` on one graph.

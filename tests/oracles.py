@@ -5,14 +5,15 @@ maximum-likelihood clustering for n <= 16, the binomial-difference tail
 exponent, the persistence map of the concentration constants, the
 eigenvalue rule for dual certificates by one full ``eigvalsh``, the
 block-by-block build of the general certificate and its price bounds by
-an n x n copy, and the box-plus-sum projection by bisection on its shift.
+an n x n copy, the box-plus-sum projection by bisection on its shift, and
+the general concentration conditions by loops over clusters.
 Fixtures: a graph
 from a dense matrix, the empty graph and single-entry reads, random flip
 sets and entry writes (:class:`GraphDelta`), a random vertex relabelling
-of an instance, the radius-bounded neighbour enumeration, and a caching
-SDP estimator for the mechanism audits, and a log of the graphs the
-mechanisms solve. The oracles raise plain ``ValueError`` on arguments
-outside their domain.
+of an instance, the radius-bounded neighbour enumeration, a caching
+SDP estimator for the mechanism audits, and logs of the graphs the
+mechanisms solve and of the problems the solver solves. The oracles raise
+plain ``ValueError`` on arguments outside their domain.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from sbmdp import privacy
+from sbmdp import privacy, sdp
 from sbmdp.concentration import (
     BasbmConstants,
     CbsbmConstants,
@@ -32,6 +33,7 @@ from sbmdp.concentration import (
     GssbmConstants,
     cluster_edge_counts,
     own_cluster_counts,
+    spectral_deviation,
 )
 from sbmdp.errors import AlphabetViolation, DuplicateEdge, IndexOutOfRange, InvalidShift
 from sbmdp.graph import (
@@ -47,6 +49,7 @@ from sbmdp.models import (
     BASBM,
     GSSBM,
     GroundTruth,
+    GssbmParams,
     SbmParams,
     assignment_to_cluster_matrix,
     cluster_indicator,
@@ -196,6 +199,21 @@ def log_solves(monkeypatch) -> list[Graph]:
 
     monkeypatch.setattr(privacy, "recover", one)
     monkeypatch.setattr(privacy, "recover_many", many)
+    return solved
+
+
+def log_problems(monkeypatch) -> list:
+    """The list of problems that ``sdp.solve_many``, the one solver loop,
+    solves from now on, in call order."""
+    solved = []
+    solve_many = sdp.solve_many
+
+    def logged(probs, *args, **kwargs):
+        probs = list(probs)
+        solved.extend(probs)
+        return solve_many(probs, *args, **kwargs)
+
+    monkeypatch.setattr(sdp, "solve_many", logged)
     return solved
 
 
@@ -471,3 +489,71 @@ def bisect_box_sum(v: np.ndarray, lo: float, hi: float, s: float) -> np.ndarray:
         else:
             theta_hi = mid
     return np.clip(v - 0.5 * (theta_lo + theta_hi), lo, hi)
+
+
+def general_report_by_loops(g: Graph, gt: GroundTruth, params: GssbmParams,
+                            constants: GssbmConstants) -> dict:
+    """``check_concentration(g, gt, params, constants).to_dict()`` for gssbm,
+    with each edge-count condition's binding entry found by a loop over its
+    clusters or cluster pairs, as the checker once did. A condition over an
+    empty set passes vacuously with no lhs or rhs."""
+    a_dense = g.to_dense()
+    logn = params.log_n
+    sqlogn = math.sqrt(logn)
+    lhs1 = spectral_deviation(a_dense, params, gt)
+    conds = [("spectral_deviation", lhs1, constants.c1 * sqlogn,
+              lhs1 <= constants.c1 * sqlogn)]
+    n, b = params.n, params.b
+    sizes = np.array(gt.sizes, dtype=np.float64)
+    r = sizes.size
+    assign = gt.assignment
+    tau_t = constants.tau_tilde(b)
+    e_counts, pair_counts = cluster_edge_counts(a_dense, assign)
+
+    members = assign > 0
+    if members.any():
+        s = own_cluster_counts(e_counts, assign)
+        rho_k = sizes[np.maximum(assign - 1, 0)] / n
+        slack = s - tau_t * rho_k * logn
+        i_min = int(np.where(members, slack, np.inf).argmin())
+        conds.append(("internal_degree", s[i_min], tau_t * rho_k[i_min] * logn,
+                      slack[members].min() >= 0))
+    else:
+        conds.append(("internal_degree", None, None, True))
+
+    worst = (-math.inf, None, None)
+    for k in range(1, r + 1):
+        foreign = assign != k
+        if not foreign.any():
+            continue
+        rhs = (b + constants.c2) * sizes[k - 1] * logn / n - constants.c3 * logn
+        lhs_vals = e_counts[foreign, k - 1]
+        i_rel = int(lhs_vals.argmax())
+        slack = float(lhs_vals[i_rel] - rhs)
+        if slack > worst[0]:
+            worst = (slack, lhs_vals[i_rel], rhs)
+    conds.append(("foreign_degree", worst[1], worst[2], worst[0] <= 0))
+
+    worst = (math.inf, None, None)
+    for k in range(r):
+        for kp in range(k + 1, r):
+            cnt = pair_counts[k, kp]
+            rhs = (sizes[k] * sizes[kp] * params.q
+                   - 2.0 * math.sqrt(sizes[k] * sizes[kp]) * sqlogn
+                   - constants.c4 * logn)
+            if cnt - rhs < worst[0]:
+                worst = (cnt - rhs, cnt, rhs)
+    conds.append(("pair_density", worst[1], worst[2], worst[0] >= 0))
+
+    outliers = assign == 0
+    if outliers.any() and r >= 1:
+        rhs = tau_t * sizes[-1] * logn / n - constants.c5 * logn
+        lhs5 = e_counts[outliers].max()
+        conds.append(("outlier_degree", lhs5, rhs, lhs5 <= rhs))
+    else:
+        conds.append(("outlier_degree", None, None, True))
+
+    rows = [{"name": name, "lhs": None if lhs is None else float(lhs),
+             "rhs": None if rhs is None else float(rhs), "passed": bool(ok)}
+            for name, lhs, rhs, ok in conds]
+    return {"passed": all(row["passed"] for row in rows), "conditions": rows}

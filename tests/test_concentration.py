@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbmdp.concentration import (
     BasbmConstants,
@@ -32,7 +35,13 @@ from sbmdp.models import (
     generate,
 )
 
-from oracles import binom_diff_exponent, graph_from_dense, random_delta, shift_constants
+from oracles import (
+    binom_diff_exponent,
+    general_report_by_loops,
+    graph_from_dense,
+    random_delta,
+    shift_constants,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +266,70 @@ def test_check_gssbm_outlier_hub_fails():
     report = check_concentration(graph_from_dense(dense), gt, params, constants)
     outlier = [c for c in report.conditions if c.name == "outlier_degree"][0]
     assert not outlier.passed
+
+
+@st.composite
+def general_instances(draw):
+    """A small gssbm graph, labels and constants: random labels over r = 1..3
+    clusters with outliers, one cluster holding every vertex (no foreign
+    vertex), every vertex an outlier, or clusters in contiguous runs."""
+    n = draw(st.integers(2, 12))
+    r = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "one-cluster", "all-outliers", "runs"]))
+    if kind == "random":
+        labels = draw(st.lists(st.integers(0, r), min_size=n, max_size=n))
+    elif kind == "one-cluster":
+        labels = [1] * n
+    elif kind == "all-outliers":
+        labels = [0] * n
+    else:
+        cuts = sorted(draw(st.lists(st.integers(0, n), min_size=r, max_size=r)))
+        labels = np.searchsorted(cuts, np.arange(n), side="right").clip(0, r)
+        labels = [int(k) % (r + 1) for k in labels]
+    m = pair_count(n)
+    edges = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    b = draw(st.floats(0.1, 3.0))
+    params = GssbmParams(n=n, a=b + draw(st.floats(0.1, 6.0)), b=b, rhos=(0.5,))
+    constants = GssbmConstants(*(draw(st.floats(0.01, 3.0)) for _ in range(5)))
+    return (Graph(n, SIMPLE, np.array(edges, dtype=np.int8)),
+            GroundTruth("gssbm", np.array(labels)), params, constants)
+
+
+@settings(max_examples=300, deadline=None)
+@given(general_instances())
+def test_general_conditions_match_the_loop_oracle(instance):
+    # each condition reports its binding entry, the first on ties, and
+    # passes vacuously on an empty set, bit for bit as the loops did
+    g, gt, params, constants = instance
+    got = check_concentration(g, gt, params, constants).to_dict()
+    assert json.dumps(got) == json.dumps(general_report_by_loops(g, gt, params, constants))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_degree_margin_reports_the_smallest_margin(data):
+    n = data.draw(st.integers(4, 12))
+    m = pair_count(n)
+    if data.draw(st.booleans()):
+        params = BasbmParams(n=n, a=3.0, b=1.0, rho=data.draw(st.sampled_from([0.3, 0.5])))
+        k = params.first_cluster_size
+        alphabet = (0, 1)
+    else:
+        params = CbsbmParams(n=n, a=3.0, xi=0.1)
+        k = data.draw(st.integers(1, n - 1))
+        alphabet = (-1, 0, 1)
+    values = data.draw(st.lists(st.sampled_from(alphabet), min_size=m, max_size=m))
+    g = Graph(n, CENSORED if -1 in alphabet else SIMPLE, np.array(values, dtype=np.int8))
+    gt = GroundTruth(params.variant, np.repeat([1, -1], [k, n - k]))
+    c = data.draw(st.floats(0.0, 2.0))
+    constants = (BasbmConstants(1.0, 1.0, 1.0, c) if params.variant == "basbm"
+                 else CbsbmConstants(1.0, c))
+    cond = check_concentration(g, gt, params, constants).conditions[-1]
+    d = degree_margins(g.to_dense(), gt.sigma, lambda_star(params))
+    assert cond.name == "degree_margin"
+    assert (json.dumps(cond.to_dict()) == json.dumps(
+        {"name": "degree_margin", "lhs": float(d.min()) + 0.0,
+         "rhs": c * params.log_n, "passed": bool(d.min() >= c * params.log_n)}))
 
 
 def test_checkers_are_pure():

@@ -149,6 +149,14 @@ def test_run_trial_deterministic():
     assert r1.recovered and not r1.bottom
 
 
+def test_run_trial_refuses_a_null_cell_field():
+    # a null rhos met tuple(None) in the harness with a TypeError
+    for bad in ({"b": None}, {"rhos": None}):
+        with pytest.raises(InvalidParams, match="not a number"):
+            run_trial({"variant": "gssbm", "n": 30, "a": 8, "b": 1,
+                       "rhos": [0.3, 0.3], **bad}, 0)
+
+
 def test_run_trial_densifies_once_per_consumer(monkeypatch):
     # the concentration check, the certificate and the recovery each take
     # the graph and densify it once; no adjacency goes through the
@@ -329,6 +337,19 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
                  "--eps", "1", "--delta-exp", "1", "--seed", "-1"]) == 1
     err = capsys.readouterr().err
     assert err.count("config error: seed") == 2 and "Traceback" not in err
+
+
+def test_cli_missing_or_non_numeric_rate_is_a_config_error(tmp_path, capsys):
+    # float(None) in params_from_dict raised a TypeError, which exited 3
+    graph_file = tmp_path / "g.txt"
+    assert main(["generate", "--variant", "basbm", "--a", "3", "--b", "0.5",
+                 "--n", "6", "--out", str(graph_file)]) == 0
+    assert main(["recover", "--variant", "basbm", "--a", "8",
+                 "--graph", str(graph_file)]) == 1
+    assert main(["recover", "--variant", "gssbm", "--a", "8", "--rhos", "0.4",
+                 "--graph", str(graph_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("config error") == 2 and "Traceback" not in err
 
 
 def test_cli_sweep_and_exit_codes(tmp_path):

@@ -201,3 +201,9 @@ def test_params_json_roundtrip():
         params_from_dict({"variant": "nope"})
     with pytest.raises(InvalidParams):
         params_from_dict({"variant": "basbm", "n": 10})
+    # a null or non-numeric field is a config error, not a TypeError
+    for bad in ({"b": None}, {"a": "x"}, {"n": "ten"}):
+        with pytest.raises(InvalidParams, match="not a number"):
+            params_from_dict({"variant": "basbm", "n": 10, "a": 8, "b": 2, **bad})
+    with pytest.raises(InvalidParams, match="not a number"):
+        params_from_dict({"variant": "gssbm", "n": 10, "a": 8, "b": 2, "rhos": None})

@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbmdp.concentration import (
-    check_concentration,
-    default_constants,
-    degree_margins,
-    lambda_star,
-    tighten_constants,
-)
+from sbmdp.concentration import check_concentration, degree_margins, lambda_star
 from sbmdp.errors import DegenerateEstimate, InvalidParams
 from sbmdp.graph import ALPHABETS, Graph, ball_size, neighbors_at_distance, pair_count
 from sbmdp.models import (
@@ -27,9 +21,9 @@ from sbmdp.models import (
 )
 from sbmdp.privacy import (
     MODES,
-    TIGHTEN_ALPHA,
     PrivacyParams,
     distance_to_instability,
+    fast_path_constants,
     laplace_quantile,
     outcomes_equal,
     param_estimate,
@@ -45,6 +39,7 @@ from oracles import (
     cached_estimator,
     empty_graph,
     entry,
+    log_problems,
     log_solves,
     mle_bruteforce,
     shift_constants,
@@ -340,6 +335,38 @@ def test_release_refuses_an_unknown_mode_and_a_negative_seed():
         release("fast", g, SEARCHED, SEARCHED_PRIV, -1, c_stab=0.9, max_evals=None)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_release_refuses_a_wrong_size_graph_and_a_negative_budget(monkeypatch, mode):
+    # both raise before the solver runs, not as a withheld release
+    problems = log_problems(monkeypatch)
+    g, _ = generate(BasbmParams(n=30, a=3.0, b=0.5, rho=0.3), 0)
+    with pytest.raises(InvalidParams, match="vertices"):
+        release(mode, g, BasbmParams(n=40, a=3.0, b=0.5, rho=0.3), SEARCHED_PRIV, 0,
+                c_stab=0.9, max_evals=None)
+    g, _ = generate(SEARCHED, 0)
+    with pytest.raises(InvalidParams, match="max_evals"):
+        release(mode, g, SEARCHED, SEARCHED_PRIV, 0, c_stab=0.9, max_evals=-1)
+    assert problems == []
+
+
+CBSBM_6 = CbsbmParams(n=6, a=3.0, xi=0.1)
+
+
+@pytest.mark.parametrize("params, c_stab, options", [
+    (SEARCHED, -1.0, {}),
+    (SEARCHED, 0.9, {"max_evals": -1}),
+    (CBSBM_6, 0.9, {"estimate_rates": True}),
+    (BasbmParams(n=6, a=0.5, b=0.5, rho=0.5), 0.9, {}),
+], ids=["c_stab", "max_evals", "estimate_rates-cbsbm", "a-not-above-b"])
+def test_stbl_fast_refuses_bad_arguments_before_solving(monkeypatch, params, c_stab,
+                                                       options):
+    g, _ = generate(CBSBM_6 if params.variant == "cbsbm" else SEARCHED, 0)
+    solves = log_solves(monkeypatch)
+    with pytest.raises(InvalidParams):
+        stbl_fast(g, params, SEARCHED_PRIV, c_stab, MEDIAN_DRAW, **options)
+    assert solves == []
+
+
 def test_stbl_withholds_unstable_input():
     # f depends on the first entry, so every input sits at distance 1
     g = empty_graph(5)
@@ -459,8 +486,7 @@ def test_stbl_fast_pinned_distance_survives_adversarial_flips(adversary):
     eps, c_stab = 2.0, 4.0
     priv = PrivacyParams.from_exponent(eps, 2.0, params.n)
     budget = int(c_stab * math.log(params.n) / eps)
-    constants = tighten_constants(default_constants(params, eps, c_stab),
-                                  TIGHTEN_ALPHA, params)
+    constants = fast_path_constants(params, eps, c_stab)
     shifted = shift_constants(constants, c_stab, eps, rho=params.rho)
     for seed in range(3):
         g, _ = generate(params, seed)

@@ -101,9 +101,14 @@ def test_problem_validation():
         problem_from_graph(empty_graph(4, CENSORED), basbm)  # wrong alphabet
     with pytest.raises(InvalidParams):
         problem_from_graph(empty_graph(4), cbsbm)  # wrong alphabet
-    with pytest.raises(InfeasibleProblem):  # sizes (3, 3) on 4 vertices
+    with pytest.raises(InvalidParams):  # params for 8 vertices, a 4-vertex graph
         problem_from_graph(empty_graph(4),
                            GssbmParams(n=8, a=3.0, b=1.0, rhos=(0.4, 0.4)))
+    with pytest.raises(InvalidParams):
+        recover(empty_graph(4), BasbmParams(n=5, a=2.0, b=1.0, rho=0.4))
+    with pytest.raises(InfeasibleProblem):  # sizes (3, 3) on 4 vertices
+        problem_from_graph(empty_graph(4),
+                           GssbmParams(n=4, a=3.0, b=1.0, rhos=(0.8, 0.8)))
     with pytest.raises(InfeasibleProblem):  # empty first cluster
         problem_from_graph(empty_graph(4), BasbmParams(n=4, a=2.0, b=1.0, rho=0.01))
     # the adjacency input is a Graph, never its dense matrix
@@ -606,6 +611,21 @@ def test_certified_labels_match_rounding(instance):
 def test_certified_labels_match_rounding_at_scale(params):
     g, _ = generate(params, 3)
     assert assert_labels_are_the_rounding(g, params)
+
+
+def test_polished_recover_returns_the_clustering_its_solution_holds():
+    # seed 1 converges uncertified and polishes to the cluster matrix of
+    # {2, 4}. Every entry of that matrix's top eigenvector ties in size, so
+    # rounding it again took the two lowest vertices of the other side,
+    # {0, 1}, whenever the eigenvector's sign came out the other way
+    params = BasbmParams(n=5, a=3, b=1, rho=0.4)
+    g, _ = generate(params, 1)
+    res = recover(g, params)
+    sol = res.solution
+    assert not sol.certified and sol.iterations == 62
+    assert np.flatnonzero(res.labels == 1).tolist() == [2, 4]
+    assert np.array_equal(res.labels, sol.labels)
+    assert np.array_equal(cluster_matrix(GroundTruth("basbm", res.labels)), sol.matrix)
 
 
 @pytest.mark.parametrize("params", [
