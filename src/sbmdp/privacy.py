@@ -110,10 +110,11 @@ Estimator = Callable[[Sequence[Graph]], Iterable[tuple[int, Optional[np.ndarray]
 
 # The search feeds each level to the estimator in chunks of at most
 # SEARCH_CHUNK_ENTRIES // n^2 graphs, at least one. Measured per member
-# and ADMM iteration on 2 vCPUs (Intel Xeon, one BLAS thread, best of 4-40
-# runs, checkpoints included): 64 us alone against 11 us in a stack of 64
-# at n = 6, 144 against 115 us in a stack of 8 at n = 24, and no steady
-# gain from n = 64 on (774 us alone or in a pair), where a chunk is one graph.
+# and ADMM iteration on one core of an Intel Xeon (one BLAS thread, 300
+# iterations of sub-threshold basbm solves, best of 4-20 runs, checkpoints
+# included): 45 us alone against 6.5 us in a stack of 64 at n = 6, 116
+# against 77 us in a stack of 8 at n = 24, and no steady gain from n = 64
+# on (420-470 us alone or in a pair), where a chunk is one graph.
 SEARCH_CHUNK_ENTRIES = 8000
 
 
@@ -383,9 +384,14 @@ def stbl_fast(
 
 
 def _stbl_sdp(g, params, priv, c_stab, rng, *, estimate_rates, max_evals):
-    """:func:`stbl` over :func:`sdp_estimator`, publishing :func:`recover`'s solve."""
+    """:func:`stbl` over :func:`sdp_estimator`, publishing :func:`recover`'s solve.
+
+    A negative ``max_evals`` and ``params`` that fail ``validate`` raise
+    InvalidParams before any solve, as in :func:`stbl_fast`.
+    """
     if max_evals is not None and max_evals < 0:
         raise InvalidParams(f"max_evals must be nonnegative, got {max_evals}")
+    params.validate()
     base = recover(g, params)
     out = stbl(g, sdp_estimator(params), base.matrix, priv, rng, max_evals=max_evals)
     return replace(out, labels=None if out.bottom else base.labels)

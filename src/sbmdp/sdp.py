@@ -35,7 +35,7 @@ candidate.
 There is one solver loop, :func:`solve_many`; :func:`solve` is its batch
 of one. Problems of one variant and size run as one ``(B, n, n)`` stack in
 lockstep, which pays the per-iteration Python overhead of small problems
-once per batch: at n = 6 an iteration takes about 60 us alone and 11 us
+once per batch: at n = 6 an iteration takes about 45 us alone and 6.5 us
 per member in a stack of 64 (one core, checkpoints included). Nothing is
 shared between members: each keeps its own step size, residuals,
 step-size changes and checkpoint candidates, every norm and sum is reduced
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -165,7 +165,7 @@ def _project(variant: str, m: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Each matrix of a stack projected onto its variant's constraint set.
 
     ``targets`` holds one row of right-hand sides per matrix (see
-    :func:`_admm`). The binary projections overwrite ``m``.
+    :func:`_admm`; basbm's is mass - n). The binary projections overwrite ``m``.
     """
     if variant == BASBM:
         return _project_basbm(m, targets[:, 0])
@@ -180,9 +180,10 @@ def _diagonal(m: np.ndarray) -> np.ndarray:
     return m.reshape(m.shape[0], n * n)[:, ::n + 1]
 
 
-def _project_basbm(m: np.ndarray, mass: np.ndarray) -> np.ndarray:
+def _project_basbm(m: np.ndarray, off_mass: np.ndarray) -> np.ndarray:
     """Exact projection of each matrix onto {diag = 1, <J, Y> = mass},
-    written over ``m``, which is returned.
+    written over ``m``, which is returned; ``off_mass`` is each matrix's
+    mass - n, the sum its off-diagonal entries must reach.
 
     The diagonal and the uniform off-diagonal shift are orthogonal
     directions, so the two constraints project independently: the shift is
@@ -194,7 +195,7 @@ def _project_basbm(m: np.ndarray, mass: np.ndarray) -> np.ndarray:
     off_count = n * n - n
     if off_count:
         off_sum = m.sum(axis=(1, 2)) - n
-        m += ((mass - n - off_sum) / off_count)[:, None, None]
+        m += ((off_mass - off_sum) / off_count)[:, None, None]
         diag[...] = 1.0
     return m
 
@@ -283,33 +284,46 @@ def _project_gssbm(m: np.ndarray, trace_target: np.ndarray,
 # rounding helpers shared by the solver checkpoints and the public API
 
 
-def _binary_candidates(v: np.ndarray, k: int | None) -> list[np.ndarray]:
-    """Sign patterns induced by an eigenvector, size-constrained when k given.
+def _binary_candidates(v: np.ndarray, k: np.ndarray | None) -> np.ndarray:
+    """The two sign patterns induced by each row of ``v``, shape (B, 2, n):
+    that of the row and that of its negation.
 
-    Entries are quantized at 1e-9 relative before ranking so exact ties in
-    the eigenvector break by lowest index rather than by rounding jitter.
+    With ``k`` (one size per row) a pattern puts +1 on the row's ``k``
+    largest entries, else it is the entries' signs. Entries are quantized
+    at 1e-9 relative to the row's largest before ranking, so exact ties
+    break by lowest index rather than by rounding jitter.
     """
-    scale = max(float(np.abs(v).max()), 1e-300)
-    quantized = np.round(v / scale * 1e9)  # that of -v is exactly its negation
-    out = []
-    for q in (quantized, -quantized):
-        if k is None:
-            sig = np.where(q >= 0, 1.0, -1.0)
-        else:
-            sig = np.full(v.size, -1.0)
-            sig[np.argsort(-q, kind="stable")[:k]] = 1.0
-        out.append(sig)
-    return out
+    scale = np.maximum(np.abs(v).max(axis=1), 1e-300)
+    q = np.round(v / scale[:, None] * 1e9)  # that of -v is exactly its negation
+    if k is None:
+        return np.where(np.stack((q, -q), axis=1) >= 0, 1.0, -1.0)
+    # each row's rank under a stable descending sort, for either sign
+    order = np.argsort(np.stack((-q, q), axis=1), axis=-1, kind="stable")
+    b, n = v.shape
+    rank = np.empty_like(order)
+    rank[np.arange(b)[:, None, None], np.arange(2)[:, None], order] = np.arange(n)
+    return np.where(rank < k[:, None, None], 1.0, -1.0)
 
 
-def _best_binary_candidate(
-    a_dense: np.ndarray, v: np.ndarray, k: int | None
-) -> np.ndarray:
+def _binary_labels(a: np.ndarray, v: np.ndarray, k: np.ndarray | None) -> np.ndarray:
+    """The ±1 rounding of each row of ``v`` for the data matrix ``a`` of
+    its position in the stack: of its two :func:`_binary_candidates`, the
+    one of larger objective sig^T A sig (the first on a tie), negated when
+    its first entry is -1 and the two clusters are interchangeable
+    (``k`` None, or 2k = n).
+
+    The adjacency entries and the signs are integers, so each objective is
+    one exact integer sum, whatever the order of its terms: each row gets
+    the bits it gets alone.
+    """
     cands = _binary_candidates(v, k)
-    objs = [float(sig @ a_dense @ sig) for sig in cands]
-    sig = cands[int(np.argmax(objs))]
-    if sig[0] < 0 and (k is None or 2 * k == sig.size):
-        sig = -sig
+    objs = ((cands @ a) * cands).sum(axis=-1)
+    sig = np.where((objs[:, 1] > objs[:, 0])[:, None], cands[:, 1], cands[:, 0])
+    n = v.shape[1]
+    flip = sig[:, 0] < 0
+    if k is not None:
+        flip &= 2 * k == n
+    sig[flip] *= -1.0
     return sig
 
 
@@ -341,18 +355,40 @@ def _extract_general(x: np.ndarray, sizes: np.ndarray) -> Optional[np.ndarray]:
     return assign
 
 
+def _candidates(probs: list[SdpProblem], evecs: np.ndarray,
+                evals: np.ndarray) -> list[Optional[np.ndarray]]:
+    """Discrete labels rounded from each problem's ascending eigenpairs;
+    None where malformed.
+
+    ``probs`` share one variant and size, and ``evecs`` and ``evals`` stack
+    their eigenpairs (the trailing ones suffice for the binary variants).
+    The binary variants round every member in one :func:`_binary_labels`
+    pass on its top eigenvector.
+    """
+    if probs[0].variant == GSSBM:
+        return [_general_candidate(p, vecs, vals)
+                for p, vecs, vals in zip(probs, evecs, evals)]
+    k = (np.array([p.first_cluster_size for p in probs]) if probs[0].variant == BASBM
+         else None)
+    labels = _binary_labels(np.stack([p.a_dense for p in probs]), evecs[..., -1], k)
+    return [sig if top > 0 else None for sig, top in zip(labels, evals[:, -1])]
+
+
+def _general_candidate(prob: SdpProblem, eigvecs: np.ndarray,
+                       eigvals: np.ndarray) -> Optional[np.ndarray]:
+    """gssbm labels rounded from ascending eigenpairs; None if malformed."""
+    if eigvals[-1] <= 0:
+        return None
+    pos = eigvals > 0
+    x = (eigvecs[:, pos] * eigvals[pos]) @ eigvecs[:, pos].T
+    return _extract_general(x, np.array(prob.sizes))
+
+
 def _candidate_from_iterate(
     prob: SdpProblem, eigvecs: np.ndarray, eigvals: np.ndarray
 ) -> Optional[np.ndarray]:
-    """Discrete labels rounded from ascending eigenpairs; None if malformed."""
-    if eigvals[-1] <= 0:
-        return None
-    if prob.variant == GSSBM:
-        pos = eigvals > 0
-        x = (eigvecs[:, pos] * eigvals[pos]) @ eigvecs[:, pos].T
-        return _extract_general(x, np.array(prob.sizes))
-    return _best_binary_candidate(prob.a_dense, eigvecs[:, -1],
-                                  prob.first_cluster_size)
+    """:func:`_candidates` of one problem."""
+    return _candidates([prob], eigvecs[None], eigvals[None])[0]
 
 
 def _spectral_matrix(prob: SdpProblem) -> np.ndarray:
@@ -370,19 +406,33 @@ def _spectral_rank(prob: SdpProblem) -> int:
     return len(prob.sizes) if prob.variant == GSSBM else 1
 
 
-def _spectral_pairs(probs: list[SdpProblem]) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+def _spectral_pairs(probs: list[SdpProblem]) -> tuple[Sequence[np.ndarray],
+                                                      Sequence[np.ndarray]]:
     """(eigenvectors, ascending eigenvalues) of each problem's
     :func:`_spectral_matrix`, for problems of one variant and size.
 
     Below the variant's cut-over (``KRYLOV_MIN_N``, or
     ``KRYLOV_MIN_N_GENERAL`` for gssbm) that is the full spectrum, from one
     batched eigendecomposition; from there on only the trailing
-    :func:`_spectral_rank` pairs, by block Krylov.
+    :func:`_spectral_rank` pairs, by block Krylov. Both come as stacks,
+    except gssbm's Krylov pairs, whose ranks may differ, as tuples.
     """
-    cutover = KRYLOV_MIN_N_GENERAL if probs[0].variant == GSSBM else KRYLOV_MIN_N
-    if probs[0].n < cutover:
-        return zip(*eig_sorted(np.stack([_spectral_matrix(p) for p in probs])))
-    return (top_eigenpairs(_spectral_matrix(p), _spectral_rank(p)) for p in probs)
+    variant = probs[0].variant
+    if probs[0].n < (KRYLOV_MIN_N_GENERAL if variant == GSSBM else KRYLOV_MIN_N):
+        return eig_sorted(np.stack([_spectral_matrix(p) for p in probs]))
+    evecs, evals = zip(*(top_eigenpairs(_spectral_matrix(p), _spectral_rank(p))
+                         for p in probs))
+    return (evecs, evals) if variant == GSSBM else (np.stack(evecs), np.stack(evals))
+
+
+def _spectral_candidates(probs: list[SdpProblem]) -> list[Optional[np.ndarray]]:
+    """:func:`_spectral_candidate` of each of ``probs``, problems of one
+    variant and size; the binary variants round them in one pass."""
+    evecs, evals = _spectral_pairs(probs)
+    if probs[0].variant == GSSBM:
+        return [_spectral_candidate(p, vecs, vals)
+                for p, vecs, vals in zip(probs, evecs, evals)]
+    return _candidates(probs, evecs, evals)
 
 
 def _spectral_candidate(
@@ -478,17 +528,19 @@ def _admm(probs: list[SdpProblem], members: list[int], opts: SolveOptions,
     variant, n = stacked[0].variant, stacked[0].n
     pos = np.array(members)
     a = np.stack([p.a_dense for p in stacked])
-    # right-hand sides of each member's constraints: basbm <J, Y> = mass;
-    # gssbm tr Z and <J, Z>; cbsbm none
+    # right-hand sides of each member's constraints: basbm the off-diagonal
+    # part of <J, Y> = mass, mass - n; gssbm tr Z and <J, Z>; cbsbm none
     if variant == GSSBM:
         sizes = [np.array(p.sizes, dtype=np.float64) for p in stacked]
         targets = np.array([[k.sum(), (k ** 2).sum()] for k in sizes])
         y = np.eye(n) * (targets[:, 0] / n)[:, None, None]
     else:
-        targets = np.array([[p.mass or 0.0, 0.0] for p in stacked])
+        targets = np.array([[p.mass - n if variant == BASBM else 0.0, 0.0]
+                            for p in stacked])
         y = np.stack([np.eye(n)] * len(stacked))
 
-    t = np.array([max(float(np.linalg.norm(p.a_dense, 2)), 1e-3) for p in stacked])
+    # each ||A||_2, the largest singular value np.linalg.norm(A, 2) takes
+    t = np.maximum(np.linalg.svd(a, compute_uv=False).max(axis=-1), 1e-3)
     t_lo, t_hi = t / 16.0, t * 16.0
     data = a / t[:, None, None]  # the data term, recomputed when t changes
     u = np.zeros_like(a)
@@ -517,11 +569,13 @@ def _admm(probs: list[SdpProblem], members: list[int], opts: SolveOptions,
             yield int(pos[b]), _uncertified_solution(
                 probs[pos[b]], x[b], y[b], primal[b], dual[b], it, best[b], tol)
 
-        if every and it % every == 0:
-            for b in (~done).nonzero()[0]:
-                i = int(pos[b])
-                labels = _candidate_from_iterate(probs[i], evecs[b], evals[b])
+        if every and it % every == 0 and not done.all():
+            rounding = (~done).nonzero()[0]
+            rounded = _candidates([probs[i] for i in pos[rounding]],
+                                  evecs[rounding], evals[rounding])
+            for b, labels in zip(rounding, rounded):
                 if labels is not None:
+                    i = int(pos[b])
                     best[b] = labels
                     report = gate(i, labels)
                     if report is not None:
@@ -586,9 +640,8 @@ def solve_many(probs: Iterable[SdpProblem], opts: SolveOptions = SolveOptions(),
     for members in groups.values():
         if opts.certify_every:
             rest = []
-            pairs = _spectral_pairs([probs[i] for i in members])
-            for i, (vecs, vals) in zip(members, pairs):
-                labels = _spectral_candidate(probs[i], vecs, vals)
+            rounded = _spectral_candidates([probs[i] for i in members])
+            for i, labels in zip(members, rounded):
                 report = None if labels is None else gate(i, labels)
                 if report is not None:
                     yield i, _certified_solution(probs[i], report, 0)
@@ -641,8 +694,9 @@ def round_binary(sol: SdpSolution) -> np.ndarray:
         raise DegenerateSpectrum(
             f"top eigenvalue gap {float(evals[-1] - evals[-2]):.3e} below "
             f"tolerance; rounding is ambiguous")
-    return _best_binary_candidate(sol.problem.a_dense, evecs[:, -1],
-                                  sol.problem.first_cluster_size)
+    k = sol.problem.first_cluster_size
+    return _binary_labels(sol.problem.a_dense[None], evecs[None, :, -1],
+                          None if k is None else np.array([k]))[0]
 
 
 def round_general(matrix: np.ndarray, sizes) -> np.ndarray:

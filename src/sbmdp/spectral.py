@@ -66,6 +66,12 @@ _KRYLOV_SEED = 0x5B3D
 KRYLOV_MIN_N = 128
 KRYLOV_MIN_N_GENERAL = 160
 
+# np.linalg.eigh's own kernel (lower triangle), None where this numpy has none
+try:
+    from numpy.linalg._umath_linalg import eigh_lo as _EIGH_KERNEL
+except ImportError:
+    _EIGH_KERNEL = None
+
 
 def as_symmetric(m: np.ndarray) -> np.ndarray:
     """Validate and return a float64 symmetric copy of ``m``.
@@ -111,9 +117,22 @@ def eig_sorted(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvectors, ascending eigenvalues) of the symmetric part of ``m``.
 
     ``m`` is one matrix or a stack; each matrix of a stack gets the same
-    bits as it would alone.
+    bits as it would alone. A float64 input goes straight to
+    ``_EIGH_KERNEL``, the LAPACK gufunc that ``np.linalg.eigh`` wraps: the
+    same bits, without the Python layer that costs ``eigh`` about two
+    thirds of the kernel's time on a small stack. It raises LinAlgError
+    when an eigenvalue is not finite: the kernel fills a failed
+    decomposition with NaN, which ``eigh`` turns into LinAlgError only when
+    LAPACK reports the failure, not for an infinite entry.
     """
-    evals, evecs = np.linalg.eigh((m + m.swapaxes(-1, -2)) / 2.0)
+    sym = (m + m.swapaxes(-1, -2)) / 2.0
+    if _EIGH_KERNEL is not None and sym.dtype == np.float64:
+        evals, evecs = _EIGH_KERNEL(sym)
+    else:
+        evals, evecs = np.linalg.eigh(sym)
+    # a finite sum has finite terms; only a non-finite one is looked into
+    if not math.isfinite(evals.sum()) and not np.isfinite(evals).all():
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return evecs, evals
 
 

@@ -5,8 +5,9 @@ maximum-likelihood clustering for n <= 16, the binomial-difference tail
 exponent, the persistence map of the concentration constants, the
 eigenvalue rule for dual certificates by one full ``eigvalsh``, the
 block-by-block build of the general certificate and its price bounds by
-an n x n copy, the box-plus-sum projection by bisection on its shift, and
-the general concentration conditions by loops over clusters.
+an n x n copy, the box-plus-sum projection by bisection on its shift,
+the general concentration conditions by loops over clusters, and the
+binary rounding of one eigenvector at a time.
 Fixtures: a graph
 from a dense matrix, the empty graph and single-entry reads, random flip
 sets and entry writes (:class:`GraphDelta`), a random vertex relabelling
@@ -489,6 +490,37 @@ def bisect_box_sum(v: np.ndarray, lo: float, hi: float, s: float) -> np.ndarray:
         else:
             theta_hi = mid
     return np.clip(v - 0.5 * (theta_lo + theta_hi), lo, hi)
+
+
+def binary_sign_candidates(v: np.ndarray, k: int | None) -> list[np.ndarray]:
+    """The two sign patterns of one eigenvector ``v`` and of its negation,
+    as the solver once formed them one member at a time: quantized at 1e-9
+    relative, +1 on the ``k`` largest entries (stable argsort, so ties go
+    to the lowest index), or the signs when ``k`` is None."""
+    scale = max(float(np.abs(v).max()), 1e-300)
+    quantized = np.round(v / scale * 1e9)
+    out = []
+    for q in (quantized, -quantized):
+        if k is None:
+            sig = np.where(q >= 0, 1.0, -1.0)
+        else:
+            sig = np.full(v.size, -1.0)
+            sig[np.argsort(-q, kind="stable")[:k]] = 1.0
+        out.append(sig)
+    return out
+
+
+def best_binary_candidate(a_dense: np.ndarray, v: np.ndarray, k: int | None) -> np.ndarray:
+    """The per-member binary rounding: of :func:`binary_sign_candidates`,
+    the one of larger sig^T A sig (the first on a tie), negated when its
+    first entry is -1 and the clusters are interchangeable (``k`` None or
+    2k = n)."""
+    cands = binary_sign_candidates(v, k)
+    objs = [float(sig @ a_dense @ sig) for sig in cands]
+    sig = cands[int(np.argmax(objs))]
+    if sig[0] < 0 and (k is None or 2 * k == sig.size):
+        sig = -sig
+    return sig
 
 
 def general_report_by_loops(g: Graph, gt: GroundTruth, params: GssbmParams,

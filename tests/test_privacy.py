@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbmdp import privacy
 from sbmdp.concentration import check_concentration, degree_margins, lambda_star
 from sbmdp.errors import DegenerateEstimate, InvalidParams
 from sbmdp.graph import ALPHABETS, Graph, ball_size, neighbors_at_distance, pair_count
@@ -347,6 +348,19 @@ def test_release_refuses_a_wrong_size_graph_and_a_negative_budget(monkeypatch, m
     with pytest.raises(InvalidParams, match="max_evals"):
         release(mode, g, SEARCHED, SEARCHED_PRIV, 0, c_stab=0.9, max_evals=-1)
     assert problems == []
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_release_refuses_params_that_fail_validate(monkeypatch, mode):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validating params")
+
+    monkeypatch.setattr(privacy, "recover", no_solve)
+    monkeypatch.setattr(privacy, "recover_many", no_solve)
+    g, _ = generate(SEARCHED, 0)
+    with pytest.raises(InvalidParams, match="a > b"):
+        release(mode, g, BasbmParams(n=6, a=0.5, b=0.5, rho=0.5), SEARCHED_PRIV, 0,
+                c_stab=0.9, max_evals=None)
 
 
 CBSBM_6 = CbsbmParams(n=6, a=3.0, xi=0.1)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -22,7 +23,7 @@ from sbmdp.models import (
     generate,
     same_clustering,
 )
-from sbmdp import certificates, sdp
+from sbmdp import certificates, sdp, spectral
 from sbmdp.sdp import (
     KRYLOV_MIN_N,
     KRYLOV_MIN_N_GENERAL,
@@ -39,6 +40,8 @@ from sbmdp.spectral import eig_sorted, top_eigenpairs
 
 from oracles import (
     GraphDelta,
+    best_binary_candidate,
+    binary_sign_candidates,
     bisect_box_sum,
     empty_graph,
     graph_from_dense,
@@ -314,8 +317,71 @@ def test_binary_candidates_match_the_lexsort_ranking(n, data):
         [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-12, -1e-12, 0.3, 1 / 3]),
         min_size=n, max_size=n)))
     k = data.draw(st.integers(0, n) | st.none())
-    for got, want in zip(sdp._binary_candidates(v, k), lexsort_binary_candidates(v, k)):
+    got = sdp._binary_candidates(v[None], None if k is None else np.array([k]))[0]
+    for got, want in zip(got, lexsort_binary_candidates(v, k)):
         assert got.tobytes() == want.tobytes()
+
+
+TIE_PRONE = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-12, -1e-12, 0.3, 1 / 3]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_binary_labels_match_the_per_member_rule(data):
+    b, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 9))
+    alphabet = data.draw(st.sampled_from([(0, 1), (-1, 0, 1)]))
+    a = np.array(data.draw(st.lists(st.sampled_from(alphabet),
+                                    min_size=b * n * n, max_size=b * n * n)),
+                 dtype=np.float64).reshape(b, n, n)
+    a = np.triu(a, 1) + np.triu(a, 1).swapaxes(1, 2)
+    v = np.array(data.draw(st.lists(st.sampled_from(TIE_PRONE),
+                                    min_size=b * n, max_size=b * n))).reshape(b, n)
+    v[:, 0] += data.draw(st.sampled_from([0.0, 2.0]))  # not all zero when drawn so
+    v[np.abs(v).max(axis=1) == 0, 0] = 1.0
+    sizes = st.integers(0, n) | st.just(n // 2)
+    k = data.draw(st.none() | st.lists(sizes, min_size=b, max_size=b).map(np.array))
+    got = sdp._binary_labels(a, v, k)
+    for r in range(b):
+        want = best_binary_candidate(a[r], v[r], None if k is None else int(k[r]))
+        assert got[r].tobytes() == want.tobytes()
+
+
+def test_checkpoints_round_as_the_per_member_rule(monkeypatch):
+    # one solve_many call: basbm at two rho (k = 3, 2k = n, and k = 1),
+    # cbsbm (k None) and graphs whose eigenvectors tie exactly
+    seen = {"k": set(), "ties": 0, "flips": 0, "rows": 0}
+    real = sdp._binary_labels
+
+    def checked(a, v, k):
+        got = real(a, v, k)
+        for r in range(v.shape[0]):
+            kr = None if k is None else int(k[r])
+            assert got[r].tobytes() == best_binary_candidate(a[r], v[r], kr).tobytes()
+            cands = binary_sign_candidates(v[r], kr)
+            won = max(cands, key=lambda sig: float(sig @ a[r] @ sig))
+            q = np.round(v[r] / np.abs(v[r]).max() * 1e9)
+            seen["k"].add(kr)
+            seen["ties"] += np.unique(q).size < q.size
+            seen["flips"] += bool(won[0] < 0 and (kr is None or 2 * kr == v.shape[1]))
+            seen["rows"] += 1
+        return got
+
+    monkeypatch.setattr(sdp, "_binary_labels", checked)
+    twins = np.zeros((6, 6))
+    twins[0, 2:] = twins[1, 2:] = 1.0  # vertices 0 and 1 share their neighbours
+    twins = twins + twins.T
+    probs = []
+    for params in (BasbmParams(n=6, a=2.5, b=1.0, rho=0.5),
+                   BasbmParams(n=6, a=2.5, b=1.0, rho=0.3),
+                   CbsbmParams(n=6, a=2.5, xi=0.1)):
+        alphabet = CENSORED if params.variant == "cbsbm" else "simple"
+        graphs = [generate(params, seed)[0] for seed in range(4)]
+        graphs += [empty_graph(6, alphabet), graph_from_dense(twins, alphabet)]
+        probs += [problem_from_graph(g, params) for g in graphs]
+    opts = SolveOptions(tol=1e-5, max_iters=100, certify_every=25)
+    assert len(list(solve_many(probs, opts))) == len(probs)
+    assert seen["k"] == {3, 1, None}
+    assert seen["ties"] and seen["flips"] and seen["rows"] > len(probs)
 
 
 def test_round_binary_sign_invariance():
@@ -510,15 +576,33 @@ def test_gate_estimates_eta_from_the_cutover(monkeypatch):
     assert calls == [("spectral_norm", (m1, m1)), ("norm_estimate", (m, m))]
 
 
-def test_certified_gssbm_recover_runs_no_full_eigendecomposition(monkeypatch):
-    # the sweep setting: the candidate comes from block Krylov, eta from
-    # Lanczos and the certificate verdict from a Cholesky factorisation
+def sweep_eigen_calls(monkeypatch) -> list:
+    """(name, shape) of every eigendecomposition a certified recover of a
+    sweep-general instance runs: ``np.linalg``'s and ``eig_sorted``'s kernel."""
     calls = []
     record_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh"), calls)
+    if spectral._EIGH_KERNEL is not None:
+        record_calls(monkeypatch, spectral, ("_EIGH_KERNEL",), calls)
     params = GssbmParams(n=300, a=40, b=2, rhos=(0.3, 0.3, 0.3))
     res = recover(generate(params, 11)[0], params)
     assert res.solution.certified and res.solution.iterations == 0
-    assert calls and all(shape[-1] < params.n for _, shape in calls)
+    return calls
+
+
+def test_certified_gssbm_recover_runs_no_full_eigendecomposition(monkeypatch):
+    # the sweep setting: the candidate comes from block Krylov, eta from
+    # Lanczos and the certificate verdict from a Cholesky factorisation
+    calls = sweep_eigen_calls(monkeypatch)
+    assert calls and all(shape[-1] < 300 for _, shape in calls)
+
+
+def test_eigen_call_log_sees_a_krylov_fallback(monkeypatch):
+    # with no Ritz gap small enough, top_eigenpairs falls back to
+    # eig_sorted's full decomposition, which np.linalg.eigh does not see
+    monkeypatch.setattr(spectral, "DEFAULT_TOLS",
+                        dataclasses.replace(spectral.DEFAULT_TOLS, krylov_angle=0.0))
+    calls = sweep_eigen_calls(monkeypatch)
+    assert any(shape[-1] == 300 for _, shape in calls)
 
 
 def test_subthreshold_runs_admm():
@@ -736,19 +820,18 @@ def test_each_candidate_is_certified_once(monkeypatch):
     prob = planted_problem(BasbmParams(n=6, a=2.5, b=1.0, rho=0.5), 0)
     want = solve(prob, opts)
     rounded, tested = [], []
-    real_round = sdp._candidate_from_iterate
+    real_round = sdp._candidates
 
     def rounding(*args):
-        labels = real_round(*args)
-        if labels is not None:
-            rounded.append(labels.tobytes())
-        return labels
+        out = real_round(*args)
+        rounded.extend(labels.tobytes() for labels in out if labels is not None)
+        return out
 
     def certifying(variant, a_dense, labels, sizes):
         tested.append(labels.tobytes())
         return certificates.candidate_report(variant, a_dense, labels, sizes)
 
-    monkeypatch.setattr(sdp, "_candidate_from_iterate", rounding)
+    monkeypatch.setattr(sdp, "_candidates", rounding)
     monkeypatch.setattr(sdp, "candidate_report", certifying)
     assert_same_solution(solve(prob, opts), want)
     assert not want.certified and want.iterations == 300

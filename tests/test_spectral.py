@@ -109,6 +109,37 @@ def test_as_symmetric_copies_exactly_symmetric_input():
     assert out.tobytes() == ((m + m.T) / 2.0).tobytes() == m.tobytes()
 
 
+@pytest.mark.parametrize("kernel", ["eigh_lo", "fallback"])
+@pytest.mark.parametrize("b", [None, 1, 3, 64])
+@pytest.mark.parametrize("n", [1, 2, 6, 40])
+def test_eig_sorted_is_eigh_bit_for_bit(kernel, b, n, monkeypatch):
+    if kernel == "fallback":
+        monkeypatch.setattr(spectral, "_EIGH_KERNEL", None)
+    else:
+        assert spectral._EIGH_KERNEL is not None
+    shape = (n, n) if b is None else (b, n, n)
+    m = np.random.default_rng(n).standard_normal(shape)
+    evecs, evals = eig_sorted(m)
+    want_vals, want_vecs = np.linalg.eigh((m + m.swapaxes(-1, -2)) / 2.0)
+    assert evals.tobytes() == want_vals.tobytes()
+    assert evecs.tobytes() == want_vecs.tobytes()
+    assert evals.shape == want_vals.shape and evecs.shape == want_vecs.shape
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kernel", ["eigh_lo", "fallback"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eig_sorted_refuses_a_non_finite_spectrum(kernel, bad, monkeypatch):
+    if kernel == "fallback":
+        monkeypatch.setattr(spectral, "_EIGH_KERNEL", None)
+    m = np.stack([sample_symmetric(5, 0)] * 3)
+    m[1, 0, 2] = m[1, 2, 0] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        eig_sorted(m)
+    with pytest.raises(np.linalg.LinAlgError):
+        psd_project(m[1])
+
+
 # ---------------------------------------------------------------------------
 # top_eigenpairs
 

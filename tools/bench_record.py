@@ -13,7 +13,8 @@ paths of equal length: perfbench timings have been seen to move with the
 length of the checkout's path.
 
 After every run, ``<out-dir>/BENCH_<label>.json`` is rewritten with the
-checkout's git revision (when it has one) and, per run, the workload, the
+checkout's git revision and a digest of its uncommitted changes (see
+:func:`revision`; both read before the first run) and, per run, the workload, the
 seed, the ``perfbench-env`` record, the ``perfbench-report`` values and the
 result line. With two checkouts, a summary of the end-to-end metrics per
 workload follows on standard output: each side's median, the first
@@ -23,6 +24,7 @@ checkout's interquartile range, and how many seeds the second one won.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -53,10 +55,25 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
-def revision(path: Path) -> str | None:
-    proc = subprocess.run(["git", "-C", str(path), "rev-parse", "HEAD"],
-                          capture_output=True, text=True)
-    return proc.stdout.strip() or None
+def git(path: Path, *args: str) -> str:
+    """Standard output of one git command in ``path``; empty where it fails."""
+    proc = subprocess.run(["git", "-C", str(path), *args], capture_output=True, text=True)
+    return proc.stdout if proc.returncode == 0 else ""
+
+
+def revision(path: Path) -> dict:
+    """The checkout's commit and a digest of how its files differ from it.
+
+    ``worktree`` is the SHA-256 of ``git status --porcelain`` followed by
+    ``git diff HEAD``, so a dirty checkout reads differently from a clean
+    one of the same commit; both are None outside a git checkout.
+    """
+    head = git(path, "rev-parse", "HEAD").strip()
+    if not head:
+        return {"revision": None, "worktree": None}
+    state = git(path, "status", "--porcelain") + git(path, "diff", "HEAD")
+    return {"revision": head,
+            "worktree": hashlib.sha256(state.encode()).hexdigest()}
 
 
 def run_once(path: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -103,6 +120,7 @@ def main(argv=None) -> int:
     labels = list(args.checkouts)
     runs = {label: [] for label in labels}
     files = {label: args.out_dir / f"BENCH_{label}.json" for label in labels}
+    code = {label: revision(path) for label, path in args.checkouts.items()}
     step = 0
     for workload in args.workload:
         for seed in args.seeds:
@@ -116,8 +134,8 @@ def main(argv=None) -> int:
                       f"ops_per_s {metrics.get('ops_per_s', {}).get('value')} "
                       f"correct {(record['result'] or {}).get('correct')}", flush=True)
                 files[label].write_text(json.dumps({
-                    "label": label, "revision": revision(args.checkouts[label]),
-                    "runs": runs[label]}, indent=1) + "\n")
+                    "label": label, **code[label], "runs": runs[label]},
+                    indent=1) + "\n")
     # runs of a workload line up by seed: each list holds them in the same order
     if len(labels) == 2:
         for workload in args.workload:
