@@ -510,7 +510,8 @@ def binary_sign_candidates(v: np.ndarray, k: int | None) -> list[np.ndarray]:
     return out
 
 
-def best_binary_candidate(a_dense: np.ndarray, v: np.ndarray, k: int | None) -> np.ndarray:
+def best_binary_candidate(a_dense: np.ndarray, v: np.ndarray,
+                          k: int | None) -> np.ndarray:
     """The per-member binary rounding: of :func:`binary_sign_candidates`,
     the one of larger sig^T A sig (the first on a tie), negated when its
     first entry is -1 and the clusters are interchangeable (``k`` None or
