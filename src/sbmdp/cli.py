@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import traceback
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -147,7 +148,7 @@ def cmd_check_concentration(args) -> int:
     if args.tighten:
         constants = tighten_constants(constants, args.tighten, params)
     report = check_concentration(g, gt, params, constants)
-    _emit({"constants": constants.as_tuple(), **report.to_dict()})
+    _emit({"constants": astuple(constants), **report.to_dict()})
     return 0
 
 

@@ -15,7 +15,7 @@ thresholds is base-consistent only with ln.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -119,17 +119,11 @@ class BasbmConstants:
     c3: float
     c4: float
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.c1, self.c2, self.c3, self.c4)
-
 
 @dataclass(frozen=True)
 class CbsbmConstants:
     c1: float
     c2: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.c1, self.c2)
 
 
 @dataclass(frozen=True)
@@ -139,9 +133,6 @@ class GssbmConstants:
     c3: float
     c4: float
     c5: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.c1, self.c2, self.c3, self.c4, self.c5)
 
     def tau_tilde(self, b: float) -> float:
         """Rate constant b + 2*c2 entering the outlier bound and lambda."""
@@ -396,7 +387,7 @@ def tighten_constants(
         for name, direction in directions.items()
     }
     out = replace(constants, **scaled)
-    if min(out.as_tuple()) <= 0:
+    if min(astuple(out)) <= 0:
         raise InvalidShift(f"tightening produced a nonpositive constant: {out}")
     if params is not None:
         if isinstance(out, BasbmConstants):

@@ -21,7 +21,9 @@ the iteration's PSD step. Sub-threshold inputs never certify and fall back
 to plain ADMM convergence. A certified solution carries the gate's report
 and its labels; a polished one (an uncertified solve that returns its
 rounded candidate) carries the candidate's labels. So recovery rounds only
-fractional solutions.
+fractional solutions. All three stages, the spectral estimate, the
+checkpoints and the polish, round eigenpairs through one function,
+:func:`_candidates`.
 
 The spectral estimate reads only the top one (binary) or r (general)
 eigenpairs. From ``KRYLOV_MIN_N`` vertices on (``KRYLOV_MIN_N_GENERAL`` for
@@ -97,7 +99,6 @@ class SdpProblem:
 
     variant: str
     a_dense: np.ndarray = field(repr=False)
-    mass: float | None = None          # basbm: <J, Y> target (2K - n)^2
     first_cluster_size: int | None = None
     sizes: tuple[int, ...] | None = None  # gssbm cluster sizes
 
@@ -149,8 +150,7 @@ def problem_from_graph(g: Graph, params: SbmParams) -> SdpProblem:
         k = params.first_cluster_size
         if not 0 < k <= n // 2 + n % 2:
             raise InfeasibleProblem(f"first cluster size {k} invalid for n={n}")
-        return SdpProblem(BASBM, g.to_dense(), mass=float((2 * k - n) ** 2),
-                          first_cluster_size=k)
+        return SdpProblem(BASBM, g.to_dense(), first_cluster_size=k)
     sizes = params.sizes
     if not sizes or min(sizes) < 1 or sum(sizes) > n:
         raise InfeasibleProblem(f"cluster sizes {sizes} infeasible for n={n}")
@@ -165,7 +165,8 @@ def _project(variant: str, m: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Each matrix of a stack projected onto its variant's constraint set.
 
     ``targets`` holds one row of right-hand sides per matrix (see
-    :func:`_admm`; basbm's is mass - n). The binary projections overwrite ``m``.
+    :func:`_admm`; basbm's is (2k - n)^2 - n). The binary projections
+    overwrite ``m``.
     """
     if variant == BASBM:
         return _project_basbm(m, targets[:, 0])
@@ -181,9 +182,9 @@ def _diagonal(m: np.ndarray) -> np.ndarray:
 
 
 def _project_basbm(m: np.ndarray, off_mass: np.ndarray) -> np.ndarray:
-    """Exact projection of each matrix onto {diag = 1, <J, Y> = mass},
+    """Exact projection of each matrix onto {diag = 1, <J, Y> = (2k - n)^2},
     written over ``m``, which is returned; ``off_mass`` is each matrix's
-    mass - n, the sum its off-diagonal entries must reach.
+    (2k - n)^2 - n, the sum its off-diagonal entries must reach.
 
     The diagonal and the uniform off-diagonal shift are orthogonal
     directions, so the two constraints project independently: the shift is
@@ -355,40 +356,27 @@ def _extract_general(x: np.ndarray, sizes: np.ndarray) -> Optional[np.ndarray]:
     return assign
 
 
-def _candidates(probs: list[SdpProblem], evecs: np.ndarray,
-                evals: np.ndarray) -> list[Optional[np.ndarray]]:
+def _candidates(probs: list[SdpProblem], evecs: Sequence[np.ndarray],
+                evals: Sequence[np.ndarray]) -> list[Optional[np.ndarray]]:
     """Discrete labels rounded from each problem's ascending eigenpairs;
-    None where malformed.
+    None where malformed. The spectral stage, the checkpoints and the
+    polish all round here.
 
-    ``probs`` share one variant and size, and ``evecs`` and ``evals`` stack
-    their eigenpairs (the trailing ones suffice for the binary variants).
-    The binary variants round every member in one :func:`_binary_labels`
-    pass on its top eigenvector.
+    ``probs`` share one variant and size, and ``evecs`` and ``evals`` hold
+    each one's trailing eigenpairs (the top one suffices for the binary
+    variants, which come as stacks). The binary variants round every member
+    in one :func:`_binary_labels` pass on its top eigenvector. gssbm
+    thresholds the reconstruction from each member's positive pairs; with
+    none it is zero, which holds no member and so rounds to None.
     """
     if probs[0].variant == GSSBM:
-        return [_general_candidate(p, vecs, vals)
-                for p, vecs, vals in zip(probs, evecs, evals)]
+        return [_extract_general((v[:, w > 0] * w[w > 0]) @ v[:, w > 0].T,
+                                 np.array(p.sizes))
+                for p, v, w in zip(probs, evecs, evals)]
     k = (np.array([p.first_cluster_size for p in probs]) if probs[0].variant == BASBM
          else None)
     labels = _binary_labels(np.stack([p.a_dense for p in probs]), evecs[..., -1], k)
     return [sig if top > 0 else None for sig, top in zip(labels, evals[:, -1])]
-
-
-def _general_candidate(prob: SdpProblem, eigvecs: np.ndarray,
-                       eigvals: np.ndarray) -> Optional[np.ndarray]:
-    """gssbm labels rounded from ascending eigenpairs; None if malformed."""
-    if eigvals[-1] <= 0:
-        return None
-    pos = eigvals > 0
-    x = (eigvecs[:, pos] * eigvals[pos]) @ eigvecs[:, pos].T
-    return _extract_general(x, np.array(prob.sizes))
-
-
-def _candidate_from_iterate(
-    prob: SdpProblem, eigvecs: np.ndarray, eigvals: np.ndarray
-) -> Optional[np.ndarray]:
-    """:func:`_candidates` of one problem."""
-    return _candidates([prob], eigvecs[None], eigvals[None])[0]
 
 
 def _spectral_matrix(prob: SdpProblem) -> np.ndarray:
@@ -401,59 +389,34 @@ def _spectral_matrix(prob: SdpProblem) -> np.ndarray:
     return a_dense - a_dense.mean() if prob.variant == BASBM else a_dense
 
 
-def _spectral_rank(prob: SdpProblem) -> int:
-    """How many trailing eigenpairs the spectral candidate reads."""
-    return len(prob.sizes) if prob.variant == GSSBM else 1
-
-
-def _spectral_pairs(probs: list[SdpProblem]) -> tuple[Sequence[np.ndarray],
-                                                      Sequence[np.ndarray]]:
-    """(eigenvectors, ascending eigenvalues) of each problem's
-    :func:`_spectral_matrix`, for problems of one variant and size.
+def _spectral_candidates(probs: list[SdpProblem]) -> list[Optional[np.ndarray]]:
+    """:func:`_candidates` from the trailing r eigenpairs of each problem's
+    :func:`_spectral_matrix`, for problems of one variant and size: r = 1
+    for the binary variants and the number of clusters for gssbm.
 
     Below the variant's cut-over (``KRYLOV_MIN_N``, or
-    ``KRYLOV_MIN_N_GENERAL`` for gssbm) that is the full spectrum, from one
-    batched eigendecomposition; from there on only the trailing
-    :func:`_spectral_rank` pairs, by block Krylov. Both come as stacks,
-    except gssbm's Krylov pairs, whose ranks may differ, as tuples.
+    ``KRYLOV_MIN_N_GENERAL`` for gssbm) the pairs come from one batched
+    eigendecomposition, from there on from block Krylov, one matrix at a
+    time. gssbm rescales each member's pairs so that the member diagonal of
+    the rank-r reconstruction is about 1, the scale the 1/2 threshold of
+    the general rounding expects; a scale that is not positive zeroes the
+    eigenvalues, which round to no candidate.
     """
     variant = probs[0].variant
+    ranks = [len(p.sizes) for p in probs] if variant == GSSBM else [1] * len(probs)
+    mats = [_spectral_matrix(p) for p in probs]
     if probs[0].n < (KRYLOV_MIN_N_GENERAL if variant == GSSBM else KRYLOV_MIN_N):
-        return eig_sorted(np.stack([_spectral_matrix(p) for p in probs]))
-    evecs, evals = zip(*(top_eigenpairs(_spectral_matrix(p), _spectral_rank(p))
-                         for p in probs))
-    return (evecs, evals) if variant == GSSBM else (np.stack(evecs), np.stack(evals))
-
-
-def _spectral_candidates(probs: list[SdpProblem]) -> list[Optional[np.ndarray]]:
-    """:func:`_spectral_candidate` of each of ``probs``, problems of one
-    variant and size; the binary variants round them in one pass."""
-    evecs, evals = _spectral_pairs(probs)
-    if probs[0].variant == GSSBM:
-        return [_spectral_candidate(p, vecs, vals)
-                for p, vecs, vals in zip(probs, evecs, evals)]
-    return _candidates(probs, evecs, evals)
-
-
-def _spectral_candidate(
-    prob: SdpProblem, evecs: np.ndarray, evals: np.ndarray
-) -> Optional[np.ndarray]:
-    """Discrete labels rounded from trailing eigenpairs of
-    :func:`_spectral_matrix`; None if malformed.
-
-    gssbm rescales its top-r eigenpairs so that the member diagonal of the
-    rank-r reconstruction is about 1, the scale the 1/2 threshold of the
-    general rounding expects.
-    """
-    if prob.variant == GSSBM:
-        r = _spectral_rank(prob)
-        evecs, evals = evecs[:, -r:], evals[-r:]
-        diag = np.sort((evecs ** 2) @ evals)
-        scale = float(diag[-sum(prob.sizes):].mean())
-        if not scale > 0:
-            return None
-        evals = evals / scale
-    return _candidate_from_iterate(prob, evecs, evals)
+        evecs, evals = eig_sorted(np.stack(mats))
+    else:
+        evecs, evals = zip(*map(top_eigenpairs, mats, ranks))
+    if variant != GSSBM:
+        return _candidates(probs, np.asarray(evecs), np.asarray(evals))
+    scaled = []
+    for p, vecs, vals, r in zip(probs, evecs, evals, ranks):
+        vecs, vals = vecs[:, -r:], vals[-r:]
+        scale = float(np.sort((vecs ** 2) @ vals)[-sum(p.sizes):].mean())
+        scaled.append((vecs, vals / scale if scale > 0 else np.zeros_like(vals)))
+    return _candidates(probs, *zip(*scaled))
 
 
 def _certified_solution(prob: SdpProblem, report: BinaryReport | GeneralReport,
@@ -483,7 +446,7 @@ def _uncertified_solution(prob: SdpProblem, x: np.ndarray, y: np.ndarray,
     status = CONVERGED if (primal < tol and dual < tol) else MAX_ITERS
     matrix = y.copy()
     objective = prob.objective(y)
-    labels = _candidate_from_iterate(prob, *eig_sorted(x))
+    labels = _candidates([prob], *eig_sorted(x[None]))[0]
     if labels is None:
         labels = best_labels
     if labels is not None:
@@ -529,14 +492,14 @@ def _admm(probs: list[SdpProblem], members: list[int], opts: SolveOptions,
     pos = np.array(members)
     a = np.stack([p.a_dense for p in stacked])
     # right-hand sides of each member's constraints: basbm the off-diagonal
-    # part of <J, Y> = mass, mass - n; gssbm tr Z and <J, Z>; cbsbm none
+    # part of <J, Y> = (2k - n)^2; gssbm tr Z and <J, Z>; cbsbm none
     if variant == GSSBM:
         sizes = [np.array(p.sizes, dtype=np.float64) for p in stacked]
         targets = np.array([[k.sum(), (k ** 2).sum()] for k in sizes])
         y = np.eye(n) * (targets[:, 0] / n)[:, None, None]
     else:
-        targets = np.array([[p.mass - n if variant == BASBM else 0.0, 0.0]
-                            for p in stacked])
+        targets = np.array([[float((2 * p.first_cluster_size - n) ** 2 - n)
+                             if variant == BASBM else 0.0, 0.0] for p in stacked])
         y = np.stack([np.eye(n)] * len(stacked))
 
     # each ||A||_2, the largest singular value np.linalg.norm(A, 2) takes
@@ -610,13 +573,15 @@ def solve_many(probs: Iterable[SdpProblem], opts: SolveOptions = SolveOptions(),
     """Solve several problems, yielding (position, solution) as each finishes.
 
     Problems of one variant and size run as one ``(B, n, n)`` stack: first
-    the spectral candidates (see :func:`_spectral_pairs`), whose certified
-    members come out at once, then lockstep ADMM on the rest
-    (see :func:`_admm`), which yields each member as it finishes. Each
-    solution is exactly, bit for bit, what :func:`solve` gives that problem
-    alone, whatever else is in the batch. A group is held in memory as
-    a few stacks of its size, so callers bound their batches (the distance
-    search does, by ``privacy.SEARCH_CHUNK_ENTRIES``).
+    the spectral candidates (see :func:`_spectral_candidates`), whose
+    certified members come out at once, then lockstep ADMM on the rest (see
+    :func:`_admm`), which yields each member as it finishes. All three
+    stages, the spectral one, the checkpoints and the polish, round through
+    :func:`_candidates`. Each solution is exactly, bit for bit, what
+    :func:`solve` gives that problem alone, whatever else is in the batch.
+    A group is held in memory as a few stacks of its size, so callers bound
+    their batches (the distance search does, by
+    ``privacy.SEARCH_CHUNK_ENTRIES``).
 
     :func:`~sbmdp.certificates.candidate_report` is a function of the
     problem and the labels alone, so each (problem, candidate) pair is

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -332,7 +332,7 @@ def shift_constants(
             c4=constants.c4 + shift,
             c5=constants.c5 - shift,
         )
-    if min(out.as_tuple()) <= 0 and shift > 0:
+    if min(astuple(out)) <= 0 and shift > 0:
         raise InvalidShift(
             f"shift c/eps = {shift:.4f} drives a constant nonpositive: {out}"
         )

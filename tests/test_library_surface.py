@@ -2,11 +2,13 @@
 
 Every public module-level name defined in ``src/sbmdp`` must be used by
 the package or the benchmark (``perfbench/``) outside its own definition,
-or be exported in ``sbmdp.__all__``. Every public method and property of a
-class defined there must be reached by an attribute use ``.name`` in the
-package or the benchmark outside its own definition; ``np.name`` and
-``numpy.name`` are numpy's names, not callers. Helpers and reference
-oracles that only the tests need live in ``tests/oracles.py``.
+or be exported in ``sbmdp.__all__``. Every private one (``_name``, dunders
+aside) must be used by the package itself outside its own definition, so
+that no helper lives on for the tests alone. Every public method and
+property of a class defined there must be reached by an attribute use
+``.name`` in the package or the benchmark outside its own definition;
+``np.name`` and ``numpy.name`` are numpy's names, not callers. Helpers
+and reference oracles that only the tests need live in ``tests/oracles.py``.
 """
 
 import ast
@@ -29,14 +31,19 @@ def defined_names(node: ast.stmt) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def names_without_caller() -> list[str]:
-    sources = {path: text.splitlines() for path, text in SOURCES.items()}
+def names_without_caller(private: bool) -> list[str]:
+    """The public (or private) module-level names of the package that no
+    line outside their own definition mentions; the private ones count
+    callers in the package alone."""
+    sources = {path: text.splitlines() for path, text in SOURCES.items()
+               if not private or path.is_relative_to(PACKAGE)}
     missing = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse("\n".join(sources[path])).body:
             own = range(node.lineno, node.end_lineno + 1)
             for name in defined_names(node):
-                if name.startswith("_") or name in sbmdp.__all__:
+                if (name.startswith("__") or name.startswith("_") != private
+                        or name in sbmdp.__all__):
                     continue
                 word = re.compile(rf"\b{re.escape(name)}\b")
                 if not any(word.search(line)
@@ -71,7 +78,11 @@ def members_without_caller() -> list[str]:
 
 
 def test_every_public_name_has_a_library_or_benchmark_caller():
-    assert names_without_caller() == []
+    assert names_without_caller(private=False) == []
+
+
+def test_every_private_name_has_a_library_caller():
+    assert names_without_caller(private=True) == []
 
 
 def test_every_public_class_member_has_a_library_or_benchmark_caller():

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from sbmdp.sdp import (
     solve,
     solve_many,
 )
-from sbmdp.spectral import eig_sorted, top_eigenpairs
 
 from oracles import (
     GraphDelta,
@@ -125,7 +125,7 @@ def test_ground_truth_feasible_for_every_problem():
     prob = problem_from_graph(g, basbm)
     y = cluster_matrix(gt)
     assert np.all(np.diag(y) == 1)
-    assert y.sum() == pytest.approx(prob.mass)
+    assert y.sum() == (2 * prob.first_cluster_size - prob.n) ** 2
 
     gssbm = GssbmParams(n=20, a=4, b=1, rhos=(0.4, 0.3))
     g, gt = generate(gssbm, 0)
@@ -515,16 +515,28 @@ def assert_carries_its_certificate(res):
     (CbsbmParams(n=300, a=8, xi=0.05), range(4)),
     (GssbmParams(n=200, a=30, b=2, rhos=(0.3, 0.3, 0.3)), range(9, 13)),
 ], ids=["basbm-cutover", "basbm", "cbsbm", "gssbm"])
-def test_krylov_and_full_spectra_give_the_same_candidate(params, seeds):
-    for seed in seeds:
-        prob = problem_from_graph(generate(params, seed)[0], params)
-        m = sdp._spectral_matrix(prob)
-        full = sdp._spectral_candidate(prob, *eig_sorted(m))
-        krylov = sdp._spectral_candidate(
-            prob, *top_eigenpairs(m, sdp._spectral_rank(prob)))
-        assert (krylov is None) == (full is None)
-        if full is not None:
-            assert krylov.tobytes() == full.tobytes()
+def test_krylov_and_full_spectra_give_the_same_candidate(monkeypatch, params, seeds):
+    probs = [problem_from_graph(generate(params, seed)[0], params) for seed in seeds]
+    krylov = sdp._spectral_candidates(probs)
+    monkeypatch.setattr(sdp, "KRYLOV_MIN_N", params.n + 1)
+    monkeypatch.setattr(sdp, "KRYLOV_MIN_N_GENERAL", params.n + 1)
+    full = sdp._spectral_candidates(probs)
+    for k, f in zip(krylov, full, strict=True):
+        assert (k is None) == (f is None)
+        if f is not None:
+            assert k.tobytes() == f.tobytes()
+
+
+@pytest.mark.parametrize("cutover", [False, True], ids=["full", "krylov"])
+def test_empty_gssbm_graph_has_no_spectral_candidate(monkeypatch, cutover):
+    # every eigenvalue is zero, so the member-diagonal scale is not positive
+    params = GssbmParams(n=12, a=4, b=1, rhos=(0.3, 0.3))
+    if cutover:
+        monkeypatch.setattr(sdp, "KRYLOV_MIN_N_GENERAL", params.n)
+    prob = problem_from_graph(empty_graph(params.n), params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sdp._spectral_candidates([prob]) == [None]
 
 
 def test_spectral_stage_switches_to_krylov_at_the_cutover(monkeypatch):
