@@ -6,8 +6,8 @@ Library layout:
   edge-list serialization.
 * :mod:`sbmdp.models` -- the three block-model variants, seeded generation,
   ground truth, cluster matrices.
-* :mod:`sbmdp.spectral` -- tolerances, symmetric validation, spectral norm,
-  and the solver's eigendecomposition and PSD projection.
+* :mod:`sbmdp.spectral` -- tolerances, spectral norm, and the solver's
+  eigendecomposition and PSD projection.
 * :mod:`sbmdp.sdp` -- the SDP relaxations, projection-splitting solver,
   and rounding.
 * :mod:`sbmdp.concentration` -- threshold rate functions, default and

@@ -45,7 +45,7 @@ def _params_from_args(args, n: int):
     else:
         if args.rhos is None:
             raise InvalidParams("gssbm needs --rhos")
-        d.update(b=args.b, rhos=[float(x) for x in args.rhos.split(",")])
+        d.update(b=args.b, rhos=args.rhos.split(","))
     params = params_from_dict(d)
     params.validate()
     return params
@@ -64,9 +64,22 @@ def _load_graph(path):
     return read_edge_list(Path(path).read_text())
 
 
-def _load_gt(path):
+def _load_gt(path, variant: str, n: int) -> GroundTruth:
+    """The ground truth in ``path``; InvalidParams unless it is an object
+    holding a ``variant`` assignment of n integer labels, each +-1 for the
+    binary variants and nonnegative for gssbm."""
     d = json.loads(Path(path).read_text())
-    return GroundTruth(d["variant"], np.asarray(d["assignment"], dtype=np.int64))
+    if not isinstance(d, dict):
+        raise InvalidParams(f"ground truth must be an object, got {type(d).__name__}")
+    if d.get("variant") != variant:
+        raise InvalidParams(f"ground truth is for {d.get('variant')!r}, not {variant!r}")
+    labels = d.get("assignment")
+    if not (isinstance(labels, list) and len(labels) == n
+            and all(type(x) is int for x in labels)):
+        raise InvalidParams(f"ground truth assignment must be a list of {n} integers")
+    if not all(x >= 0 if variant == GSSBM else x in (1, -1) for x in labels):
+        raise InvalidParams(f"ground truth labels out of range for {variant}")
+    return GroundTruth(variant, np.array(labels, dtype=np.int64))
 
 
 def _emit(obj) -> None:
@@ -90,6 +103,7 @@ def cmd_generate(args) -> int:
 def cmd_recover(args) -> int:
     g = _load_graph(args.graph)
     params = _params_from_args(args, g.n)
+    gt = _load_gt(args.gt, args.variant, g.n) if args.gt else None
     res = recover(g, params)
     payload = {
         "status": res.solution.status,
@@ -99,8 +113,7 @@ def cmd_recover(args) -> int:
         "failed": res.failed,
         "assignment": None if res.labels is None else res.labels.tolist(),
     }
-    if args.gt:
-        gt = _load_gt(args.gt)
+    if gt is not None:
         payload["matches_gt"] = (not res.failed) and same_partition(
             res.labels, gt.assignment)
     _emit(payload)
@@ -110,7 +123,11 @@ def cmd_recover(args) -> int:
 def cmd_private_recover(args) -> int:
     g = _load_graph(args.graph)
     if args.params_known:
-        args.a, args.b = (float(x) for x in args.params_known.split(","))
+        try:
+            args.a, args.b = (float(x) for x in args.params_known.split(","))
+        except ValueError:
+            raise InvalidParams(
+                f"--params-known must be 'a,b', got {args.params_known!r}") from None
     elif args.a is None:
         raise InvalidParams("--a is required unless --params-known is given")
     params = _params_from_args(args, g.n)
@@ -141,7 +158,7 @@ def cmd_estimate_params(args) -> int:
 
 def cmd_check_concentration(args) -> int:
     g = _load_graph(args.graph)
-    gt = _load_gt(args.gt)
+    gt = _load_gt(args.gt, args.variant, g.n)
     params = _params_from_args(args, g.n)
     eps = args.eps if args.eps is not None else math.inf
     constants = default_constants(params, eps, args.c_stab, args.margin)
@@ -154,7 +171,7 @@ def cmd_check_concentration(args) -> int:
 
 def cmd_certify(args) -> int:
     g = _load_graph(args.graph)
-    gt = _load_gt(args.gt)
+    gt = _load_gt(args.gt, args.variant, g.n)
     params = _params_from_args(args, g.n)
     _emit(planted_report(g, gt, params, None, None).to_dict())
     return 0

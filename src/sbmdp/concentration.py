@@ -369,15 +369,15 @@ _TIGHTEN_DIRECTIONS = {
 def tighten_constants(
     constants: ConcentrationConstants,
     alpha: float,
-    params: SbmParams | None = None,
+    params: SbmParams,
 ) -> ConcentrationConstants:
     """Scale each constant by (1 +- 2*alpha) toward strictness.
 
     A check passing under the tightened tuple with rate estimates off by a
     factor 1 +- alpha still implies the original check under the true
-    rates. Raises InvalidShift when tightening breaks positivity or, when
-    ``params`` is supplied, a lemma-side restriction (basbm: c2 < tau - b;
-    censored: c2 < a).
+    rates. Raises InvalidShift when tightening breaks positivity or a
+    lemma-side restriction of ``params`` (basbm: c2 < tau - b; censored:
+    c2 < a).
     """
     if not (0.0 <= alpha <= 0.01):
         raise InvalidParams(f"alpha must lie in [0, 0.01], got {alpha}")
@@ -389,14 +389,13 @@ def tighten_constants(
     out = replace(constants, **scaled)
     if min(astuple(out)) <= 0:
         raise InvalidShift(f"tightening produced a nonpositive constant: {out}")
-    if params is not None:
-        if isinstance(out, BasbmConstants):
-            bound = log_mean(params.a, params.b) - params.b
-            if out.c2 >= bound:
-                raise InvalidShift(
-                    f"tightened c2 = {out.c2:.4f} reaches tau - b = {bound:.4f}")
-        if isinstance(out, CbsbmConstants) and out.c2 >= params.a:
-            raise InvalidShift(f"tightened c2 = {out.c2:.4f} reaches a = {params.a}")
+    if isinstance(out, BasbmConstants):
+        bound = log_mean(params.a, params.b) - params.b
+        if out.c2 >= bound:
+            raise InvalidShift(
+                f"tightened c2 = {out.c2:.4f} reaches tau - b = {bound:.4f}")
+    if isinstance(out, CbsbmConstants) and out.c2 >= params.a:
+        raise InvalidShift(f"tightened c2 = {out.c2:.4f} reaches a = {params.a}")
     return out
 
 

@@ -5,24 +5,12 @@ class SbmdpError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class IndexOutOfRange(SbmdpError):
-    """Vertex index outside [0, n) or equal pair endpoints."""
-
-
 class AlphabetViolation(SbmdpError):
     """Entry value not in the graph's declared alphabet."""
 
 
 class ShapeMismatch(SbmdpError):
     """Operands have incompatible sizes or alphabets."""
-
-
-class NotSymmetric(SbmdpError):
-    """Matrix asymmetry exceeds the construction tolerance."""
-
-
-class NonFinite(SbmdpError):
-    """Matrix contains NaN or infinite entries."""
 
 
 class ParseError(SbmdpError):
@@ -43,14 +31,6 @@ class InvalidParams(SbmdpError):
 
 class InfeasibleProblem(SbmdpError):
     """SDP constraint set is inconsistent."""
-
-
-class DegenerateSpectrum(SbmdpError):
-    """Top eigenvalue multiplicity prevents unambiguous rounding."""
-
-
-class InconsistentRelation(SbmdpError):
-    """Thresholded same-cluster relation is not a partition of the stated sizes."""
 
 
 class InvalidShift(SbmdpError):

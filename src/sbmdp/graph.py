@@ -15,13 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    AlphabetViolation,
-    DuplicateEdge,
-    IndexOutOfRange,
-    ParseError,
-    ShapeMismatch,
-)
+from .errors import AlphabetViolation, DuplicateEdge, ParseError, ShapeMismatch
 
 SIMPLE = "simple"
 CENSORED = "censored"
@@ -228,7 +222,7 @@ def read_edge_list(text: str) -> Graph:
         except ValueError:
             raise ParseError(f"bad vertex index in {raw!r}", line=lineno) from None
         if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise IndexOutOfRange(f"line {lineno}: pair ({i}, {j}) invalid for n={n}")
+            raise ParseError(f"pair ({i}, {j}) invalid for n={n}", line=lineno)
         if len(parts) == 3:
             try:
                 v = int(parts[2])

@@ -57,12 +57,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .certificates import BinaryReport, GeneralReport, candidate_report
-from .errors import (
-    DegenerateSpectrum,
-    InconsistentRelation,
-    InfeasibleProblem,
-    InvalidParams,
-)
+from .errors import InfeasibleProblem, InvalidParams
 from .graph import CENSORED, SIMPLE, Graph, off_diagonal
 from .models import (
     BASBM,
@@ -76,7 +71,6 @@ from .spectral import (
     DEFAULT_TOLS,
     KRYLOV_MIN_N,
     KRYLOV_MIN_N_GENERAL,
-    as_symmetric,
     eig_sorted,
     psd_project,
     top_eigenpairs,
@@ -640,45 +634,35 @@ def solve(prob: SdpProblem, opts: SolveOptions = SolveOptions()) -> SdpSolution:
 # rounding
 
 
-def round_binary(sol: SdpSolution) -> np.ndarray:
-    """Discrete +-1 labels from a binary-variant solution matrix.
+def round_binary(sol: SdpSolution) -> Optional[np.ndarray]:
+    """Discrete +-1 labels from a binary-variant solution matrix; None when
+    the top eigenvalue is not simple within the eigen-gap tolerance.
 
     For basbm, exactly ``first_cluster_size`` coordinates with the largest
     top-eigenvector entries become +1 (ties broken by lowest index); for
     cbsbm the sign pattern is used. Of the two antipodal readings of
-    the eigenvector, the one with the larger data objective wins. Raises
-    DegenerateSpectrum when the top eigenvalue is not simple within the
-    eigen-gap tolerance.
+    the eigenvector, the one with the larger data objective wins.
     """
-    if sol.problem.variant == GSSBM:
-        raise InvalidParams("round_binary expects a binary-variant solution")
-    evecs, evals = eig_sorted(as_symmetric(sol.matrix))
-    n = evals.shape[0]
+    evecs, evals = eig_sorted(sol.matrix)
     scale = max(abs(float(evals[0])), abs(float(evals[-1])), 1.0)
-    if n > 1 and (evals[-1] - evals[-2]) <= DEFAULT_TOLS.eigen_gap * scale:
-        raise DegenerateSpectrum(
-            f"top eigenvalue gap {float(evals[-1] - evals[-2]):.3e} below "
-            f"tolerance; rounding is ambiguous")
+    if evals.shape[0] > 1 and (evals[-1] - evals[-2]) <= DEFAULT_TOLS.eigen_gap * scale:
+        return None
     k = sol.problem.first_cluster_size
     return _binary_labels(sol.problem.a_dense[None], evecs[None, :, -1],
                           None if k is None else np.array([k]))[0]
 
 
-def round_general(matrix: np.ndarray, sizes) -> np.ndarray:
-    """Assignment labels (0 = outlier) from a general-variant solution matrix.
+def round_general(sol: SdpSolution) -> Optional[np.ndarray]:
+    """Assignment labels (0 = outlier) from a general-variant solution
+    matrix; None when they encode no clustering of the problem's sizes.
 
     Thresholds entries at 1/2: the diagonal picks non-outliers and the
-    off-diagonal induces a same-cluster relation whose connected components
-    must be cliques matching the requested sizes; otherwise the relation
-    does not encode a valid clustering and InconsistentRelation is raised.
+    off-diagonal induces a same-cluster relation that must be a partition
+    into cliques of the requested sizes (see :func:`_extract_general`).
+    The matrix is read as it is: the gssbm projection that forms the
+    solver's iterate leaves it exactly symmetric.
     """
-    sizes = np.array([int(s) for s in sizes])
-    assign = _extract_general(as_symmetric(matrix), sizes)
-    if assign is None:
-        raise InconsistentRelation(
-            "thresholded relation is not a clique partition with the "
-            f"requested sizes {sizes.tolist()}")
-    return assign
+    return _extract_general(sol.matrix, np.array(sol.problem.sizes))
 
 
 @dataclass(frozen=True)
@@ -696,17 +680,15 @@ class RecoveryResult:
 
 def _rounded(sol: SdpSolution) -> RecoveryResult:
     """The labels a certified or polished solution holds, or the rounding
-    of a fractional one."""
+    of a fractional one by the variant's :func:`round_general` or
+    :func:`round_binary`; a failed result where that rounding is None."""
     if sol.labels is not None:
         return RecoveryResult(sol.matrix, sol.labels.astype(np.int64), sol)
     variant = sol.problem.variant
-    try:
-        if variant == GSSBM:
-            labels = round_general(sol.matrix, sol.problem.sizes)
-        else:
-            labels = round_binary(sol).astype(np.int64)
-    except (DegenerateSpectrum, InconsistentRelation):
+    labels = round_general(sol) if variant == GSSBM else round_binary(sol)
+    if labels is None:
         return RecoveryResult(None, None, sol)
+    labels = labels.astype(np.int64)
     return RecoveryResult(
         assignment_to_cluster_matrix(variant, labels), labels, sol)
 
@@ -718,8 +700,9 @@ def recover(g: Graph, params: SbmParams,
     ``g`` must be a :class:`~sbmdp.graph.Graph` over the variant's
     alphabet with ``params.n`` vertices (see :func:`problem_from_graph`).
     A certified or polished solution carries its labels, so only a
-    fractional one is rounded. A rounding failure
-    (degenerate spectrum or inconsistent relation) is reported through ``failed`` rather than an exception:
+    fractional one is rounded. A rounding that finds no clustering (a
+    degenerate top eigenvalue, or a relation that is no partition of the
+    sizes) gives a result whose ``failed`` is set, not an exception:
     callers treat it as a distinguished recovery-failure outcome. This is
     :func:`recover_many` on one graph.
     """

@@ -1,11 +1,9 @@
-"""Dense symmetric linear algebra: tolerances, validation, norm, PSD cone.
+"""Dense symmetric linear algebra: tolerances, norm, PSD cone.
 
-:func:`as_symmetric` validates the solution matrices that rounding
-receives, rejecting non-finite entries and asymmetry above
-``Tolerances.symmetry``; adjacency matrices need no such check, as
-``Graph.to_dense`` forms them exactly symmetric. :func:`eig_sorted` and
-:func:`psd_project` are the solver's eigen steps and skip that validation:
-they symmetrise their input and run on every iteration. Both take one
+:func:`eig_sorted` and :func:`psd_project` are the solver's eigen steps,
+which rounding shares. They validate nothing and symmetrise their input,
+which is an adjacency matrix (exactly symmetric, as ``Graph.to_dense``
+forms it) or a solver iterate (symmetric up to rounding). Both take one
 matrix or a stack of same-size matrices, so that the solver has a single
 eigen/PSD step however many problems it runs in lockstep, and both run a
 full dense eigendecomposition. :func:`spectral_norm` is the exact norm,
@@ -26,14 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, NotSymmetric, ShapeMismatch
-
 
 @dataclass(frozen=True)
 class Tolerances:
     """Central numerical tolerances used across the package."""
 
-    symmetry: float = 1e-12          # max allowed asymmetry on construction
     certificate: float = 1e-8        # certificate checks, relative to ||S||_2
     eigen_gap: float = 1e-6          # rounding degenerate-spectrum guard
     z_threshold: float = 0.5         # same-cluster threshold for 0/1 matrices
@@ -73,37 +68,12 @@ except ImportError:
     _EIGH_KERNEL = None
 
 
-def as_symmetric(m: np.ndarray) -> np.ndarray:
-    """Validate and return a float64 symmetric copy of ``m``.
-
-    Raises ShapeMismatch for non-square input, NonFinite for NaN/inf
-    entries, and NotSymmetric when max |m - m.T| exceeds
-    ``Tolerances.symmetry`` relative to the matrix scale.
-    """
-    tol = DEFAULT_TOLS.symmetry
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise NonFinite("matrix has NaN or infinite entries")
-    bits = m.view(np.int64)
-    if np.array_equal(bits, bits.T):
-        # exactly symmetric: (m + m.T) / 2 would give back the same bits
-        return m.copy()
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
-    asym = float(np.abs(m - m.T).max()) if m.size else 0.0
-    if asym > tol * scale:
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {tol:.1e}")
-    return (m + m.T) / 2.0
-
-
 def spectral_norm(m: np.ndarray) -> float:
     """Largest absolute eigenvalue of a symmetric matrix.
 
-    Skips :func:`as_symmetric`'s validation, as the solver's eigen steps
-    do: every caller passes the difference of two exactly symmetric
-    matrices. It is the exact norm of the concentration check
-    and the diagnostics' general certificate, and the solver's gate eta
+    Every caller passes the difference of two exactly symmetric matrices,
+    so ``m`` is read as it is. It is the exact norm of the concentration
+    check and the diagnostics' general certificate, and the solver's gate eta
     below ``KRYLOV_MIN_N_GENERAL`` vertices (:func:`norm_estimate` from
     there on).
     """

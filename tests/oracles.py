@@ -36,7 +36,7 @@ from sbmdp.concentration import (
     own_cluster_counts,
     spectral_deviation,
 )
-from sbmdp.errors import AlphabetViolation, DuplicateEdge, IndexOutOfRange, InvalidShift
+from sbmdp.errors import AlphabetViolation, DuplicateEdge, InvalidShift
 from sbmdp.graph import (
     ALPHABETS,
     SIMPLE,
@@ -73,9 +73,9 @@ def empty_graph(n: int, alphabet: str = SIMPLE) -> Graph:
 
 def _check_pair(g: Graph, i: int, j: int) -> tuple[int, int]:
     if not (0 <= i < g.n and 0 <= j < g.n):
-        raise IndexOutOfRange(f"pair ({i}, {j}) outside [0, {g.n})")
+        raise ValueError(f"pair ({i}, {j}) outside [0, {g.n})")
     if i == j:
-        raise IndexOutOfRange("diagonal entries are fixed at zero")
+        raise ValueError("diagonal entries are fixed at zero")
     return (i, j) if i < j else (j, i)
 
 
@@ -83,7 +83,7 @@ def entry(g: Graph, i: int, j: int) -> int:
     """The (i, j) entry of the symmetric adjacency; 0 on the diagonal."""
     if i == j:
         if not 0 <= i < g.n:
-            raise IndexOutOfRange(f"vertex {i} outside [0, {g.n})")
+            raise ValueError(f"vertex {i} outside [0, {g.n})")
         return 0
     i, j = _check_pair(g, i, j)
     return int(g.values[pair_rank(i, j, g.n)])
@@ -99,7 +99,7 @@ class GraphDelta:
         seen = set()
         for i, j, _ in self.flips:
             if i >= j:
-                raise IndexOutOfRange("delta positions must satisfy i < j")
+                raise ValueError("delta positions must satisfy i < j")
             if (i, j) in seen:
                 raise DuplicateEdge(f"position ({i}, {j}) flipped twice")
             seen.add((i, j))
@@ -123,7 +123,7 @@ def neighbors_within(g: Graph, radius: int) -> Iterator[Graph]:
     Graphs come out in nondecreasing distance order, each exactly once.
     """
     if radius < 0:
-        raise IndexOutOfRange("radius must be nonnegative")
+        raise ValueError("radius must be nonnegative")
     for k in range(1, radius + 1):
         yield from neighbors_at_distance(g, k)
 
@@ -134,7 +134,7 @@ def random_delta(
     """Sample a delta of exactly ``flips`` distinct positions with changed values."""
     m = pair_count(g.n)
     if flips > m:
-        raise IndexOutOfRange(f"cannot flip {flips} of {m} positions")
+        raise ValueError(f"cannot flip {flips} of {m} positions")
     positions = rng.choice(m, size=flips, replace=False)
     out = []
     alphabet = ALPHABETS[g.alphabet]

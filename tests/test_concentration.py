@@ -377,18 +377,21 @@ def test_shift_constants_cbsbm_and_gssbm():
 
 
 def test_tighten_constants_directions():
+    # basbm a = 16, b = 2 puts tau - b at 4.73, above every tightened c2
+    params = BasbmParams(n=100, a=16, b=2)
     c = BasbmConstants(3, 2, 3, 2)
-    tightened = tighten_constants(c, 0.001)
+    tightened = tighten_constants(c, 0.001, params)
     assert tightened.c4 == pytest.approx(2.004)
     assert tightened.c2 == pytest.approx(2.004)
     assert tightened.c1 == pytest.approx(3 * 0.998)
     assert tightened.c3 == pytest.approx(3 * 0.998)
-    near = tighten_constants(c, 1e-9)
+    near = tighten_constants(c, 1e-9, params)
     assert near.c1 == pytest.approx(3.0, rel=1e-6)
-    g = tighten_constants(GssbmConstants(2, 3, 2, 1, 2), 0.001)
+    g = tighten_constants(GssbmConstants(2, 3, 2, 1, 2), 0.001,
+                          GssbmParams(n=100, a=16, b=2, rhos=(0.4, 0.4)))
     assert g.c3 > 2 and g.c4 < 1 and g.c5 > 2
     with pytest.raises(InvalidParams):
-        tighten_constants(c, 0.5)
+        tighten_constants(c, 0.5, params)
 
 
 def test_tighten_implication_audit():

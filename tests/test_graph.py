@@ -7,7 +7,6 @@ import pytest
 from sbmdp.errors import (
     AlphabetViolation,
     DuplicateEdge,
-    IndexOutOfRange,
     ParseError,
 )
 from sbmdp.graph import (
@@ -127,9 +126,9 @@ def test_set_entry_censored_neighbor():
 
 def test_set_entry_errors():
     g = empty_graph(3, SIMPLE)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError):
         GraphDelta(((0, 3, 1),)).apply(g)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError):
         GraphDelta(((1, 1, 1),)).apply(g)
     with pytest.raises(AlphabetViolation):
         GraphDelta(((0, 1, -1),)).apply(g)
@@ -227,8 +226,11 @@ def test_edge_list_errors():
     assert exc.value.line == 2
     with pytest.raises(DuplicateEdge):
         read_edge_list("n 3 simple\n0 1\n1 0")
-    with pytest.raises(IndexOutOfRange):
-        read_edge_list("n 3 simple\n0 5")
+    with pytest.raises(ParseError) as exc:
+        read_edge_list("n 3 simple\n0 1\n0 5")
+    assert exc.value.line == 3
+    with pytest.raises(ParseError):
+        read_edge_list("n 3 simple\n2 2")
     with pytest.raises(ParseError):
         read_edge_list("n 3 simple\n0 1 -1")  # label outside simple alphabet
     with pytest.raises(ParseError):
@@ -242,7 +244,7 @@ def test_graph_delta():
     assert hamming(g, g2) == 2
     with pytest.raises(DuplicateEdge):
         GraphDelta(((0, 1, 1), (0, 1, 0)))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError):
         GraphDelta(((1, 0, 1),))
 
 

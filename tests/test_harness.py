@@ -159,8 +159,8 @@ def test_run_trial_refuses_a_null_cell_field():
 
 def test_run_trial_densifies_once_per_consumer(monkeypatch):
     # the concentration check, the certificate and the recovery each take
-    # the graph and densify it once; no adjacency goes through the
-    # validated copy of spectral.as_symmetric
+    # the graph and densify it once; a certified trial carries its labels
+    # and so rounds nothing through sdp.round_general
     calls = []
     real = Graph.to_dense
 
@@ -168,11 +168,11 @@ def test_run_trial_densifies_once_per_consumer(monkeypatch):
         calls.append(self.n)
         return real(self, *args, **kwargs)
 
-    def unexpected(m):
-        raise AssertionError("as_symmetric called on a certified trial")
+    def unexpected(sol):
+        raise AssertionError("round_general called on a certified trial")
 
     monkeypatch.setattr(Graph, "to_dense", counted)
-    monkeypatch.setattr(sdp, "as_symmetric", unexpected)
+    monkeypatch.setattr(sdp, "round_general", unexpected)
     cell = {"variant": "gssbm", "n": 200, "a": 30.0, "b": 2.0,
             "rhos": [0.3, 0.3, 0.3]}
     result = run_trial(cell, trial_seed(1, 0, 0))
@@ -348,8 +348,44 @@ def test_cli_missing_or_non_numeric_rate_is_a_config_error(tmp_path, capsys):
                  "--graph", str(graph_file)]) == 1
     assert main(["recover", "--variant", "gssbm", "--a", "8", "--rhos", "0.4",
                  "--graph", str(graph_file)]) == 1
+    # a flag value that is no list of numbers is a config error too
+    assert main(["recover", "--variant", "gssbm", "--a", "8", "--b", "1",
+                 "--rhos", "0.3,abc", "--graph", str(graph_file)]) == 1
+    for rates in ("3", "3,x"):
+        assert main(["private-recover", "--variant", "basbm", "--graph", str(graph_file),
+                     "--eps", "1", "--delta-exp", "1", "--params-known", rates]) == 1
     err = capsys.readouterr().err
-    assert err.count("config error") == 2 and "Traceback" not in err
+    assert err.count("config error") == 5 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["recover", "certify", "check-concentration"])
+def test_cli_refuses_a_malformed_ground_truth(tmp_path, capsys, command):
+    # every command that reads a truth refuses the same malformed ones, a
+    # basbm truth labelled {0, 1} or {1, 2} among them, as config errors
+    graph_file = tmp_path / "g.txt"
+    gt_file = tmp_path / "gt.json"
+    cases = (
+        (["--variant", "basbm", "--a", "4", "--b", "1"], [1] * 10 + [-1] * 10,
+         [[1] * 10 + [0] * 10, [1] * 10 + [2] * 10]),
+        (["--variant", "gssbm", "--a", "4", "--b", "1", "--rhos", "0.4,0.4"],
+         [1] * 8 + [2] * 8 + [0] * 4, [[-1] + [1] * 7 + [2] * 8 + [0] * 4]),
+    )
+    refused = 0
+    for model, truth, bad_labels in cases:
+        variant = model[1]
+        other = "cbsbm" if variant == "basbm" else "basbm"
+        run = [command, *model, "--graph", str(graph_file), "--gt", str(gt_file)]
+        assert main(["generate", *model, "--n", "20", "--out", str(graph_file)]) == 0
+        for bad in (truth, {"variant": other, "assignment": truth},
+                    *({"variant": variant, "assignment": labels}
+                      for labels in (truth[:-1], [1.5, *truth[1:]], *bad_labels))):
+            gt_file.write_text(json.dumps(bad))
+            assert main(run) == 1, bad
+            refused += 1
+        gt_file.write_text(json.dumps({"variant": variant, "assignment": truth}))
+        assert main(run) in (0, 2)
+    err = capsys.readouterr().err
+    assert err.count("config error: ground truth") == refused and "Traceback" not in err
 
 
 def test_cli_sweep_and_exit_codes(tmp_path):
@@ -428,16 +464,17 @@ def test_cli_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     assert "Traceback" in err and "TypeError: not a config error" in err
 
 
-def test_cli_runtime_error_exit_code(tmp_path):
+def test_cli_runtime_error_exit_code(tmp_path, capsys):
+    # a regime below the private recovery threshold is a runtime error
     graph_file = tmp_path / "g.txt"
     gt_file = tmp_path / "gt.json"
-    main(["generate", "--variant", "basbm", "--n", "20", "--a", "4",
-          "--b", "1", "--rho", "0.5", "--seed", "0", "--out", str(graph_file)])
-    gt_file.write_text(json.dumps(
-        {"variant": "basbm", "assignment": [1, -1, 1, -1]}))  # wrong size
-    rc = main(["certify", "--variant", "basbm", "--a", "4", "--b", "1",
-               "--rho", "0.5", "--graph", str(graph_file), "--gt", str(gt_file)])
+    model = ["--variant", "basbm", "--a", "4", "--b", "1", "--rho", "0.5"]
+    main(["generate", *model, "--n", "20", "--seed", "0", "--out", str(graph_file),
+          "--gt-out", str(gt_file)])
+    rc = main(["check-concentration", *model, "--graph", str(graph_file),
+               "--gt", str(gt_file), "--eps", "1"])
     assert rc == 2
+    assert capsys.readouterr().err.startswith("runtime error")
 
 
 def test_cli_gssbm_roundtrip(tmp_path):

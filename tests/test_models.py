@@ -16,6 +16,7 @@ from sbmdp.models import (
     generate,
     params_from_dict,
     same_clustering,
+    same_partition,
 )
 
 from oracles import permute_instance
@@ -172,6 +173,26 @@ def test_same_clustering_invariances():
     assert same_clustering(cluster_matrix(ga), cluster_matrix(gb))
     with pytest.raises(ShapeMismatch):
         same_clustering(y1, np.ones((3, 3)))
+
+
+def test_same_partition_invariances():
+    # it decides every sweep trial's recovered flag and recover --gt's
+    # matches_gt, and must agree with same_clustering on the cluster matrices
+    sigma = np.array([1, 1, -1, -1, 1])
+    assert same_partition(sigma, -sigma)  # a global sign flip
+    assert not same_partition(sigma, np.array([1, -1, 1, -1, 1]))
+    labels = np.array([1, 1, 2, 2, 0, 3])
+    assert same_partition(labels, np.array([3, 3, 1, 1, 0, 2]))  # relabelled
+    moved = (np.array([1, 1, 2, 0, 2, 3]),  # an outlier swaps with a member
+             np.array([1, 1, 2, 2, 3, 3]),  # the outlier joins a cluster
+             np.array([1, 1, 2, 2, 0, 0]))  # a singleton becomes an outlier
+    for other in moved:
+        assert not same_partition(labels, other)
+        assert same_partition(labels, other) == same_clustering(
+            cluster_matrix(GroundTruth("gssbm", labels)),
+            cluster_matrix(GroundTruth("gssbm", other)))
+    with pytest.raises(ShapeMismatch):
+        same_partition(labels, labels[:-1])
 
 
 def test_permute_instance_consistent():

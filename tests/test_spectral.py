@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sbmdp import spectral
-from sbmdp.errors import NonFinite, NotSymmetric, ShapeMismatch
 from sbmdp.models import BasbmParams, CbsbmParams, GssbmParams, generate
 from sbmdp.models import same_cluster
 from sbmdp.certificates import _empirical_rates
@@ -12,7 +11,6 @@ from sbmdp.sdp import (
     problem_from_graph,
 )
 from sbmdp.spectral import (
-    as_symmetric,
     eig_sorted,
     norm_estimate,
     psd_project,
@@ -85,27 +83,6 @@ def test_psd_project_idempotent_nonexpansive():
         assert np.linalg.norm(psd_project(p1)[0] - p1, "fro") < 1e-9
         assert (np.linalg.norm(p1 - p2, "fro")
                 <= np.linalg.norm(m1 - m2, "fro") + 1e-9)
-
-
-def test_input_validation():
-    with pytest.raises(NotSymmetric):
-        as_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NonFinite):
-        as_symmetric(np.array([[np.nan, 0.0], [0.0, 0.0]]))
-    with pytest.raises(ShapeMismatch):
-        as_symmetric(np.zeros((2, 3)))
-    # asymmetry below tolerance is symmetrized, not rejected
-    m = np.array([[0.0, 1.0], [1.0 + 1e-14, 0.0]])
-    out = as_symmetric(m)
-    assert np.array_equal(out, out.T)
-
-
-def test_as_symmetric_copies_exactly_symmetric_input():
-    m = sample_symmetric(9, 4)
-    m[0, 1] = m[1, 0] = -0.0
-    out = as_symmetric(m)
-    assert out is not m and out.flags.c_contiguous
-    assert out.tobytes() == ((m + m.T) / 2.0).tobytes() == m.tobytes()
 
 
 @pytest.mark.parametrize("kernel", ["eigh_lo", "fallback"])
