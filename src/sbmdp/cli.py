@@ -51,9 +51,9 @@ def _params_from_args(args, n: int):
     return params
 
 
-def _add_model_args(sub, require_rates=True):
+def _add_model_args(sub):
     sub.add_argument("--variant", required=True, choices=(BASBM, CBSBM, GSSBM))
-    sub.add_argument("--a", type=float, required=require_rates)
+    sub.add_argument("--a", type=float, required=True)
     sub.add_argument("--b", type=float)
     sub.add_argument("--rho", type=float, default=0.5)
     sub.add_argument("--xi", type=float, default=0.0)
@@ -67,7 +67,9 @@ def _load_graph(path):
 def _load_gt(path, variant: str, n: int) -> GroundTruth:
     """The ground truth in ``path``; InvalidParams unless it is an object
     holding a ``variant`` assignment of n integer labels, each +-1 for the
-    binary variants and nonnegative for gssbm."""
+    binary variants and nonnegative for gssbm, whose nonzero labels are
+    exactly 1..r for some r >= 1: a skipped number would be an empty
+    cluster."""
     d = json.loads(Path(path).read_text())
     if not isinstance(d, dict):
         raise InvalidParams(f"ground truth must be an object, got {type(d).__name__}")
@@ -79,6 +81,9 @@ def _load_gt(path, variant: str, n: int) -> GroundTruth:
         raise InvalidParams(f"ground truth assignment must be a list of {n} integers")
     if not all(x >= 0 if variant == GSSBM else x in (1, -1) for x in labels):
         raise InvalidParams(f"ground truth labels out of range for {variant}")
+    clusters = sorted(set(labels) - {0})
+    if variant == GSSBM and clusters != list(range(1, max(len(clusters), 1) + 1)):
+        raise InvalidParams(f"ground truth clusters must be 1..r, r >= 1, got {clusters}")
     return GroundTruth(variant, np.array(labels, dtype=np.int64))
 
 
@@ -122,20 +127,11 @@ def cmd_recover(args) -> int:
 
 def cmd_private_recover(args) -> int:
     g = _load_graph(args.graph)
-    if args.params_known:
-        try:
-            args.a, args.b = (float(x) for x in args.params_known.split(","))
-        except ValueError:
-            raise InvalidParams(
-                f"--params-known must be 'a,b', got {args.params_known!r}") from None
-    elif args.a is None:
-        raise InvalidParams("--a is required unless --params-known is given")
     params = _params_from_args(args, g.n)
     priv = PrivacyParams.from_exponent(args.eps, args.delta_exp, g.n)
     c_stab = args.c_stab if args.c_stab is not None else default_c_stab(args.delta_exp)
     outcome = release(args.mode, g, params, priv, args.seed, c_stab=c_stab,
-                      max_evals=args.max_evals,
-                      estimate_rates=not args.params_known and args.variant == BASBM)
+                      max_evals=args.max_evals)
     # only what the (eps, delta) guarantee covers: the release decision,
     # the public threshold and the released clustering
     payload = {
@@ -205,13 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("private-recover", help="stability-mechanism recovery")
-    _add_model_args(p, require_rates=False)
+    _add_model_args(p)
     p.add_argument("--graph", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta-exp", type=float, required=True,
                    help="delta = n^(-delta_exp)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--params-known", help="known rates as 'a,b'")
     p.add_argument("--mode", choices=MODES, default="fast")
     p.add_argument("--c-stab", type=float,
                    help="stability constant (default privacy.default_c_stab)")

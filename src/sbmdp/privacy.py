@@ -44,7 +44,7 @@ import numpy as np
 from .concentration import check_concentration, default_constants, tighten_constants
 from .errors import DegenerateEstimate, InfeasibleRegime, InvalidParams, InvalidShift
 from .graph import SIMPLE, Graph, ball_size, neighbors_at_distance
-from .models import BASBM, GroundTruth, SbmParams, same_clustering
+from .models import GroundTruth, SbmParams, same_clustering
 from .sdp import SolveOptions, recover, recover_many
 
 
@@ -84,8 +84,9 @@ def sample_laplace(scale: float, rng: np.random.Generator) -> float:
     quantile x, a band of Laplace(1/eps) mass at most
     2^-51/e + 2^-52 log(1/delta). The release probability is thus within
     gamma = 2^-50 (1 + log(1/delta)) of the exact one, and delta absorbs
-    that: the mechanisms are (eps, delta + (1 + e^eps) gamma)-DP, an extra
-    1.1e-13 at eps = 2, delta = 500^-2.
+    that: a mechanism whose d_hat is 1-Lipschitz, as :func:`stbl`'s is, is
+    (eps, delta + (1 + e^eps) gamma)-DP, an extra 1.1e-13 at eps = 2,
+    delta = 500^-2.
     """
     u = rng.random()
     while u == 0.0:  # open-interval guard; log(0) otherwise
@@ -217,7 +218,6 @@ class MechanismTrace:
     released: bool
     solver_status: Optional[str] = None
     fast_path: Optional[bool] = None
-    estimated_rates: Optional[tuple[float, float]] = None
 
 
 @dataclass(frozen=True)
@@ -302,18 +302,6 @@ def param_estimate(g: Graph) -> tuple[float, float, float]:
     return a_hat, b_hat, rho_hat
 
 
-def _estimated_params(g: Graph, params: SbmParams) -> SbmParams:
-    """``params`` with (a, b) estimated from ``g``'s degree profile; raises
-    DegenerateEstimate when the estimate is degenerate or fails ``validate``."""
-    a_hat, b_hat, _ = param_estimate(g)
-    estimate = replace(params, a=a_hat, b=b_hat)
-    try:
-        estimate.validate()
-    except InvalidParams as exc:
-        raise DegenerateEstimate(f"estimated rates are invalid: {exc}") from None
-    return estimate
-
-
 def stbl_fast(
     g: Graph,
     params: SbmParams,
@@ -321,7 +309,6 @@ def stbl_fast(
     c_stab: float,
     rng: np.random.Generator,
     *,
-    estimate_rates: bool = False,
     solve_opts: SolveOptions = SolveOptions(),
     f: Estimator | None = None,
     max_evals: int | None = None,
@@ -329,46 +316,42 @@ def stbl_fast(
     """Fast stability mechanism: concentration test instead of search.
 
     Bad arguments raise InvalidParams before any solve: a negative
-    ``c_stab`` or ``max_evals``, ``estimate_rates`` off basbm, and
-    ``params`` that fail ``validate``. :func:`sbmdp.sdp.recover` then
-    solves ``g`` once, and the concentration test checks its clustering
-    under :func:`fast_path_constants`. A pass pins the distance to
-    c_stab*log(n)/eps. The release falls back to measuring the capped
-    distance around that clustering (:func:`distance_to_instability`,
-    exponentially slower, bounded by ``max_evals``) exactly when the solve
-    gave no labels, the rate estimate is unusable (DegenerateEstimate), no
-    constants exist (InfeasibleRegime, InvalidShift) or the check fails;
-    any other error propagates. The search runs ``f``, by default
-    :func:`sdp_estimator` with ``solve_opts``, on the neighbours.
+    ``c_stab`` or ``max_evals``, and ``params`` that fail ``validate``.
+    :func:`sbmdp.sdp.recover` then solves ``g`` once, and the concentration
+    test checks its clustering under :func:`fast_path_constants` of
+    ``params``. A pass pins the distance to c_stab*log(n)/eps. The release
+    falls back to measuring the capped distance around that clustering
+    (:func:`distance_to_instability`, exponentially slower, bounded by
+    ``max_evals``) exactly when the solve gave no labels, no constants
+    exist (InfeasibleRegime, InvalidShift) or the check fails; any other
+    error propagates. The search runs ``f``, by default
+    :func:`sdp_estimator` with ``solve_opts``, on the neighbours. ``c_stab``
+    is independent of the delta exponent in ``priv``.
 
-    ``estimate_rates`` tests under the degree-profile estimate of (a, b),
-    traced as ``estimated_rates`` when usable. ``c_stab`` is independent of
-    the delta exponent in ``priv``.
+    The pinned distance is not 1-Lipschitz on every neighbouring pair: a
+    flip that makes the check fail can drop d_hat from the pin to the
+    searched distance, so this mechanism is not (eps, delta)-DP on every
+    graph.
     """
     if c_stab < 0:
         raise InvalidParams(f"c_stab must be nonnegative, got {c_stab}")
     if max_evals is not None and max_evals < 0:
         raise InvalidParams(f"max_evals must be nonnegative, got {max_evals}")
-    if estimate_rates and params.variant != BASBM:
-        raise InvalidParams("rate estimation is only defined for basbm")
     params.validate()
     if f is None:
         f = sdp_estimator(params, solve_opts)
 
     result = recover(g, params, solve_opts)
 
-    conc_pass, estimated = False, None
+    conc_pass = False
     if result.labels is not None:
         try:
-            check_params = _estimated_params(g, params) if estimate_rates else params
-            if estimate_rates:
-                estimated = (check_params.a, check_params.b)
-            constants = fast_path_constants(check_params, priv.eps, c_stab)
-        except (DegenerateEstimate, InfeasibleRegime, InvalidShift):
+            constants = fast_path_constants(params, priv.eps, c_stab)
+        except (InfeasibleRegime, InvalidShift):
             pass
         else:
             conc_pass = check_concentration(
-                g, GroundTruth(params.variant, result.labels), check_params,
+                g, GroundTruth(params.variant, result.labels), params,
                 constants).passed
 
     cap_real = c_stab * math.log(g.n) / priv.eps
@@ -379,11 +362,10 @@ def stbl_fast(
                                     max_evals=max_evals)
         d_hat = min(cap_real, float(d))
     return _publish(result.matrix, d_hat, priv, rng, result.labels,
-                    solver_status=result.solution.status, fast_path=conc_pass,
-                    estimated_rates=estimated)
+                    solver_status=result.solution.status, fast_path=conc_pass)
 
 
-def _stbl_sdp(g, params, priv, c_stab, rng, *, estimate_rates, max_evals):
+def _stbl_sdp(g, params, priv, c_stab, rng, *, max_evals):
     """:func:`stbl` over :func:`sdp_estimator`, publishing :func:`recover`'s solve.
 
     A negative ``max_evals`` and ``params`` that fail ``validate`` raise
@@ -402,15 +384,15 @@ MODES = tuple(_MECHANISMS)
 
 
 def release(mode: str, g: Graph, params: SbmParams, priv: PrivacyParams, seed: int, *,
-            c_stab: float, max_evals: int | None, estimate_rates: bool = False,
-            ) -> MechanismOutcome:
+            c_stab: float, max_evals: int | None) -> MechanismOutcome:
     """Release ``g``'s clustering by the mechanism of ``mode``, one of :data:`MODES`.
 
     The noise stream is ``Philox(SeedSequence(seed, spawn_key=(1,)))``,
     never the ``Philox(key=seed)`` stream of :func:`sbmdp.models.generate`.
     Both mechanisms solve ``g`` once through :func:`recover` and publish
-    that solve's cluster matrix and labels. Only ``fast`` reads ``c_stab``
-    and ``estimate_rates``: ``stbl`` searches its distance.
+    that solve's cluster matrix and labels, and both read (a, b) only as
+    given in ``params``. Only ``fast`` reads ``c_stab``: ``stbl`` searches
+    its distance.
     """
     mechanism = _MECHANISMS.get(mode)
     if mechanism is None:
@@ -419,5 +401,4 @@ def release(mode: str, g: Graph, params: SbmParams, priv: PrivacyParams, seed: i
         raise InvalidParams(f"seed must be nonnegative, got {seed}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
         seed, spawn_key=(1,))))
-    return mechanism(g, params, priv, c_stab, rng, estimate_rates=estimate_rates,
-                     max_evals=max_evals)
+    return mechanism(g, params, priv, c_stab, rng, max_evals=max_evals)

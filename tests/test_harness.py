@@ -306,7 +306,7 @@ def test_cli_private_recover_output(tmp_path, capsys):
     capsys.readouterr()
     rc = main(["private-recover", "--variant", "basbm", "--graph",
                str(graph_file), "--eps", "2", "--delta-exp", "2",
-               "--params-known", "20,2", "--rho", "0.5", "--mode", "fast",
+               "--a", "20", "--b", "2", "--rho", "0.5", "--mode", "fast",
                "--c-stab", "4", "--seed", "5"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
@@ -319,7 +319,7 @@ def test_cli_private_recover_output(tmp_path, capsys):
     for mode in ("fast", "stbl"):
         assert main(["private-recover", "--variant", "basbm", "--graph",
                      str(graph_file), "--eps", "2", "--delta-exp", "2",
-                     "--params-known", "20,2", "--rho", "0.5", "--mode", mode,
+                     "--a", "20", "--b", "2", "--rho", "0.5", "--mode", mode,
                      "--max-evals", "-1"]) == 1
     assert "max_evals" in capsys.readouterr().err
 
@@ -351,24 +351,25 @@ def test_cli_missing_or_non_numeric_rate_is_a_config_error(tmp_path, capsys):
     # a flag value that is no list of numbers is a config error too
     assert main(["recover", "--variant", "gssbm", "--a", "8", "--b", "1",
                  "--rhos", "0.3,abc", "--graph", str(graph_file)]) == 1
-    for rates in ("3", "3,x"):
-        assert main(["private-recover", "--variant", "basbm", "--graph", str(graph_file),
-                     "--eps", "1", "--delta-exp", "1", "--params-known", rates]) == 1
+    assert main(["private-recover", "--variant", "basbm", "--a", "3",
+                 "--graph", str(graph_file), "--eps", "1", "--delta-exp", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.count("config error") == 5 and "Traceback" not in err
+    assert err.count("config error") == 4 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["recover", "certify", "check-concentration"])
 def test_cli_refuses_a_malformed_ground_truth(tmp_path, capsys, command):
     # every command that reads a truth refuses the same malformed ones, a
-    # basbm truth labelled {0, 1} or {1, 2} among them, as config errors
+    # basbm truth labelled {0, 1} or {1, 2} and a gssbm truth that skips a
+    # cluster number or has none among them, as config errors
     graph_file = tmp_path / "g.txt"
     gt_file = tmp_path / "gt.json"
     cases = (
         (["--variant", "basbm", "--a", "4", "--b", "1"], [1] * 10 + [-1] * 10,
          [[1] * 10 + [0] * 10, [1] * 10 + [2] * 10]),
         (["--variant", "gssbm", "--a", "4", "--b", "1", "--rhos", "0.4,0.4"],
-         [1] * 8 + [2] * 8 + [0] * 4, [[-1] + [1] * 7 + [2] * 8 + [0] * 4]),
+         [1] * 8 + [2] * 8 + [0] * 4,
+         [[-1] + [1] * 7 + [2] * 8 + [0] * 4, [1] * 8 + [3] * 8 + [0] * 4, [0] * 20]),
     )
     refused = 0
     for model, truth, bad_labels in cases:

@@ -363,18 +363,14 @@ def test_release_refuses_params_that_fail_validate(monkeypatch, mode):
                 c_stab=0.9, max_evals=None)
 
 
-CBSBM_6 = CbsbmParams(n=6, a=3.0, xi=0.1)
-
-
 @pytest.mark.parametrize("params, c_stab, options", [
     (SEARCHED, -1.0, {}),
     (SEARCHED, 0.9, {"max_evals": -1}),
-    (CBSBM_6, 0.9, {"estimate_rates": True}),
     (BasbmParams(n=6, a=0.5, b=0.5, rho=0.5), 0.9, {}),
-], ids=["c_stab", "max_evals", "estimate_rates-cbsbm", "a-not-above-b"])
+], ids=["c_stab", "max_evals", "a-not-above-b"])
 def test_stbl_fast_refuses_bad_arguments_before_solving(monkeypatch, params, c_stab,
                                                        options):
-    g, _ = generate(CBSBM_6 if params.variant == "cbsbm" else SEARCHED, 0)
+    g, _ = generate(SEARCHED, 0)
     solves = log_solves(monkeypatch)
     with pytest.raises(InvalidParams):
         stbl_fast(g, params, SEARCHED_PRIV, c_stab, MEDIAN_DRAW, **options)
@@ -519,6 +515,35 @@ def test_stbl_fast_pinned_distance_survives_adversarial_flips(adversary):
         assert steps == budget
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: the fast path's pinned "
+                   "distance is not 1-Lipschitz where the concentration test flips")
+def test_stbl_fast_distance_is_one_lipschitz_where_the_test_first_fails():
+    # criterion 9's setting with a search radius of 0: walk the weakest
+    # vertex's flips around recover's labels to the first graph h whose
+    # check fails; g, one flip back, still passes and pins d_hat at 12.4,
+    # while h falls back to the search
+    params = BasbmParams(n=500, a=30, b=2, rho=0.5)
+    eps, c_stab = 2.0, 4.0
+    priv = PrivacyParams.from_exponent(eps, 2.0, params.n)
+    constants = fast_path_constants(params, eps, c_stab)
+    start, _ = generate(params, 0)
+    gt_hat = GroundTruth(BASBM, recover(start, params).labels)
+    g = start
+    for delta in _weakest_vertex_flips(start, gt_hat, params, 100):
+        h = delta.apply(start)
+        if not check_concentration(h, gt_hat, params, constants).passed:
+            break
+        g = h
+    else:
+        pytest.fail("the check never failed within 100 flips")
+
+    def d_hat(graph):
+        return stbl_fast(graph, params, priv, c_stab, MEDIAN_DRAW,
+                         max_evals=200).trace.d_hat
+
+    assert abs(d_hat(g) - d_hat(h)) <= 1.0 + 1e-12
+
+
 AUDIT_OPTS = SolveOptions(tol=1e-5, max_iters=300, certify_every=25)
 _audit_solves = {}
 
@@ -528,10 +553,9 @@ def _cached_recover(params):
 
 
 @st.composite
-def sensitivity_cases(draw, rates):
-    # the estimated-rates path exists for basbm (simple graphs) only
+def sensitivity_cases(draw, capped):
     n = draw(st.integers(3, 5))
-    alphabet = "simple" if rates else draw(st.sampled_from(sorted(ALPHABETS)))
+    alphabet = draw(st.sampled_from(sorted(ALPHABETS)))
     if alphabet == "simple":
         params = BasbmParams(n=n, a=2.5, b=0.3, rho=0.5)
     else:
@@ -545,9 +569,9 @@ def sensitivity_cases(draw, rates):
             dtype=np.int8))
     else:
         g, _ = generate(params, seed)
-    mechanism = "fast" if rates else draw(st.sampled_from(["stbl", "fast"]))
+    mechanism = draw(st.sampled_from(["stbl", "fast"])) if capped else "fast"
     max_evals = None
-    if not rates:
+    if capped:
         # a budget whose radius (0, 1 or 2) falls short of every cap below;
         # radius 2 is the one that searches, so it is drawn most often
         level = draw(st.sampled_from([0, 1, 2, 2, 2]))
@@ -556,14 +580,14 @@ def sensitivity_cases(draw, rates):
     return g, params, mechanism, max_evals
 
 
-@pytest.mark.parametrize("rates", [False, True], ids=["capped", "estimated_rates"])
+@pytest.mark.parametrize("capped", [True, False], ids=["capped", "uncapped"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_mechanism_distance_is_one_lipschitz(rates, data):
+def test_mechanism_distance_is_one_lipschitz(capped, data):
     # both mechanisms on the capped path (a binding max_evals) and stbl_fast
-    # on the estimated-rates path: d_hat moves by at most one between
-    # neighbouring graphs
-    g, params, mechanism, max_evals = data.draw(sensitivity_cases(rates))
+    # searching up to its own cap (max_evals None): d_hat moves by at most
+    # one between neighbouring graphs
+    g, params, mechanism, max_evals = data.draw(sensitivity_cases(capped))
     f = _cached_recover(params)
 
     def d_hat(h):
@@ -575,9 +599,8 @@ def test_mechanism_distance_is_one_lipschitz(rates, data):
         else:
             # cap = ceil(c_stab*log(n)/eps): 1-2 with 0.9, 3-4 with 2.0
             out = stbl_fast(h, params, PrivacyParams.from_exponent(1.0, 1.0, h.n),
-                            0.9 if rates else 2.0, np.random.default_rng(0),
-                            estimate_rates=rates, solve_opts=AUDIT_OPTS, f=f,
-                            max_evals=max_evals)
+                            2.0 if capped else 0.9, np.random.default_rng(0),
+                            solve_opts=AUDIT_OPTS, f=f, max_evals=max_evals)
         return out.trace.d_hat
 
     base = d_hat(g)
