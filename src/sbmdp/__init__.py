@@ -10,8 +10,8 @@ Library layout:
   eigendecomposition and PSD projection.
 * :mod:`sbmdp.sdp` -- the SDP relaxations, projection-splitting solver,
   and rounding.
-* :mod:`sbmdp.concentration` -- threshold rate functions, default and
-  tightened constants, and the concentration checker.
+* :mod:`sbmdp.concentration` -- threshold rate functions, the default
+  constants, and the concentration checker.
 * :mod:`sbmdp.certificates` -- the dual-certificate kernels and verifiers
   behind the solver's early stop and the certificate diagnostics.
 * :mod:`sbmdp.privacy` -- Laplace noise, distance to instability, the

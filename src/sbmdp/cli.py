@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .concentration import check_concentration, default_constants, tighten_constants
+from .concentration import check_concentration, default_constants
 from .errors import InvalidParams, ParseError, SbmdpError
 from .graph import read_edge_list, write_edge_list
 from .harness import ExperimentConfig, planted_report, sweep
@@ -157,9 +157,7 @@ def cmd_check_concentration(args) -> int:
     gt = _load_gt(args.gt, args.variant, g.n)
     params = _params_from_args(args, g.n)
     eps = args.eps if args.eps is not None else math.inf
-    constants = default_constants(params, eps, args.c_stab, args.margin)
-    if args.tighten:
-        constants = tighten_constants(constants, args.tighten, params)
+    constants = default_constants(params, eps, args.c_stab)
     report = check_concentration(g, gt, params, constants)
     _emit({"constants": astuple(constants), **report.to_dict()})
     return 0
@@ -223,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--eps", type=float)
     p.add_argument("--c-stab", type=float, default=0.0)
-    p.add_argument("--margin", type=float, default=0.1)
-    p.add_argument("--tighten", type=float, default=0.0)
     p.set_defaults(func=cmd_check_concentration)
 
     p = sub.add_parser("certify", help="build and verify the dual certificate")

@@ -15,12 +15,12 @@ thresholds is base-consistent only with ln.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InfeasibleRegime, InvalidParams, InvalidShift
+from .errors import InfeasibleRegime, InvalidParams
 from .graph import Graph
 from .models import (
     BASBM,
@@ -354,52 +354,6 @@ def _general_conditions(
 
 
 # ---------------------------------------------------------------------------
-# constant-tuple maps
-
-
-# which direction makes each condition stricter: -1 shrinks an upper-bound
-# slack constant, +1 grows a lower-bound requirement
-_TIGHTEN_DIRECTIONS = {
-    BasbmConstants: {"c1": -1, "c2": +1, "c3": -1, "c4": +1},
-    CbsbmConstants: {"c1": -1, "c2": +1},
-    GssbmConstants: {"c1": -1, "c2": +1, "c3": +1, "c4": -1, "c5": +1},
-}
-
-
-def tighten_constants(
-    constants: ConcentrationConstants,
-    alpha: float,
-    params: SbmParams,
-) -> ConcentrationConstants:
-    """Scale each constant by (1 +- 2*alpha) toward strictness.
-
-    A check passing under the tightened tuple with rate estimates off by a
-    factor 1 +- alpha still implies the original check under the true
-    rates. Raises InvalidShift when tightening breaks positivity or a
-    lemma-side restriction of ``params`` (basbm: c2 < tau - b; censored:
-    c2 < a).
-    """
-    if not (0.0 <= alpha <= 0.01):
-        raise InvalidParams(f"alpha must lie in [0, 0.01], got {alpha}")
-    directions = _TIGHTEN_DIRECTIONS[type(constants)]
-    scaled = {
-        name: getattr(constants, name) * (1.0 + 2.0 * alpha * direction)
-        for name, direction in directions.items()
-    }
-    out = replace(constants, **scaled)
-    if min(astuple(out)) <= 0:
-        raise InvalidShift(f"tightening produced a nonpositive constant: {out}")
-    if isinstance(out, BasbmConstants):
-        bound = log_mean(params.a, params.b) - params.b
-        if out.c2 >= bound:
-            raise InvalidShift(
-                f"tightened c2 = {out.c2:.4f} reaches tau - b = {bound:.4f}")
-    if isinstance(out, CbsbmConstants) and out.c2 >= params.a:
-        raise InvalidShift(f"tightened c2 = {out.c2:.4f} reaches a = {params.a}")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # default constants
 
 
@@ -432,15 +386,21 @@ def _solve_decreasing(
 # z-score used by the finite-n moment guards when sizing gssbm constants
 _MOMENT_Z = 4.0
 
+# the slack default_constants keeps inside each lemma-side restriction and
+# above each rate-exponent threshold
+_MARGIN = 0.1
+
 
 def default_constants(
-    params: SbmParams, eps: float, c_stab: float, margin: float = 0.1
+    params: SbmParams, eps: float, c_stab: float
 ) -> ConcentrationConstants:
     """Construct a constants tuple meeting every lemma-side restriction.
 
-    ``eps`` may be ``math.inf`` for non-private use, in which case all
-    c_stab/eps terms vanish. Raises InfeasibleRegime, naming the violated
-    inequality, when no valid tuple exists for (params, eps, c_stab).
+    This is the one tuple behind the fast mechanism, the sweep diagnostics
+    and ``sbmdp check-concentration``. ``eps`` may be ``math.inf`` for
+    non-private use, in which case all c_stab/eps terms vanish. Raises
+    InfeasibleRegime, naming the violated inequality, when no valid tuple
+    exists for (params, eps, c_stab).
     """
     params.validate()
     if eps <= 0 or c_stab < 0:
@@ -450,18 +410,18 @@ def default_constants(
     if params.variant == BASBM:
         a, b, rho = params.a, params.b, params.rho
         tau = log_mean(a, b)
-        if shift + 2 * margin >= tau - b:
+        if shift + 2 * _MARGIN >= tau - b:
             raise InfeasibleRegime(
-                f"c/eps = {shift:.4f} >= tau - b - 2m = {tau - b - 2 * margin:.4f}; "
+                f"c/eps = {shift:.4f} >= tau - b - 2m = {tau - b - 2 * _MARGIN:.4f}; "
                 "the size-balance condition cannot persist")
-        c2 = min(shift + margin, tau - b - margin)
+        c2 = min(shift + _MARGIN, tau - b - _MARGIN)
         peak = max(shift, tau * (1 - 2 * rho))
         f = lambda x: degree_margin_exponent(x, a, b, rho)
-        if f(peak) <= 1.0 + margin:
+        if f(peak) <= 1.0 + _MARGIN:
             raise InfeasibleRegime(
                 f"degree-margin exponent at slack {peak:.4f} is {f(peak):.4f} "
-                f"<= 1 + {margin}; recovery threshold fails for eps={eps}")
-        c4 = _solve_decreasing(f, 1.0 + margin, peak)
+                f"<= 1 + {_MARGIN}; recovery threshold fails for eps={eps}")
+        c4 = _solve_decreasing(f, 1.0 + _MARGIN, peak)
         return BasbmConstants(
             c1=2.0 * math.sqrt(a) + 1.0,
             c2=c2,
@@ -472,26 +432,26 @@ def default_constants(
     if params.variant == CBSBM:
         a, xi = params.a, params.xi
         h = censored_margin_exponent(xi, a)
-        if h <= 1.0 + margin:
+        if h <= 1.0 + _MARGIN:
             raise InfeasibleRegime(
-                f"censored margin exponent {h:.4f} <= 1 + {margin}")
-        if shift + 2 * margin >= a:
+                f"censored margin exponent {h:.4f} <= 1 + {_MARGIN}")
+        if shift + 2 * _MARGIN >= a:
             raise InfeasibleRegime(
-                f"c/eps = {shift:.4f} >= a - 2m = {a - 2 * margin:.4f}")
-        return CbsbmConstants(c1=2.0 * math.sqrt(a) + 1.0, c2=shift + margin)
+                f"c/eps = {shift:.4f} >= a - 2m = {a - 2 * _MARGIN:.4f}")
+        return CbsbmConstants(c1=2.0 * math.sqrt(a) + 1.0, c2=shift + _MARGIN)
 
     # general structure
     a, b, n = params.a, params.b, params.n
     logn = params.log_n
     sizes = np.array(params.sizes, dtype=np.float64)
     rho_min = float(sizes.min() / n)
-    target = 1.0 / rho_min + margin
+    target = 1.0 / rho_min + _MARGIN
     p = params.p
 
-    c3 = max(0.25, shift + margin)
+    c3 = max(0.25, shift + _MARGIN)
     c5 = shift + 0.5
 
-    lb = [shift / rho_min + margin if shift > 0 else 0.0]
+    lb = [shift / rho_min + _MARGIN if shift > 0 else 0.0]
     lb.append(_solve_decreasing(
         lambda c2: -poisson_tail_rate(b, b + c2 - c3 / rho_min), -target,
         lo=c3 / rho_min))

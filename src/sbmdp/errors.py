@@ -33,10 +33,6 @@ class InfeasibleProblem(SbmdpError):
     """SDP constraint set is inconsistent."""
 
 
-class InvalidShift(SbmdpError):
-    """Shifted or tightened constants violate positivity or lemma-side restrictions."""
-
-
 class InfeasibleRegime(SbmdpError):
     """No constants tuple satisfies the recovery-threshold conditions.
 

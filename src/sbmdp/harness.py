@@ -18,8 +18,8 @@ from .concentration import (GssbmConstants, check_concentration, default_constan
                             spectral_deviation)
 from .errors import InvalidParams, SbmdpError
 from .graph import Graph
-from .models import (GSSBM, GroundTruth, SbmParams, generate, params_from_dict,
-                     same_partition)
+from .models import (BASBM, CBSBM, GSSBM, GroundTruth, SbmParams, generate,
+                     params_from_dict, same_partition, whole_number)
 from .privacy import MODES as PRIVATE_MODES, PrivacyParams, default_c_stab, release
 from .sdp import recover
 
@@ -35,12 +35,9 @@ _AGGREGATES = (("recovery_rate", "recovered"), ("bottom_rate", "bottom"),
                ("cert_rate", "cert_valid"), ("mean_ms", "ms"))
 
 
-def _count(key: str, value) -> int:
-    """A config value that must be a whole number, as an int: a boolean or
-    a number with a fractional part is refused, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise InvalidParams(f"{key} must be an integer, got {value!r}")
-    return int(value)
+# the grid keys a variant's trials read besides eps and delta_exp
+_GRID_KEYS = {BASBM: {"n", "a", "b", "rho"}, CBSBM: {"n", "a", "xi", "rho"},
+              GSSBM: {"n", "a", "b", "rhos"}}
 
 
 @dataclass(frozen=True)
@@ -67,14 +64,14 @@ class ExperimentConfig:
         try:
             cfg = cls(
                 variant=d["variant"],
-                grid={k: list(v) for k, v in d["grid"].items()},
-                trials=_count("trials", d["trials"]),
-                seed_base=_count("seed_base", d.get("seed_base", 0)),
+                grid=dict(d["grid"]),
+                trials=whole_number("trials", d["trials"]),
+                seed_base=whole_number("seed_base", d.get("seed_base", 0)),
                 mode=d.get("mode", "nonprivate"),
                 output=d["output"],
                 c_stab=None if d.get("c_stab") is None else float(d["c_stab"]),
-                workers=_count("workers", d.get("workers", 1)),
-                max_evals=_count("max_evals", d.get("max_evals", 2000)),
+                workers=whole_number("workers", d.get("workers", 1)),
+                max_evals=whole_number("max_evals", d.get("max_evals", 2000)),
             )
         except KeyError as exc:
             raise InvalidParams(f"config missing field {exc}") from None
@@ -92,8 +89,16 @@ class ExperimentConfig:
             raise InvalidParams(f"workers must be at least 1, got {cfg.workers}")
         if cfg.max_evals < 0:
             raise InvalidParams(f"max_evals must be nonnegative, got {cfg.max_evals}")
-        if not cfg.grid or any(len(v) == 0 for v in cfg.grid.values()):
-            raise InvalidParams("grid must be nonempty in every dimension")
+        if cfg.variant not in (BASBM, CBSBM, GSSBM):
+            raise InvalidParams(f"unknown variant {cfg.variant!r}")
+        if not (cfg.grid and all(isinstance(v, list) and v
+                                 for v in cfg.grid.values())):
+            raise InvalidParams("grid must map every key to a nonempty list")
+        unread = sorted(set(cfg.grid) - _GRID_KEYS[cfg.variant] - {"eps", "delta_exp"})
+        if unread:
+            raise InvalidParams(f"grid keys {unread} are not read by {cfg.variant}")
+        for cell in cfg.cells():
+            _check_cell(cell, cfg.mode)
         return cfg
 
     @classmethod
@@ -149,9 +154,24 @@ class TrialResult:
         return [str(values[c]) for c in CSV_COLUMNS]
 
 
-def _cell_params(cell: dict) -> SbmParams:
-    return params_from_dict({k: v for k, v in cell.items()
-                             if k in ("variant", "n", "a", "b", "rho", "xi", "rhos")})
+def _check_cell(cell: dict, mode: str) -> None:
+    """Refuse a grid cell that no trial could run. Its rates must parse, but
+    are not validated, so that rates infeasible at their n run as error
+    rows; a gssbm ``rhos`` must be a list, ``eps`` positive, and in a
+    private mode ``eps`` finite and ``delta_exp`` positive."""
+    if not isinstance(cell.get("rhos", []), list):
+        raise InvalidParams(f"rhos must be a list, got {cell['rhos']!r}")
+    params_from_dict(cell)
+    try:
+        eps = float(cell.get("eps", math.inf))
+        delta_exp = float(cell.get("delta_exp", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams(f"eps and delta_exp must be numbers: {exc}") from None
+    if not eps > 0:
+        raise InvalidParams(f"eps must be positive, got {eps}")
+    if mode != "nonprivate" and not (eps < math.inf and delta_exp > 0):
+        raise InvalidParams(f"mode {mode} needs a finite eps and a positive "
+                            f"delta_exp in every cell, got {eps} and {delta_exp}")
 
 
 def trial_seed(seed_base: int, cell_index: int, trial_index: int) -> int:
@@ -174,7 +194,7 @@ def run_trial(
     forms its dense adjacency once for all of them. A recovery and a
     release are both scored by their labels.
     """
-    params = _cell_params(cell)
+    params = params_from_dict(cell)
     t0 = time.perf_counter()
     g, gt = generate(params, seed)
 
@@ -209,7 +229,7 @@ def _diagnostics(g: Graph, gt: GroundTruth, params: SbmParams,
     """
     constants = report = None
     try:
-        constants = default_constants(params, eps if eps > 0 else math.inf, c_stab)
+        constants = default_constants(params, eps, c_stab)
         report = check_concentration(g, gt, params, constants)
     except SbmdpError:
         pass

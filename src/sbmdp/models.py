@@ -128,17 +128,29 @@ class GssbmParams(_Params):
 SbmParams = Union[BasbmParams, CbsbmParams, GssbmParams]
 
 
+def whole_number(key: str, value) -> int:
+    """A field that must be a whole number, as an int: a boolean or a
+    number with a fractional part is refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InvalidParams(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def params_from_dict(d: dict) -> SbmParams:
+    """The variant's params from their JSON form, without ``validate``; a
+    missing, non-numeric or (for ``n``) non-integral field raises
+    InvalidParams."""
     variant = d.get("variant")
     try:
         if variant == BASBM:
-            return BasbmParams(n=int(d["n"]), a=float(d["a"]), b=float(d["b"]),
-                               rho=float(d.get("rho", 0.5)))
+            return BasbmParams(n=whole_number("n", d["n"]), a=float(d["a"]),
+                               b=float(d["b"]), rho=float(d.get("rho", 0.5)))
         if variant == CBSBM:
-            return CbsbmParams(n=int(d["n"]), a=float(d["a"]), xi=float(d["xi"]),
-                               rho=float(d.get("rho", 0.5)))
+            return CbsbmParams(n=whole_number("n", d["n"]), a=float(d["a"]),
+                               xi=float(d["xi"]), rho=float(d.get("rho", 0.5)))
         if variant == GSSBM:
-            return GssbmParams(n=int(d["n"]), a=float(d["a"]), b=float(d["b"]),
+            return GssbmParams(n=whole_number("n", d["n"]), a=float(d["a"]),
+                               b=float(d["b"]),
                                rhos=tuple(float(r) for r in d["rhos"]))
     except KeyError as exc:
         raise InvalidParams(f"missing field {exc} for variant {variant!r}") from None

@@ -5,8 +5,9 @@ takes to change the estimator's output, add Laplace(1/eps) noise, and
 publish the output only when the noisy distance clears log(1/delta)/eps.
 The slow mechanism measures the distance by neighborhood search; the fast
 one pins it when the clustering passes the concentration test under
-:func:`fast_path_constants`, and searches only when the test cannot run
-or fails. A caller's error raises InvalidParams, never withholds.
+:func:`sbmdp.concentration.default_constants`, and searches only when
+the test cannot run or fails. A caller's error raises InvalidParams, never
+withholds.
 
 The guarantee needs the distance to be a 1-Lipschitz function of the graph
 alone, so the search is bounded only by a radius computed from n, the
@@ -41,8 +42,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .concentration import check_concentration, default_constants, tighten_constants
-from .errors import DegenerateEstimate, InfeasibleRegime, InvalidParams, InvalidShift
+from .concentration import check_concentration, default_constants
+from .errors import DegenerateEstimate, InfeasibleRegime, InvalidParams
 from .graph import SIMPLE, Graph, ball_size, neighbors_at_distance
 from .models import GroundTruth, SbmParams, same_clustering
 from .sdp import SolveOptions, recover, recover_many
@@ -125,21 +126,9 @@ def sdp_estimator(params: SbmParams, opts: SolveOptions = SolveOptions()) -> Est
                            for i, res in recover_many(graphs, params, opts))
 
 
-# stbl_fast's tightening of its concentration constants (each scaled by 1 +- 2*alpha)
-TIGHTEN_ALPHA = 0.001
-
-
 def default_c_stab(delta_exp: float) -> float:
     """The private modes' default stability constant at delta = n^(-delta_exp)."""
     return delta_exp + 2.0
-
-
-def fast_path_constants(params: SbmParams, eps: float, c_stab: float):
-    """:func:`stbl_fast`'s concentration constants: the default tuple
-    (margin 0.1) tightened by :data:`TIGHTEN_ALPHA`. Raises InfeasibleRegime
-    or InvalidShift where none exists."""
-    return tighten_constants(default_constants(params, eps, c_stab),
-                             TIGHTEN_ALPHA, params)
 
 
 def outcomes_equal(o1: Optional[np.ndarray], o2: Optional[np.ndarray]) -> bool:
@@ -318,13 +307,14 @@ def stbl_fast(
     Bad arguments raise InvalidParams before any solve: a negative
     ``c_stab`` or ``max_evals``, and ``params`` that fail ``validate``.
     :func:`sbmdp.sdp.recover` then solves ``g`` once, and the concentration
-    test checks its clustering under :func:`fast_path_constants` of
-    ``params``. A pass pins the distance to c_stab*log(n)/eps. The release
-    falls back to measuring the capped distance around that clustering
+    test checks its clustering under
+    :func:`sbmdp.concentration.default_constants` of ``params``. A pass
+    pins the distance to c_stab*log(n)/eps. The release falls back to
+    measuring the capped distance around that clustering
     (:func:`distance_to_instability`, exponentially slower, bounded by
     ``max_evals``) exactly when the solve gave no labels, no constants
-    exist (InfeasibleRegime, InvalidShift) or the check fails; any other
-    error propagates. The search runs ``f``, by default
+    exist (InfeasibleRegime) or the check fails; any other error
+    propagates. The search runs ``f``, by default
     :func:`sdp_estimator` with ``solve_opts``, on the neighbours. ``c_stab``
     is independent of the delta exponent in ``priv``.
 
@@ -346,8 +336,8 @@ def stbl_fast(
     conc_pass = False
     if result.labels is not None:
         try:
-            constants = fast_path_constants(params, priv.eps, c_stab)
-        except (InfeasibleRegime, InvalidShift):
+            constants = default_constants(params, priv.eps, c_stab)
+        except InfeasibleRegime:
             pass
         else:
             conc_pass = check_concentration(

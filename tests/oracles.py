@@ -36,7 +36,7 @@ from sbmdp.concentration import (
     own_cluster_counts,
     spectral_deviation,
 )
-from sbmdp.errors import AlphabetViolation, DuplicateEdge, InvalidShift
+from sbmdp.errors import AlphabetViolation, DuplicateEdge
 from sbmdp.graph import (
     ALPHABETS,
     SIMPLE,
@@ -308,7 +308,7 @@ def shift_constants(
     (c1 + sqrt(2c/eps), c2 - c/eps, c3 + sqrt(2c(1-rho)/(eps*rho)),
     c4 - c/eps); censored (c1 + sqrt(8c/eps), c2 - c/eps); general
     (c1 + sqrt(2c/eps), c2 - c/(eps*rho_min), c3 - c/eps, c4 + c/eps,
-    c5 - c/eps). Raises InvalidShift when a shifted constant drops to
+    c5 - c/eps). Raises ValueError when a shifted constant drops to
     or below zero.
     """
     shift = c_stab / eps
@@ -333,7 +333,7 @@ def shift_constants(
             c5=constants.c5 - shift,
         )
     if min(astuple(out)) <= 0 and shift > 0:
-        raise InvalidShift(
+        raise ValueError(
             f"shift c/eps = {shift:.4f} drives a constant nonpositive: {out}"
         )
     return out

@@ -453,6 +453,42 @@ def test_config_counts_are_whole_numbers(tmp_path, capsys, monkeypatch):
     assert all(type(x) is int for x in (cfg.trials, cfg.seed_base, cfg.workers, cfg.max_evals))
 
 
+# each overrides the fields of a small basbm config
+MALFORMED_SWEEPS = {
+    # a grid value that is not a list ran cells n = 6 and n = 0
+    "string-grid-value": {"grid": {"n": "60", "a": [8], "b": [1]}},
+    # a key no variant reads was dropped, and basbm's xi went into the CSV
+    "unknown-grid-key": {"grid": {"n": [60], "a": [8], "b": [1], "colour": [1]}},
+    "other-variant-key": {"grid": {"n": [60], "a": [8], "b": [1], "xi": [0.1]}},
+    # a gssbm rhos entry that is not a list ended in a TypeError (exit 3)
+    "flat-rhos": {"variant": "gssbm",
+                  "grid": {"n": [60], "a": [8], "b": [1], "rhos": [0.3, 0.3]}},
+    # n = 60.5 ran as n = 60
+    "fractional-n": {"grid": {"n": [60.5], "a": [8], "b": [1]}},
+    # a private mode without its budget, or a nonpositive eps in any mode,
+    # made every trial an error row or ran as eps = inf
+    "fast-without-eps": {"mode": "fast"},
+    "stbl-without-delta-exp": {"mode": "stbl",
+                               "grid": {"n": [60], "a": [8], "b": [1], "eps": [2]}},
+    "negative-eps": {"mode": "fast", "grid": {"n": [60], "a": [8], "b": [1],
+                                              "eps": [-1], "delta_exp": [2]}},
+    "zero-eps": {"grid": {"n": [60], "a": [8], "b": [1], "eps": [0]}},
+}
+
+
+@pytest.mark.parametrize("override", MALFORMED_SWEEPS.values(), ids=MALFORMED_SWEEPS)
+def test_malformed_sweep_config_is_a_config_error(tmp_path, capsys, override):
+    # refused when the config loads: exit 1, and no CSV is written
+    out = tmp_path / "sweep.csv"
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({
+        "variant": "basbm", "grid": {"n": [60], "a": [8], "b": [1]},
+        "trials": 1, "output": str(out), **override}))
+    assert main(["sweep", "--config", str(config_file)]) == 1
+    assert capsys.readouterr().err.startswith("config error")
+    assert not out.exists()
+
+
 def test_cli_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     # an exception that is neither a config nor a runtime error exits 3
     # with its traceback, so that exit 1 always means a config error

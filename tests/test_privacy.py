@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbmdp import privacy
-from sbmdp.concentration import check_concentration, degree_margins, lambda_star
+from sbmdp.concentration import (check_concentration, default_constants, degree_margins,
+                                 lambda_star)
 from sbmdp.errors import DegenerateEstimate, InvalidParams
 from sbmdp.graph import ALPHABETS, Graph, ball_size, neighbors_at_distance, pair_count
 from sbmdp.models import (
@@ -24,7 +25,6 @@ from sbmdp.privacy import (
     MODES,
     PrivacyParams,
     distance_to_instability,
-    fast_path_constants,
     laplace_quantile,
     outcomes_equal,
     param_estimate,
@@ -496,7 +496,7 @@ def test_stbl_fast_pinned_distance_survives_adversarial_flips(adversary):
     eps, c_stab = 2.0, 4.0
     priv = PrivacyParams.from_exponent(eps, 2.0, params.n)
     budget = int(c_stab * math.log(params.n) / eps)
-    constants = fast_path_constants(params, eps, c_stab)
+    constants = default_constants(params, eps, c_stab)
     shifted = shift_constants(constants, c_stab, eps, rho=params.rho)
     for seed in range(3):
         g, _ = generate(params, seed)
@@ -525,7 +525,7 @@ def test_stbl_fast_distance_is_one_lipschitz_where_the_test_first_fails():
     params = BasbmParams(n=500, a=30, b=2, rho=0.5)
     eps, c_stab = 2.0, 4.0
     priv = PrivacyParams.from_exponent(eps, 2.0, params.n)
-    constants = fast_path_constants(params, eps, c_stab)
+    constants = default_constants(params, eps, c_stab)
     start, _ = generate(params, 0)
     gt_hat = GroundTruth(BASBM, recover(start, params).labels)
     g = start
