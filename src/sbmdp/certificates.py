@@ -78,7 +78,7 @@ from .concentration import (
     log_mean,
     own_cluster_counts,
 )
-from .errors import InvalidParams, ShapeMismatch
+from .errors import InvalidParams
 from .graph import Graph
 from .models import (
     BASBM,
@@ -231,7 +231,7 @@ def build_binary(g: Graph, gt: GroundTruth, params) -> BinaryCertificate:
         raise InvalidParams("binary certificate needs basbm or cbsbm params")
     a_dense = g.to_dense()
     if a_dense.shape[0] != gt.n:
-        raise ShapeMismatch("adjacency and ground truth sizes disagree")
+        raise InvalidParams("adjacency and ground truth sizes disagree")
     return binary_certificate(a_dense, gt.sigma, lambda_star(params))
 
 
@@ -309,7 +309,7 @@ def build_general(
         raise InvalidParams("general certificate needs gssbm params")
     a_dense = g.to_dense()
     if a_dense.shape[0] != gt.n:
-        raise ShapeMismatch("adjacency and ground truth sizes disagree")
+        raise InvalidParams("adjacency and ground truth sizes disagree")
     if constants is None:
         constants = default_constants(params, math.inf, 0.0)
     lam = constants.tau_tilde(params.b) * params.log_n / params.n

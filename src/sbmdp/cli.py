@@ -244,8 +244,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InvalidParams, ParseError, FileNotFoundError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (InvalidParams, ParseError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except SbmdpError as exc:

@@ -399,12 +399,14 @@ def default_constants(
     This is the one tuple behind the fast mechanism, the sweep diagnostics
     and ``sbmdp check-concentration``. ``eps`` may be ``math.inf`` for
     non-private use, in which case all c_stab/eps terms vanish. Raises
-    InfeasibleRegime, naming the violated inequality, when no valid tuple
-    exists for (params, eps, c_stab).
+    InvalidParams for ``params`` that fail ``validate``, an ``eps`` that
+    is not positive (NaN included) and a ``c_stab`` that is negative or not
+    finite, and InfeasibleRegime, naming the violated inequality, when no
+    valid tuple exists for (params, eps, c_stab).
     """
     params.validate()
-    if eps <= 0 or c_stab < 0:
-        raise InvalidParams("need eps > 0 and c_stab >= 0")
+    if not (eps > 0 and 0 <= c_stab < math.inf):
+        raise InvalidParams(f"need eps > 0 and finite c_stab >= 0, got {eps}, {c_stab}")
     shift = 0.0 if math.isinf(eps) else c_stab / eps
 
     if params.variant == BASBM:

@@ -1,36 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class per way a caller
+handles a refusal."""
 
 
 class SbmdpError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class AlphabetViolation(SbmdpError):
-    """Entry value not in the graph's declared alphabet."""
-
-
-class ShapeMismatch(SbmdpError):
-    """Operands have incompatible sizes or alphabets."""
-
-
 class ParseError(SbmdpError):
-    """Malformed edge-list text; carries the offending line number."""
+    """Malformed edge-list text, a pair listed twice included; carries the
+    offending line number."""
 
     def __init__(self, message, line=None):
         super().__init__(f"line {line}: {message}" if line is not None else message)
         self.line = line
 
 
-class DuplicateEdge(ParseError):
-    """The same vertex pair appears twice in an edge list."""
-
-
 class InvalidParams(SbmdpError):
-    """Model or mechanism parameters violate their invariants."""
-
-
-class InfeasibleProblem(SbmdpError):
-    """SDP constraint set is inconsistent."""
+    """Arguments that violate their invariants: model or mechanism
+    parameters that fail ``validate`` (an empty cluster included), entries
+    outside a graph's alphabet, and operands of mismatched sizes."""
 
 
 class InfeasibleRegime(SbmdpError):

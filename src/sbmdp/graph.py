@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import AlphabetViolation, DuplicateEdge, ParseError, ShapeMismatch
+from .errors import InvalidParams, ParseError
 
 SIMPLE = "simple"
 CENSORED = "censored"
@@ -77,14 +77,13 @@ class Graph:
 
     def __init__(self, n: int, alphabet: str, values: np.ndarray):
         if alphabet not in ALPHABETS:
-            raise AlphabetViolation(f"unknown alphabet tag {alphabet!r}")
+            raise InvalidParams(f"unknown alphabet tag {alphabet!r}")
         if values.shape != (pair_count(n),):
-            raise ShapeMismatch(
-                f"expected {pair_count(n)} upper-triangle values, got {values.shape}"
-            )
+            raise InvalidParams(
+                f"expected {pair_count(n)} upper-triangle values, got {values.shape}")
         allowed = ALPHABETS[alphabet]
         if values.size and not _within(values, allowed):
-            raise AlphabetViolation(f"values outside alphabet {allowed}")
+            raise InvalidParams(f"values outside alphabet {allowed}")
         self.n = n
         self.alphabet = alphabet
         arr = np.asarray(values, dtype=np.int8).copy()
@@ -234,7 +233,7 @@ def read_edge_list(text: str) -> Graph:
             raise ParseError(f"label {v} invalid for {alphabet} graph", line=lineno)
         rank = pair_rank(i, j, n)
         if seen[rank]:
-            raise DuplicateEdge(f"pair ({i}, {j}) listed twice", line=lineno)
+            raise ParseError(f"pair ({i}, {j}) listed twice", line=lineno)
         seen[rank] = True
         values[rank] = v
     return Graph(n, alphabet, values)

@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidParams, ShapeMismatch
+from .errors import InvalidParams
 from .graph import CENSORED, SIMPLE, Graph
 
 BASBM = "basbm"
@@ -40,6 +40,10 @@ class _Params:
     a: float
 
     def validate(self) -> None:
+        """The one check that the model can be generated and solved: raises
+        InvalidParams unless n >= 2, the variant's rates and fractions lie
+        in range, every cluster has a vertex (floor(rho_k*n) >= 1) and
+        p = a*log(n)/n <= 1."""
         if self.n < 2:
             raise InvalidParams("n must be at least 2")
         self._validate_variant()
@@ -65,8 +69,9 @@ class BasbmParams(_Params):
     def _validate_variant(self) -> None:
         if not (self.a > self.b > 0):
             raise InvalidParams(f"need a > b > 0, got a={self.a}, b={self.b}")
-        if not (0 < self.rho <= 0.5):
-            raise InvalidParams(f"rho must lie in (0, 0.5], got {self.rho}")
+        if not (0 < self.rho <= 0.5) or self.first_cluster_size < 1:
+            raise InvalidParams(f"rho must lie in (0, 0.5] with no empty cluster, "
+                                f"got {self.rho} at n = {self.n}")
 
     @property
     def q(self) -> float:
@@ -85,12 +90,13 @@ class CbsbmParams(_Params):
     variant = CBSBM
 
     def _validate_variant(self) -> None:
-        if self.a <= 0:
+        if not self.a > 0:
             raise InvalidParams(f"need a > 0, got {self.a}")
         if not (0.0 <= self.xi <= 0.5):
             raise InvalidParams(f"xi must lie in [0, 0.5], got {self.xi}")
-        if not (0 < self.rho <= 0.5):
-            raise InvalidParams(f"rho must lie in (0, 0.5], got {self.rho}")
+        if not (0 < self.rho <= 0.5) or self.first_cluster_size < 1:
+            raise InvalidParams(f"rho must lie in (0, 0.5] with no empty cluster, "
+                                f"got {self.rho} at n = {self.n}")
 
     @property
     def first_cluster_size(self) -> int:
@@ -109,12 +115,13 @@ class GssbmParams(_Params):
             raise InvalidParams(f"need a > b > 0, got a={self.a}, b={self.b}")
         if not self.rhos:
             raise InvalidParams("need at least one cluster fraction")
-        if any(r <= 0 for r in self.rhos):
-            raise InvalidParams("cluster fractions must be positive")
+        if not all(0 < r <= 1 for r in self.rhos):
+            raise InvalidParams(f"cluster fractions must lie in (0, 1], got {self.rhos}")
         if list(self.rhos) != sorted(self.rhos, reverse=True):
             raise InvalidParams("cluster fractions must be nonincreasing")
-        if sum(self.sizes) > self.n:
-            raise InvalidParams("cluster sizes exceed n")
+        if min(self.sizes) < 1 or sum(self.sizes) > self.n:
+            raise InvalidParams(f"cluster sizes {self.sizes} must leave no empty cluster "
+                                f"and sum to at most n = {self.n}")
 
     @property
     def q(self) -> float:
@@ -295,7 +302,7 @@ def same_clustering(m1: np.ndarray, m2: np.ndarray) -> bool:
     m1 = np.asarray(m1)
     m2 = np.asarray(m2)
     if m1.shape != m2.shape:
-        raise ShapeMismatch(f"cluster matrices differ in shape: {m1.shape} vs {m2.shape}")
+        raise InvalidParams(f"cluster matrices differ in shape: {m1.shape} vs {m2.shape}")
     return bool(np.array_equal(m1, m2))
 
 
@@ -309,7 +316,7 @@ def same_partition(labels1: np.ndarray, labels2: np.ndarray) -> bool:
     labels1 = np.asarray(labels1)
     labels2 = np.asarray(labels2)
     if labels1.shape != labels2.shape:
-        raise ShapeMismatch(
+        raise InvalidParams(
             f"label vectors differ in shape: {labels1.shape} vs {labels2.shape}")
     return bool(np.array_equal(same_cluster(labels1), same_cluster(labels2)))
 

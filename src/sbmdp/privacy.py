@@ -57,8 +57,8 @@ class PrivacyParams:
     delta: float
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise InvalidParams(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise InvalidParams(f"eps must be finite and positive, got {self.eps}")
         if not 0.0 < self.delta < 1.0:
             raise InvalidParams(f"delta must lie in (0, 1), got {self.delta}")
 
@@ -304,8 +304,9 @@ def stbl_fast(
 ) -> MechanismOutcome:
     """Fast stability mechanism: concentration test instead of search.
 
-    Bad arguments raise InvalidParams before any solve: a negative
-    ``c_stab`` or ``max_evals``, and ``params`` that fail ``validate``.
+    Bad arguments raise InvalidParams before any solve: a ``c_stab`` that
+    is negative or not finite, a negative ``max_evals``, and ``params``
+    that fail ``validate``.
     :func:`sbmdp.sdp.recover` then solves ``g`` once, and the concentration
     test checks its clustering under
     :func:`sbmdp.concentration.default_constants` of ``params``. A pass
@@ -323,8 +324,8 @@ def stbl_fast(
     searched distance, so this mechanism is not (eps, delta)-DP on every
     graph.
     """
-    if c_stab < 0:
-        raise InvalidParams(f"c_stab must be nonnegative, got {c_stab}")
+    if not 0 <= c_stab < math.inf:
+        raise InvalidParams(f"c_stab must be finite and nonnegative, got {c_stab}")
     if max_evals is not None and max_evals < 0:
         raise InvalidParams(f"max_evals must be nonnegative, got {max_evals}")
     params.validate()

@@ -57,7 +57,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .certificates import BinaryReport, GeneralReport, candidate_report
-from .errors import InfeasibleProblem, InvalidParams
+from .errors import InvalidParams
 from .graph import CENSORED, SIMPLE, Graph, off_diagonal
 from .models import (
     BASBM,
@@ -128,27 +128,22 @@ def problem_from_graph(g: Graph, params: SbmParams) -> SdpProblem:
 
     Raises InvalidParams unless ``g`` is a :class:`~sbmdp.graph.Graph`
     over the variant's alphabet (censored for cbsbm, simple otherwise) with
-    ``params.n`` vertices, and InfeasibleProblem when the graph cannot hold
-    the cluster sizes.
+    ``params.n`` vertices and ``params`` pass their ``validate``, which
+    among others refuses a cluster with no vertex.
     """
     want = CENSORED if params.variant == CBSBM else SIMPLE
     if not isinstance(g, Graph) or g.alphabet != want:
         got = g.alphabet if isinstance(g, Graph) else type(g).__name__
         raise InvalidParams(f"expected a {want} graph, got {got}")
-    n = g.n
-    if n != params.n:
-        raise InvalidParams(f"graph has {n} vertices, params n = {params.n}")
+    if g.n != params.n:
+        raise InvalidParams(f"graph has {g.n} vertices, params n = {params.n}")
+    params.validate()
     if params.variant == CBSBM:
         return SdpProblem(CBSBM, g.to_dense())
     if params.variant == BASBM:
-        k = params.first_cluster_size
-        if not 0 < k <= n // 2 + n % 2:
-            raise InfeasibleProblem(f"first cluster size {k} invalid for n={n}")
-        return SdpProblem(BASBM, g.to_dense(), first_cluster_size=k)
-    sizes = params.sizes
-    if not sizes or min(sizes) < 1 or sum(sizes) > n:
-        raise InfeasibleProblem(f"cluster sizes {sizes} infeasible for n={n}")
-    return SdpProblem(GSSBM, g.to_dense(), sizes=sizes)
+        return SdpProblem(BASBM, g.to_dense(),
+                          first_cluster_size=params.first_cluster_size)
+    return SdpProblem(GSSBM, g.to_dense(), sizes=params.sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +693,9 @@ def recover(g: Graph, params: SbmParams,
     """Solve the variant's SDP of a graph and round to a discrete clustering.
 
     ``g`` must be a :class:`~sbmdp.graph.Graph` over the variant's
-    alphabet with ``params.n`` vertices (see :func:`problem_from_graph`).
+    alphabet with ``params.n`` vertices, and ``params`` must pass
+    ``validate``: either failing raises InvalidParams before any solve
+    (see :func:`problem_from_graph`).
     A certified or polished solution carries its labels, so only a
     fractional one is rounded. A rounding that finds no clustering (a
     degenerate top eigenvalue, or a relation that is no partition of the

@@ -36,7 +36,7 @@ from sbmdp.concentration import (
     own_cluster_counts,
     spectral_deviation,
 )
-from sbmdp.errors import AlphabetViolation, DuplicateEdge
+from sbmdp.errors import InvalidParams
 from sbmdp.graph import (
     ALPHABETS,
     SIMPLE,
@@ -101,7 +101,7 @@ class GraphDelta:
             if i >= j:
                 raise ValueError("delta positions must satisfy i < j")
             if (i, j) in seen:
-                raise DuplicateEdge(f"position ({i}, {j}) flipped twice")
+                raise InvalidParams(f"position ({i}, {j}) flipped twice")
             seen.add((i, j))
 
     def apply(self, g: Graph) -> Graph:
@@ -109,7 +109,7 @@ class GraphDelta:
         for i, j, v in self.flips:
             _check_pair(g, i, j)
             if v not in ALPHABETS[g.alphabet]:
-                raise AlphabetViolation(f"value {v} not in {g.alphabet} alphabet")
+                raise InvalidParams(f"value {v} not in {g.alphabet} alphabet")
             values[pair_rank(i, j, g.n)] = v
         return Graph(g.n, g.alphabet, values)
 

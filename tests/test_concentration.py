@@ -394,6 +394,15 @@ def test_default_constants_infeasible_regime():
         default_constants(params, 0.1, 2.0)
 
 
+@pytest.mark.parametrize("eps, c_stab", [(0.0, 2.0), (math.nan, 2.0), (2.0, -1.0),
+                                         (2.0, math.nan), (2.0, math.inf),
+                                         (math.inf, math.inf)])
+def test_default_constants_refuses_bad_eps_and_c_stab(eps, c_stab):
+    # NaN constants are not JSON, so no tuple is built from them
+    with pytest.raises(InvalidParams, match="eps > 0"):
+        default_constants(BasbmParams(n=500, a=30, b=2, rho=0.5), eps, c_stab)
+
+
 def test_default_constants_cbsbm():
     params = CbsbmParams(n=300, a=8, xi=0.05)
     c = default_constants(params, 1.0, 2.0)

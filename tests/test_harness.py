@@ -227,6 +227,10 @@ def test_trial_errors_become_failure_rows(tmp_path):
     # the aggregates count the crashes as errors, not as withheld releases
     cells = [l for l in out.read_text().splitlines() if l.startswith("# cell")]
     assert all("bottom_rate=0.000000,error_rate=1.000000" in l for l in cells)
+    # so is a gssbm model whose second cluster is empty at n = 6
+    config = small_config(tmp_path, variant="gssbm",
+                          grid={"n": [6], "a": [3.0], "b": [1.0], "rhos": [[0.5, 0.1]]})
+    assert [r["error"] for r in read_rows(sweep(config, timestamp="fixed"))] == ["1"]
 
 
 def test_capped_stbl_trial_withholds_without_neighbour_solves(monkeypatch):
@@ -389,6 +393,29 @@ def test_cli_refuses_a_malformed_ground_truth(tmp_path, capsys, command):
     assert err.count("config error: ground truth") == refused and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["generate", "recover", "certify",
+                                     "check-concentration", "private-recover"])
+@pytest.mark.parametrize("model, filled", [
+    (["--variant", "basbm", "--a", "3", "--b", "1", "--rho", "0.1"], "0.5"),
+    (["--variant", "gssbm", "--a", "3", "--b", "1", "--rhos", "0.5,0.1"], "0.5,0.5"),
+], ids=["basbm", "gssbm"])
+def test_cli_refuses_an_empty_cluster(tmp_path, capsys, command, model, filled):
+    # floor(rho_k * n) = 0 at n = 6: every command refuses the model with a
+    # config error before it samples or solves anything
+    graph_file, gt_file, out = tmp_path / "g.txt", tmp_path / "gt.json", tmp_path / "x.txt"
+    assert main(["generate", *model[:-1], filled, "--n", "6", "--out", str(graph_file),
+                 "--gt-out", str(gt_file)]) == 0
+    capsys.readouterr()
+    graph, gt = ["--graph", str(graph_file)], ["--gt", str(gt_file)]
+    args = {"generate": ["--n", "6", "--out", str(out)], "recover": graph,
+            "certify": graph + gt, "check-concentration": graph + gt,
+            "private-recover": graph + ["--eps", "1", "--delta-exp", "1"]}[command]
+    assert main([command, *model, *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "empty cluster" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_cli_sweep_and_exit_codes(tmp_path):
     config = {
         "variant": "basbm",
@@ -491,14 +518,17 @@ def test_malformed_sweep_config_is_a_config_error(tmp_path, capsys, override):
 
 def test_cli_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     # an exception that is neither a config nor a runtime error exits 3
-    # with its traceback, so that exit 1 always means a config error
-    def broken(args):
-        raise TypeError("not a config error")
+    # with its traceback, so that exit 1 always means a config error; a
+    # KeyError is one too, as every missing user key is InvalidParams
+    for error in (TypeError, KeyError):
+        def broken(args):
+            raise error("not a config error")
 
-    monkeypatch.setattr(cli, "cmd_estimate_params", broken)
-    assert main(["estimate-params", "--graph", str(tmp_path / "g.txt")]) == 3
-    err = capsys.readouterr().err
-    assert "Traceback" in err and "TypeError: not a config error" in err
+        monkeypatch.setattr(cli, "cmd_estimate_params", broken)
+        assert main(["estimate-params", "--graph", str(tmp_path / "g.txt")]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and f"{error.__name__}: " in err, err
+        assert "not a config error" in err
 
 
 def test_cli_runtime_error_exit_code(tmp_path, capsys):

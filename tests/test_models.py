@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sbmdp.errors import InvalidParams, ShapeMismatch
+from sbmdp.errors import InvalidParams
 from sbmdp.models import (
     BasbmParams,
     CbsbmParams,
@@ -35,6 +35,19 @@ def test_validation():
         GssbmParams(n=100, a=8, b=1, rhos=(0.2, 0.3)).validate()  # not sorted
     with pytest.raises(InvalidParams):
         GssbmParams(n=100, a=8, b=1, rhos=(0.6, 0.5)).validate()  # overfull
+    # an empty cluster, floor(rho_k * n) = 0
+    for params in (BasbmParams(n=6, a=3, b=1, rho=0.1),
+                   CbsbmParams(n=6, a=3, xi=0.1, rho=0.1),
+                   GssbmParams(n=6, a=3, b=1, rhos=(0.5, 0.1))):
+        with pytest.raises(InvalidParams, match="empty cluster"):
+            params.validate()
+    # non-finite fields, refused before they reach a floor or a rate
+    for params in (CbsbmParams(n=100, a=math.nan, xi=0.1),
+                   BasbmParams(n=100, a=30, b=2, rho=math.nan),
+                   GssbmParams(n=100, a=8, b=1, rhos=(math.inf,)),
+                   GssbmParams(n=100, a=8, b=1, rhos=(0.4, math.nan))):
+        with pytest.raises(InvalidParams):
+            params.validate()
     GssbmParams(n=100, a=8, b=1, rhos=(0.4, 0.3)).validate()
 
 
@@ -171,7 +184,7 @@ def test_same_clustering_invariances():
     ga = GroundTruth("gssbm", np.array([1, 1, 2, 2, 0]))
     gb = GroundTruth("gssbm", np.array([2, 2, 1, 1, 0]))
     assert same_clustering(cluster_matrix(ga), cluster_matrix(gb))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InvalidParams, match="differ in shape"):
         same_clustering(y1, np.ones((3, 3)))
 
 
@@ -191,7 +204,7 @@ def test_same_partition_invariances():
         assert same_partition(labels, other) == same_clustering(
             cluster_matrix(GroundTruth("gssbm", labels)),
             cluster_matrix(GroundTruth("gssbm", other)))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InvalidParams, match="differ in shape"):
         same_partition(labels, labels[:-1])
 
 

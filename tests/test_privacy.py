@@ -62,8 +62,9 @@ def test_privacy_params():
     priv = PrivacyParams(1.0, 0.05)
     assert priv.threshold == pytest.approx(math.log(20))
     assert PrivacyParams.from_exponent(2.0, 2.0, 100).delta == pytest.approx(1e-4)
-    with pytest.raises(InvalidParams):
-        PrivacyParams(0.0, 0.1)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidParams, match="eps"):
+            PrivacyParams(eps, 0.1)
     with pytest.raises(InvalidParams):
         PrivacyParams(1.0, 1.5)
 
@@ -365,9 +366,13 @@ def test_release_refuses_params_that_fail_validate(monkeypatch, mode):
 
 @pytest.mark.parametrize("params, c_stab, options", [
     (SEARCHED, -1.0, {}),
+    (SEARCHED, math.nan, {}),
+    (SEARCHED, math.inf, {}),
     (SEARCHED, 0.9, {"max_evals": -1}),
     (BasbmParams(n=6, a=0.5, b=0.5, rho=0.5), 0.9, {}),
-], ids=["c_stab", "max_evals", "a-not-above-b"])
+    (BasbmParams(n=6, a=3.0, b=0.5, rho=0.1), 0.9, {}),
+], ids=["c_stab", "c_stab-nan", "c_stab-inf", "max_evals", "a-not-above-b",
+        "empty-cluster"])
 def test_stbl_fast_refuses_bad_arguments_before_solving(monkeypatch, params, c_stab,
                                                        options):
     g, _ = generate(SEARCHED, 0)

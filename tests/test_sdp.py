@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbmdp.errors import InfeasibleProblem, InvalidParams
+from sbmdp.errors import InvalidParams
 from sbmdp.graph import CENSORED, Graph
 from sbmdp.models import (
     BasbmParams,
@@ -104,10 +104,11 @@ def test_problem_validation():
                            GssbmParams(n=8, a=3.0, b=1.0, rhos=(0.4, 0.4)))
     with pytest.raises(InvalidParams):
         recover(empty_graph(4), BasbmParams(n=5, a=2.0, b=1.0, rho=0.4))
-    with pytest.raises(InfeasibleProblem):  # sizes (3, 3) on 4 vertices
+    # params that fail validate
+    with pytest.raises(InvalidParams, match="at most n"):  # sizes (3, 3) on 4 vertices
         problem_from_graph(empty_graph(4),
                            GssbmParams(n=4, a=3.0, b=1.0, rhos=(0.8, 0.8)))
-    with pytest.raises(InfeasibleProblem):  # empty first cluster
+    with pytest.raises(InvalidParams, match="empty cluster"):  # empty first cluster
         problem_from_graph(empty_graph(4), BasbmParams(n=4, a=2.0, b=1.0, rho=0.01))
     # the adjacency input is a Graph, never its dense matrix
     with pytest.raises(InvalidParams):
